@@ -257,9 +257,16 @@ def log_density(params: EgdParams, x) -> float | np.ndarray:
     For ``a != q/2`` a zero vector raises, because the density is either
     singular or zero at the origin.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    t = np.atleast_1d(np.asarray(squared_radius(params.scatter, x), dtype=float))
+    t = squared_radius(params.scatter, x)
+    out = _log_density_from_radii(params, t)
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def _log_density_from_radii(params: EgdParams, t):
+    """Log density given the squared radii ``t`` under ``params.scatter``.
+
+    ``t`` is a float (one sample) or a vector (one entry per sample).
+    """
     q = params.dim
     a = params.shape_a
     b = params.scale_b
@@ -270,12 +277,11 @@ def log_density(params: EgdParams, x) -> float | np.ndarray:
         zero = t == 0.0
         if np.any(zero):
             idx = int(np.flatnonzero(zero)[0])
-            prefix = "" if single else f"sample {idx}: "
+            prefix = "" if np.ndim(t) == 0 else f"sample {idx}: "
             raise ValueError(prefix + "density singular/zero at origin")
         elliptical = shift * np.log(t)
-    out = (_log_norm_const(q, a, b) - 0.5 * params.scatter.log_det
-           + elliptical - t / b)
-    return float(out[0]) if single else out
+    return (_log_norm_const(q, a, b) - 0.5 * params.scatter.log_det
+            + elliptical - t / b)
 
 
 def gamma_log_density(v, a: float, b: float) -> float | np.ndarray:

@@ -26,7 +26,8 @@ def trigamma(x):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0):
         raise ValueError("trigamma requires x > 0")
-    out = scipy.special.polygamma(1, x_arr)
+    # zeta(2, x) is what polygamma(1, x) evaluates, without its overhead
+    out = scipy.special.zeta(2.0, x_arr)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -77,7 +78,7 @@ def _bisect_shape(gap: float, start: float, tol: float, max_iter: int):
     """Bisection on the strictly decreasing score log(a) - digamma(a) - gap."""
 
     def score(a):
-        return math.log(a) - digamma(a) - gap
+        return math.log(a) - float(scipy.special.psi(a)) - gap
 
     lo = hi = start
     used = 0
@@ -135,8 +136,9 @@ def fit_gamma_weighted(data: WeightedSample, tol: float = 1e-10,
     fallback = False
     for _ in range(max_iter):
         iterations += 1
-        score = math.log(a) - digamma(a) - gap
-        denom = a * a * (1.0 / a - trigamma(a))
+        # a > 0 throughout, so the validating wrappers are skipped
+        score = math.log(a) - float(scipy.special.psi(a)) - gap
+        denom = a * a * (1.0 / a - float(scipy.special.zeta(2.0, a)))
         if denom >= 0.0 or not math.isfinite(denom):
             fallback = True
             break

@@ -136,8 +136,21 @@ def write_model(path, model: MixtureModel, fit_info: dict | None = None) -> None
         fh.write("\n")
 
 
+def _number(entry: dict, key: str, where: str) -> float:
+    value = entry.get(key)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{where}: '{key}' missing or not a number")
+
+
 def read_model(path):
-    """Load a mixture model document; returns ``(model, fit_info)``."""
+    """Load a mixture model document; returns ``(model, fit_info)``.
+
+    A missing or mistyped key raises ``ValueError`` naming the key.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -145,17 +158,31 @@ def read_model(path):
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} document")
-    dim = doc["dim"]
+    dim = doc.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"{path}: 'dim' missing or not a positive integer")
+    entries = doc.get("components")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(f"{path}: 'components' missing or not a nonempty list")
     comps = []
     weights = []
-    for j, entry in enumerate(doc["components"]):
-        flat = np.asarray(entry["scatter"], dtype=float)
+    for j, entry in enumerate(entries):
+        where = f"{path}: component {j}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} is not an object")
+        a, b, weight = (_number(entry, key, where)
+                        for key in ("a", "b", "weight"))
+        if not isinstance(entry.get("scatter"), list):
+            raise ValueError(f"{where}: 'scatter' missing or not a list")
+        try:
+            flat = np.asarray(entry["scatter"], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: 'scatter' must hold numbers") from None
         if flat.size != dim * dim:
             raise ValueError(f"component {j}: scatter has {flat.size} entries, "
                              f"expected {dim * dim}")
-        scatter = ScatterMatrix(flat.reshape(dim, dim))
-        comps.append(EgdParams(scatter, float(entry["a"]), float(entry["b"])))
-        weights.append(float(entry["weight"]))
+        comps.append(EgdParams(ScatterMatrix(flat.reshape(dim, dim)), a, b))
+        weights.append(weight)
     weights = np.asarray(weights)
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"component weights sum to {weights.sum()!r}, "

@@ -6,6 +6,12 @@ the radial parameters held fixed, stage 2 refits each component's gamma
 shape and scale from the squared radii under the current scatters.  Both
 blocks increase the observed-data likelihood, so the per-sweep trace is
 nondecreasing up to the inner solvers' tolerances.
+
+The squared radii ``x_i' Sigma_k^{-1} x_i`` depend on the scatters only, so
+:func:`fit_mixture` computes the K x n radius matrix once per scatter update
+and reuses it in every E-step and radial refit until the next one (the
+conditional-maximization structure of ECM, Meng & Rubin 1993).  The same
+scatter always yields the same radii, so this changes no result.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Dataset, EgdParams, MixtureModel, ScatterMatrix, log_density,
-                   sample, squared_radius)
+from .core import (Dataset, EgdParams, MixtureModel, ScatterMatrix,
+                   _log_density_from_radii, sample, squared_radius)
 from .gammafit import WeightedSample, fit_gamma_weighted
 from .scatter import FixedPointConfig, RankDeficiencyError, fit_scatter
 
@@ -122,13 +128,21 @@ def e_step(model: MixtureModel, data: Dataset):
     """
     if data.dim != model.dim:
         raise ValueError("data dimension does not match model")
-    n = data.n
-    k = model.n_components
-    log_joint = np.empty((k, n))
+    return _e_step(model, data, _squared_radii(model, data))
+
+
+def _squared_radii(model, data):
+    """K x n matrix of every sample's squared radius under every scatter."""
+    return np.stack([squared_radius(comp.scatter, data.samples)
+                     for comp in model.components])
+
+
+def _e_step(model, data, radii):
+    log_joint = np.empty(radii.shape)
     with np.errstate(divide="ignore"):
         log_probs = np.log(model.mix_probs)
     for j, comp in enumerate(model.components):
-        log_joint[j] = log_density(comp, data.samples) + log_probs[j]
+        log_joint[j] = _log_density_from_radii(comp, radii[j]) + log_probs[j]
     shift = log_joint.max(axis=0)
     finite = np.isfinite(shift)
     if not finite.all():
@@ -185,9 +199,13 @@ def m_step_scatter(data: Dataset, resp: Responsibilities, model: MixtureModel,
 def m_step_shape(data: Dataset, resp: Responsibilities,
                  model: MixtureModel) -> MixtureModel:
     """Refit every component's gamma shape and scale from squared radii."""
-    t = resp.matrix
-    if t.shape != (model.n_components, data.n):
+    if resp.matrix.shape != (model.n_components, data.n):
         raise ValueError("responsibilities shape does not match model and data")
+    return _m_step_shape(data, resp, model, _squared_radii(model, data))
+
+
+def _m_step_shape(data, resp, model, radii):
+    t = resp.matrix
     new_comps = []
     new_probs = np.empty(model.n_components)
     for k, comp in enumerate(model.components):
@@ -198,9 +216,8 @@ def m_step_shape(data: Dataset, resp: Responsibilities,
             warnings.warn(f"component {k} is empty; radial parameters frozen")
             new_comps.append(comp)
             continue
-        radii_sq = squared_radius(comp.scatter, data.samples)
         try:
-            fit = fit_gamma_weighted(WeightedSample(radii_sq, wk))
+            fit = fit_gamma_weighted(WeightedSample(radii[k], wk))
         except ValueError:
             warnings.warn(f"component {k} has degenerate radii; radial "
                           "parameters frozen for this sweep")
@@ -210,24 +227,24 @@ def m_step_shape(data: Dataset, resp: Responsibilities,
     return MixtureModel(new_comps, new_probs / new_probs.sum())
 
 
-def _prune_empty(model, resp, data):
+def _prune_empty(model, radii, resp, data):
     eff = resp.matrix @ data.weights
     if float(eff.min()) > 0.0 or model.n_components == 1:
-        return model, False
+        return model, radii, False
     keep = eff > 0.0
     warnings.warn(f"removing {int(np.count_nonzero(~keep))} empty component(s)")
     probs = model.mix_probs[keep]
     model = MixtureModel([c for c, k in zip(model.components, keep) if k],
                          probs / probs.sum())
-    return model, True
+    return model, radii[keep], True
 
 
-def _respond(model, data):
+def _respond(model, radii, data):
     while True:
-        resp, total = e_step(model, data)
-        model, pruned = _prune_empty(model, resp, data)
+        resp, total = _e_step(model, data, radii)
+        model, radii, pruned = _prune_empty(model, radii, resp, data)
         if not pruned:
-            return model, resp, total
+            return model, radii, resp, total
 
 
 def _second_moment(x, w):
@@ -307,12 +324,19 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     at the start of every sweep plus a final evaluation of the returned
     model.  Components that lose all responsibility are removed with a
     warning.
+
+    The squared radii are computed once for the initial model and once after
+    each scatter refit, then shared by every E-step and radial refit until
+    the next scatter refit.  They depend on the scatters alone, so the
+    results are those of calling :func:`e_step` and :func:`m_step_shape`,
+    which recompute them, in the same schedule.
     """
     k = config.n_components
     if data.n < k * data.dim:
         raise ValueError("need at least n_components * dim samples")
     rng = np.random.default_rng(config.seed)
     model = _init_model(data, config, rng)
+    radii = _squared_radii(model, data)
     n_eff = data.total_weight
     trace = []
     converged = False
@@ -322,15 +346,16 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     for _ in range(config.outer_rounds):
         rounds += 1
         for _ in range(config.stage1_sweeps):
-            model, resp, total = _respond(model, data)
+            model, radii, resp, total = _respond(model, radii, data)
             trace.append(total / n_eff)
             model = m_step_scatter(data, resp, model, config.scatter_fit)
+            radii = _squared_radii(model, data)
         prev_stage = None
         for _ in range(config.stage2_sweeps):
-            model, resp, total = _respond(model, data)
+            model, radii, resp, total = _respond(model, radii, data)
             avg = total / n_eff
             trace.append(avg)
-            model = m_step_shape(data, resp, model)
+            model = _m_step_shape(data, resp, model, radii)
             if prev_stage is not None and abs(avg - prev_stage) < config.tol:
                 break
             prev_stage = avg
@@ -338,7 +363,7 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
             converged = True
             break
         prev_round = trace[-1]
-    model, resp, total = _respond(model, data)
+    model, _, resp, total = _respond(model, radii, data)
     trace.append(total / n_eff)
     return EmReport(model=model, loglik_trace=np.asarray(trace),
                     responsibilities=resp, converged=converged, rounds=rounds)

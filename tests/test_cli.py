@@ -1,6 +1,8 @@
 """End-to-end command-line coverage, run in-process."""
 
+import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -284,6 +286,14 @@ class TestEval:
         assert code == 4
         assert "does not match model" in capsys.readouterr().err
 
+    def test_model_without_dim_is_data_error(self, work, tmp_path, capsys):
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps({"format": "egd-mixture-v1",
+                                     "components": []}))
+        code = run_cli("eval", "--data", work["data"], "--model", model)
+        assert code == 4
+        assert "'dim'" in capsys.readouterr().err
+
     def test_too_many_splits(self, work, tmp_path):
         data = tmp_path / "tiny.csv"
         eio.write_matrix_csv(data, np.random.default_rng(1)
@@ -326,6 +336,19 @@ class TestBench:
             fp = float(by_key[(trial, "fp", "sample-cov")][5])
             kt = float(by_key[(trial, "kent-tyler", "sample-cov")][5])
             assert fp == pytest.approx(kt, abs=1e-5)
+
+    def test_elapsed_within_wall_time(self, tmp_path, monkeypatch):
+        # each fit's elapsed_ms is its own duration, so all of them together
+        # cannot exceed the time of the whole serial command
+        monkeypatch.delenv("EGD_THREADS", raising=False)
+        out = tmp_path / "r"
+        start = time.perf_counter()
+        assert run_cli(*self.bench_args(out, trials=3)) == 0
+        wall_ms = 1000.0 * (time.perf_counter() - start)
+        with open(out / "runs.csv", newline="") as fh:
+            elapsed = [float(r["elapsed_ms"]) for r in csv.DictReader(fh)]
+        assert len(elapsed) == 12 and min(elapsed) > 0.0
+        assert sum(elapsed) <= wall_ms
 
     def test_thread_pool_matches_serial(self, tmp_path, monkeypatch):
         serial = tmp_path / "serial"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 
 import egd
@@ -47,6 +48,14 @@ class TestSpecialFunctions:
         x = np.array([0.5, 1.0, 10.0])
         assert_allclose(egd.digamma(x),
                         [DIGAMMA_HALF, DIGAMMA_1, DIGAMMA_10], rtol=1e-12)
+
+    def test_trigamma_is_polygamma_bit_for_bit(self):
+        # the shape solver calls zeta(2, a) for trigamma(a)
+        x = np.geomspace(1e-8, 1e8, 20001)
+        assert np.array_equal(egd.trigamma(x),
+                              scipy.special.polygamma(1, x))
+        assert np.array_equal(scipy.special.zeta(2.0, x),
+                              scipy.special.polygamma(1, x))
 
     def test_newton_denominator_always_negative(self):
         # the shape update divides by a^2 (1/a - trigamma(a)); the second

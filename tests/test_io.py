@@ -154,6 +154,43 @@ class TestModelFile:
         with pytest.raises(ValueError, match="positive definite"):
             eio.read_model(path)
 
+    @pytest.mark.parametrize("key", ["dim", "components", "weight", "a",
+                                     "b", "scatter"])
+    def test_missing_key_named(self, tmp_path, key):
+        path = tmp_path / "model.json"
+        eio.write_model(path, self.make_model())
+        doc = json.loads(path.read_text())
+        del (doc if key in doc else doc["components"][1])[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            eio.read_model(path)
+
+    @pytest.mark.parametrize("doc", [
+        {"dim": 0}, {"dim": True}, {"dim": 3.0}, {"components": []},
+        {"components": {}}, {"components": [1.0]}])
+    def test_bad_top_level_rejected(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        eio.write_model(path, self.make_model())
+        full = json.loads(path.read_text())
+        full.update(doc)
+        path.write_text(json.dumps(full))
+        with pytest.raises(ValueError):
+            eio.read_model(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("a", "1.5"), ("b", None), ("weight", True), ("a", 10 ** 400),
+        ("scatter", 2.0), ("scatter", ["x"] * 9), ("scatter", [{}] * 9)],
+        ids=["a-text", "b-null", "weight-bool", "a-overflow",
+             "scatter-scalar", "scatter-text", "scatter-objects"])
+    def test_bad_component_value_named(self, tmp_path, key, value):
+        path = tmp_path / "model.json"
+        eio.write_model(path, self.make_model())
+        doc = json.loads(path.read_text())
+        doc["components"][0][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"component 0: '{key}'"):
+            eio.read_model(path)
+
     def test_scatter_length_checked(self, tmp_path):
         model = self.make_model()
         path = tmp_path / "model.json"

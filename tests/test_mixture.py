@@ -264,6 +264,62 @@ class TestFitMixture:
         with pytest.warns(UserWarning, match="empty component"):
             report = egd.fit_mixture(data, cfg)
         assert report.model.n_components == 1
+        # the pruned component's radii go with it
+        assert report.responsibilities.n_components == 1
+        assert np.all(np.diff(report.loglik_trace) >= -1e-8)
+
+    def test_matches_public_step_schedule(self):
+        # fit_mixture shares one radius matrix between scatter refits; the
+        # public steps each recompute it, and must give identical floats
+        model = two_scale_model(3, lo=1.0, hi=60.0)
+        a = egd.sample(model.components[0], 400, seed=41)
+        b = egd.sample(model.components[1], 400, seed=42)
+        data = egd.Dataset(np.vstack([a.samples, b.samples]))
+        start = egd.MixtureModel(
+            [egd.EgdParams(egd.ScatterMatrix(2.0 * np.eye(3)), 1.0, 2.0),
+             egd.EgdParams(egd.ScatterMatrix(30.0 * np.eye(3)), 2.0, 3.0)],
+            np.array([0.4, 0.6]))
+        cfg = egd.EmConfig(n_components=2, init="user-model",
+                           user_model=start, stage2_sweeps=5,
+                           outer_rounds=8, tol=1e-7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = egd.fit_mixture(data, cfg)
+
+            model, trace, prev_round = start, [], None
+            for _ in range(cfg.outer_rounds):
+                for _ in range(cfg.stage1_sweeps):
+                    resp, total = egd.e_step(model, data)
+                    trace.append(total / data.total_weight)
+                    model = egd.m_step_scatter(data, resp, model)
+                prev_stage = None
+                for _ in range(cfg.stage2_sweeps):
+                    resp, total = egd.e_step(model, data)
+                    avg = total / data.total_weight
+                    trace.append(avg)
+                    model = egd.m_step_shape(data, resp, model)
+                    if prev_stage is not None and \
+                            abs(avg - prev_stage) < cfg.tol:
+                        break
+                    prev_stage = avg
+                if prev_round is not None and \
+                        abs(trace[-1] - prev_round) < cfg.tol:
+                    break
+                prev_round = trace[-1]
+            resp, total = egd.e_step(model, data)
+            trace.append(total / data.total_weight)
+
+        # no pruning, and both the stage-2 and the round stop were taken
+        assert report.model.n_components == 2
+        assert report.converged
+        assert len(trace) < report.rounds * (1 + cfg.stage2_sweeps) + 1
+        assert np.array_equal(report.loglik_trace, np.asarray(trace))
+        assert np.array_equal(report.model.mix_probs, model.mix_probs)
+        assert np.array_equal(report.responsibilities.matrix, resp.matrix)
+        for got, want in zip(report.model.components, model.components):
+            assert np.array_equal(got.scatter.entries, want.scatter.entries)
+            assert got.shape_a == want.shape_a
+            assert got.scale_b == want.scale_b
 
     def test_deterministic(self):
         rng = np.random.default_rng(49)
