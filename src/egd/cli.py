@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``sample``, ``fit``, ``fit-mixture``, ``eval``, ``bench``,
-``preprocess``.  Exit codes: 0 success, 2 usage error, 3 a fit hit its
-iteration cap (the model is still written), 4 bad data.
+``preprocess``.  Exit codes: 0 success, 2 usage error, 3 a fit did not
+converge: it hit its iteration cap or stopped near-singular (the model is
+still written), 4 bad data.
 """
 
 from __future__ import annotations
@@ -87,7 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_positive_float, required=True)
     p.add_argument("--weights")
     p.add_argument("--init", default="sample-cov",
-                   help="'identity', 'sample-cov', or a matrix file")
+                   help="'identity', 'sample-cov', or a matrix file; for "
+                        "fp, 'identity' is the whitened identity, i.e. "
+                        "(2/b) times the second moment (the sample-cov "
+                        "start when b = 2); for kent-tyler it is I")
     p.add_argument("--alpha-rule", choices=("eigen", "trace"), default="eigen")
     p.add_argument("--algo", choices=_ALGOS, default="fp")
     p.add_argument("--tol", type=_positive_float, default=1e-6)
@@ -177,7 +181,9 @@ def _single_component_model(report: FitReport, a, b, args, extra=None):
         "converged": bool(report.converged),
         "tol": args.tol,
         "final_residual": report.final_residual,
-        "final_avg_loglik": float(report.loglik_trace[-1]),
+        # null when the fit stopped before accepting any iterate
+        "final_avg_loglik": (float(report.loglik_trace[-1])
+                             if report.iterations else None),
     }
     if extra:
         fit_info.update(extra)
@@ -202,6 +208,10 @@ def cmd_fit(args, parser) -> int:
     eio.write_model(args.out, model, fit_info)
     if args.trace:
         eio.write_trace(args.trace, eio.trace_rows(report))
+    if report.near_singular and not report.converged:
+        print(f"stopped near-singular after {report.iterations} iterations "
+              "(the model is still written)", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     if not report.converged:
         print(f"did not converge within {args.max_iter} iterations "
               f"(final residual {report.final_residual:.3e})", file=sys.stderr)
@@ -292,7 +302,8 @@ def _bench_trial(trial, args, algos, out_dir):
                 "init": init,
                 "iterations": report.iterations,
                 "converged": int(report.converged),
-                "final_avg_loglik": report.loglik_trace[-1],
+                "final_avg_loglik": (report.loglik_trace[-1]
+                                     if report.iterations else math.nan),
                 "final_residual": report.final_residual,
                 # the trace holds timestamps since the fit started
                 "elapsed_ms": (float(report.elapsed_ms_trace[-1])

@@ -17,12 +17,15 @@ convergent inverse-map iteration whose iterate spectra stay inside a fixed
 box; ``c > 0`` (``a < q/2``) uses a multiplicative update with a per-step
 scalar ``alpha`` chosen either by an eigenvalue case analysis or by a trace
 normalization.  A data-augmentation baseline (Kent-Tyler) covers the
-``a < q/2`` regime in original coordinates.  All iterations stop when the
-average log-likelihood changes by less than ``tol``.
+``a < q/2`` regime: whitened, its update is exactly the nonconcave
+candidate, so it runs as the unscaled (``alpha = 1``) whitened fixed point.
+One driver runs all three iterations and stops when the average
+log-likelihood changes by less than ``tol``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -62,13 +65,20 @@ class RankDeficiencyError(ValueError):
     """Raised when the weighted data fail to span R^q."""
 
 
+class _Breakdown(ValueError):
+    """A step left the usable SPD cone; the fit stops near-singular."""
+
+
 @dataclass(frozen=True, eq=False)
 class FixedPointConfig:
     """Options shared by the fixed-point scatter fits.
 
     ``init`` selects the starting matrix: the identity, the weighted sample
     second moment, or a user matrix supplied in original coordinates via
-    ``user_matrix``.  ``alpha_rule`` only affects the nonconcave iteration.
+    ``user_matrix``.  For the fixed points ``'identity'`` is the whitened
+    identity, i.e. ``Sigma_0 = B = (2/b)`` times the weighted second moment,
+    the same start as ``'sample-cov'`` when ``b = 2``; for Kent-Tyler it is
+    ``Sigma_0 = I``.  ``alpha_rule`` only affects the nonconcave iteration.
     ``residual_check`` controls whether the stationarity residual of the
     final iterate is computed into the report.
     """
@@ -249,6 +259,71 @@ def _whitened_residual(problem: WhitenedProblem, gamma: np.ndarray,
     return float(np.linalg.norm(inv_half @ (g - gamma) @ inv_half, "fro"))
 
 
+def _run(problem: WhitenedProblem, config: FixedPointConfig, steps,
+         fields: tuple) -> FitReport:
+    """Drive a step generator to the average log-likelihood stop.
+
+    ``steps`` yields the start and then every accepted iterate as
+    ``(gamma, s, avg_loglik, trace_row)`` and raises :class:`_Breakdown`
+    when a step leaves the usable SPD cone; the last accepted iterate is
+    then reported with ``near_singular`` set.  ``fields`` names the report
+    traces filled, in order, from the entries of each trace row.
+    """
+    start = time.perf_counter()
+    gamma, s, ll_prev, _ = next(steps)
+    lls, rows, elapsed = [], [], []
+    converged = False
+    near_singular = False
+    try:
+        for gamma, s, ll, row in itertools.islice(steps, config.max_iter):
+            lls.append(ll)
+            rows.append(row)
+            elapsed.append(1000.0 * (time.perf_counter() - start))
+            if abs(ll - ll_prev) < config.tol:
+                converged = True
+                break
+            ll_prev = ll
+    except _Breakdown:
+        near_singular = True
+    residual = math.nan
+    if config.residual_check and not near_singular:
+        try:
+            residual = _whitened_residual(problem, gamma, s)
+        except ValueError:
+            near_singular = True
+    traces = {name: np.asarray([row[i] for row in rows])
+              for i, name in enumerate(fields)}
+    return FitReport(
+        sigma_hat=recover_sigma(gamma, problem),
+        iterations=len(lls),
+        converged=converged,
+        final_residual=residual,
+        loglik_trace=np.asarray(lls),
+        elapsed_ms_trace=np.asarray(elapsed),
+        near_singular=near_singular,
+        **traces,
+    )
+
+
+def _concave_steps(problem: WhitenedProblem, config: FixedPointConfig):
+    c_prime = -problem.c
+    w = problem.weights
+    eye = np.eye(problem.dim)
+    gamma = _initial_gamma(problem, config)
+    while True:
+        vals, vecs = np.linalg.eigh(gamma)
+        if vals[0] <= 0.0:
+            raise _Breakdown("iterate lost positive definiteness")
+        z = problem.y @ ((vecs / np.sqrt(vals)) @ vecs.T)
+        s = np.maximum(np.einsum("ij,ij->i", z, z), _DENOM_FLOOR)
+        ll = _avg_loglik(problem, s, float(np.log(vals).sum()))
+        yield gamma, s, ll, (float(vals[0]), float(vals[-1]))
+        if _near_singular(float(vals[0]), float(vals[-1])):
+            raise _Breakdown("iterate is near singular")
+        weight_mat = (z * (w / s)[:, None]).T @ z
+        gamma = symmetrize(np.linalg.inv(eye + c_prime * weight_mat))
+
+
 def fit_concave(problem: WhitenedProblem,
                 config: FixedPointConfig | None = None) -> FitReport:
     """Fixed point for the concave regime ``a >= q/2`` (``c <= 0``).
@@ -262,61 +337,8 @@ def fit_concave(problem: WhitenedProblem,
     config = config or FixedPointConfig()
     if problem.c > 0.0:
         raise ValueError("concave iteration requires a >= dim/2 (c <= 0)")
-    c_prime = -problem.c
-    w = problem.weights
-    q = problem.dim
-    eye = np.eye(q)
-    start = time.perf_counter()
-
-    def state(gamma):
-        vals, vecs = np.linalg.eigh(gamma)
-        if vals[0] <= 0.0:
-            raise RuntimeError("iterate lost positive definiteness")
-        z = problem.y @ ((vecs / np.sqrt(vals)) @ vecs.T)
-        s = np.maximum(np.einsum("ij,ij->i", z, z), _DENOM_FLOOR)
-        return vals, z, s
-
-    gamma = _initial_gamma(problem, config)
-    vals, z, s = state(gamma)
-    ll_prev = _avg_loglik(problem, s, float(np.log(vals).sum()))
-    lls, eig_lo, eig_hi, elapsed = [], [], [], []
-    iterations = 0
-    converged = False
-    near_singular = False
-    for p in range(1, config.max_iter + 1):
-        if _near_singular(float(vals[0]), float(vals[-1])):
-            near_singular = True
-            break
-        weight_mat = (z * (w / s)[:, None]).T @ z
-        gamma = symmetrize(np.linalg.inv(eye + c_prime * weight_mat))
-        vals, z, s = state(gamma)
-        ll = _avg_loglik(problem, s, float(np.log(vals).sum()))
-        iterations = p
-        lls.append(ll)
-        eig_lo.append(float(vals[0]))
-        eig_hi.append(float(vals[-1]))
-        elapsed.append(1000.0 * (time.perf_counter() - start))
-        if abs(ll - ll_prev) < config.tol:
-            converged = True
-            break
-        ll_prev = ll
-    residual = math.nan
-    if config.residual_check and not near_singular:
-        try:
-            residual = _whitened_residual(problem, gamma, s)
-        except ValueError:
-            near_singular = True
-    return FitReport(
-        sigma_hat=recover_sigma(gamma, problem),
-        iterations=iterations,
-        converged=converged,
-        final_residual=residual,
-        loglik_trace=np.asarray(lls),
-        elapsed_ms_trace=np.asarray(elapsed),
-        iterate_eig_min_trace=np.asarray(eig_lo),
-        iterate_eig_max_trace=np.asarray(eig_hi),
-        near_singular=near_singular,
-    )
+    return _run(problem, config, _concave_steps(problem, config),
+                ("iterate_eig_min_trace", "iterate_eig_max_trace"))
 
 
 def _alpha_eigen(c: float, y: np.ndarray, w: np.ndarray, gamma_prime: np.ndarray,
@@ -340,9 +362,30 @@ def _alpha_eigen(c: float, y: np.ndarray, w: np.ndarray, gamma_prime: np.ndarray
     inv_alpha = float(avals[0]) if lam_hi < 1.0 else float(avals[-1])
     case = 2 if lam_hi < 1.0 else 3
     if not (inv_alpha > 0.0 and math.isfinite(inv_alpha)):
-        raise RuntimeError(
+        raise _Breakdown(
             f"alpha selection failed: case {case} produced 1/alpha = {inv_alpha}")
     return 1.0 / inv_alpha, case
+
+
+def _alpha(rule: str, c: float, y: np.ndarray, w: np.ndarray,
+           gamma_prime: np.ndarray, gvals: np.ndarray, s_prime: np.ndarray):
+    # gvals is the spectrum of gamma_prime, s_prime its quadratic forms
+    if rule == "eigen":
+        alpha, case = _alpha_eigen(c, y, w, gamma_prime, s_prime)
+    else:
+        n_eff = float(w.sum())
+        shape_a = 0.5 * gvals.size - 0.5 * c * n_eff
+        alpha, case = float(np.sum(1.0 / gvals)) / (
+            2.0 * shape_a * (n_eff / w.size)), 0
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise _Breakdown(f"alpha selection failed: alpha = {alpha}")
+    return alpha, case
+
+
+def _quad_forms_from_eig(y: np.ndarray, gvals: np.ndarray,
+                         gvecs: np.ndarray) -> np.ndarray:
+    ty = y @ gvecs
+    return np.maximum((ty * ty) @ (1.0 / gvals), _DENOM_FLOOR)
 
 
 def select_alpha(gamma_prime: np.ndarray, c: float, y: np.ndarray,
@@ -353,24 +396,60 @@ def select_alpha(gamma_prime: np.ndarray, c: float, y: np.ndarray,
     eigenvalue analysis.  With ``rule='trace'`` returns the trace
     normalization ``alpha = tr(Gamma'^{-1}) / (2 a mean_weight)`` (case id
     0), where ``a`` is recovered from ``c`` and ``mean_weight`` is the mean
-    of the weights, one for unweighted data.
+    of the weights, one for unweighted data.  Raises ``ValueError`` when
+    ``gamma_prime`` is not positive definite or the selection breaks down,
+    i.e. yields no positive finite ``alpha``.
     """
     if rule not in _ALPHA_RULES:
         raise ValueError(f"rule must be one of {_ALPHA_RULES}")
     gamma_prime = np.asarray(gamma_prime, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    chol = chol_lower(gamma_prime)
-    s_prime = np.maximum(quad_forms_from_chol(chol, y), _DENOM_FLOOR)
-    if rule == "eigen":
-        return _alpha_eigen(c, y, w, gamma_prime, s_prime)
-    q = gamma_prime.shape[0]
-    n = y.shape[0]
-    n_eff = float(w.sum())
-    shape_a = 0.5 * q - 0.5 * c * n_eff
-    inv_chol = scipy.linalg.solve_triangular(chol, np.eye(q), lower=True)
-    tr_inv = float(np.sum(inv_chol * inv_chol))
-    return tr_inv / (2.0 * shape_a * (n_eff / n)), 0
+    gvals, gvecs = np.linalg.eigh(gamma_prime)
+    if not gvals[0] > 0.0:
+        raise ValueError("matrix is not positive definite")
+    return _alpha(rule, c, y, np.asarray(weights, dtype=float), gamma_prime,
+                  gvals, _quad_forms_from_eig(y, gvals, gvecs))
+
+
+def _scaled_steps(problem: WhitenedProblem, config: FixedPointConfig,
+                  rule: str | None):
+    # rule None: every step is accepted unscaled and the map spectrum is
+    # not traced (Kent-Tyler)
+    c = problem.c
+    y = problem.y
+    w = problem.weights
+    q = problem.dim
+    eye = np.eye(q)
+    gamma = _initial_gamma(problem, config)
+    chol = chol_lower(gamma)
+    s = np.maximum(quad_forms_from_chol(chol, y), _DENOM_FLOOR)
+    ll = _avg_loglik(problem, s, 2.0 * float(np.sum(np.log(np.diag(chol)))))
+    row = None
+    while True:
+        yield gamma, s, ll, row
+        coeff = c * w / s
+        g_prime = symmetrize(eye + (y * coeff[:, None]).T @ y)
+        try:
+            if rule is not None:
+                lam_n = scipy.linalg.eigh(g_prime, gamma, eigvals_only=True)
+            gvals, gvecs = np.linalg.eigh(g_prime)
+        except np.linalg.LinAlgError as exc:
+            raise _Breakdown("candidate is not factorizable") from exc
+        # mathematically Gamma' >= I; a violated bound or an exploding
+        # condition number means the trajectory left the usable SPD cone
+        if (not np.all(np.isfinite(gvals)) or gvals[0] <= 1e-8
+                or _near_singular(float(gvals[0]), float(gvals[-1]))):
+            raise _Breakdown("candidate is near singular")
+        s_prime = _quad_forms_from_eig(y, gvals, gvecs)
+        alpha = 1.0
+        if rule is not None:
+            alpha = _alpha(rule, c, y, w, g_prime, gvals, s_prime)[0]
+            row = (alpha, float(lam_n[0]), float(lam_n[-1]),
+                   alpha * float(gvals[0]), alpha * float(gvals[-1]))
+        gamma = alpha * g_prime
+        s = s_prime / alpha
+        ll = _avg_loglik(problem, s,
+                         q * math.log(alpha) + float(np.log(gvals).sum()))
 
 
 def fit_nonconcave(problem: WhitenedProblem,
@@ -387,83 +466,10 @@ def fit_nonconcave(problem: WhitenedProblem,
     config = config or FixedPointConfig()
     if problem.c < 0.0:
         raise ValueError("nonconcave iteration requires a <= dim/2 (c >= 0)")
-    c = problem.c
-    y = problem.y
-    w = problem.weights
-    q = problem.dim
-    eye = np.eye(q)
-    start = time.perf_counter()
-
-    gamma = _initial_gamma(problem, config)
-    chol = chol_lower(gamma)
-    s = np.maximum(quad_forms_from_chol(chol, y), _DENOM_FLOOR)
-    ll_prev = _avg_loglik(problem, s,
-                          2.0 * float(np.sum(np.log(np.diag(chol)))))
-    lls, alphas, lam_hi_tr, lam_lo_tr = [], [], [], []
-    eig_lo, eig_hi, elapsed = [], [], []
-    iterations = 0
-    converged = False
-    near_singular = False
-    for p in range(1, config.max_iter + 1):
-        coeff = c * w / s
-        g_prime = symmetrize(eye + (y * coeff[:, None]).T @ y)
-        try:
-            lam_n = scipy.linalg.eigh(g_prime, gamma, eigvals_only=True)
-            gvals, gvecs = np.linalg.eigh(g_prime)
-        except np.linalg.LinAlgError:
-            near_singular = True
-            break
-        # mathematically Gamma' >= I; a violated bound or an exploding
-        # condition number means the trajectory left the usable SPD cone
-        if (not np.all(np.isfinite(gvals)) or gvals[0] <= 1e-8
-                or _near_singular(float(gvals[0]), float(gvals[-1]))):
-            near_singular = True
-            break
-        ty = y @ gvecs
-        s_prime = np.maximum((ty * ty) @ (1.0 / gvals), _DENOM_FLOOR)
-        if config.alpha_rule == "eigen":
-            alpha, _case = _alpha_eigen(c, y, w, g_prime, s_prime)
-        else:
-            alpha = float(np.sum(1.0 / gvals)) / (
-                2.0 * problem.shape_a * (problem.n_eff / problem.n))
-        if not (alpha > 0.0 and math.isfinite(alpha)):
-            raise RuntimeError(f"alpha selection failed: alpha = {alpha}")
-        gamma = alpha * g_prime
-        s = s_prime / alpha
-        ll = _avg_loglik(problem, s,
-                         q * math.log(alpha) + float(np.log(gvals).sum()))
-        iterations = p
-        lls.append(ll)
-        alphas.append(alpha)
-        lam_lo_tr.append(float(lam_n[0]))
-        lam_hi_tr.append(float(lam_n[-1]))
-        eig_lo.append(alpha * float(gvals[0]))
-        eig_hi.append(alpha * float(gvals[-1]))
-        elapsed.append(1000.0 * (time.perf_counter() - start))
-        if abs(ll - ll_prev) < config.tol:
-            converged = True
-            break
-        ll_prev = ll
-    residual = math.nan
-    if config.residual_check and not near_singular:
-        try:
-            residual = _whitened_residual(problem, gamma, s)
-        except ValueError:
-            near_singular = True
-    return FitReport(
-        sigma_hat=recover_sigma(gamma, problem),
-        iterations=iterations,
-        converged=converged,
-        final_residual=residual,
-        loglik_trace=np.asarray(lls),
-        elapsed_ms_trace=np.asarray(elapsed),
-        alpha_trace=np.asarray(alphas),
-        lambda_max_trace=np.asarray(lam_hi_tr),
-        lambda_min_trace=np.asarray(lam_lo_tr),
-        iterate_eig_min_trace=np.asarray(eig_lo),
-        iterate_eig_max_trace=np.asarray(eig_hi),
-        near_singular=near_singular,
-    )
+    return _run(problem, config,
+                _scaled_steps(problem, config, config.alpha_rule),
+                ("alpha_trace", "lambda_min_trace", "lambda_max_trace",
+                 "iterate_eig_min_trace", "iterate_eig_max_trace"))
 
 
 def fit_kent_tyler(data: Dataset, a: float, b: float,
@@ -471,80 +477,21 @@ def fit_kent_tyler(data: Dataset, a: float, b: float,
     """Data-augmentation baseline for the regime ``a < q/2``.
 
     Iterates ``Sigma <- n_eff^{-1} sum_i w_i u(t_i) x_i x_i'`` with
-    ``t_i = x_i' Sigma^{-1} x_i`` and ``u(t) = (q - 2a)/t + 2/b``, stopping
-    on the same average log-likelihood criterion as the fixed-point fits.
+    ``t_i = x_i' Sigma^{-1} x_i`` and ``u(t) = (q - 2a)/t + 2/b``.  Whitened,
+    this update is exactly the nonconcave candidate ``Gamma'``, so the fit
+    runs as the unscaled (``alpha = 1``) whitened fixed point, with the same
+    stopping rule and report.  ``init='identity'`` starts from
+    ``Sigma = I`` in original coordinates.
     """
     config = config or FixedPointConfig()
     q = data.dim
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("a and b must be positive")
+    c, d = compute_constants(a, b, q, data.total_weight)
     if a >= 0.5 * q:
         raise ValueError("Kent-Tyler iteration requires a < dim/2")
-    c, d = compute_constants(a, b, q, data.total_weight)
-    x = data.samples
-    w = data.weights
-    n_eff = data.total_weight
-    const = _log_norm_const(q, a, b)
-    start = time.perf_counter()
-
     if config.init == "identity":
-        sigma = np.eye(q)
-    elif config.init == "sample-cov":
-        sigma = symmetrize((x * w[:, None]).T @ x / n_eff)
-    else:
-        sigma = symmetrize(np.asarray(config.user_matrix, dtype=float))
-        if sigma.shape != (q, q):
-            raise ValueError("user_matrix has wrong shape")
-
-    def state(mat):
-        chol = chol_lower(mat)
-        diag = np.diag(chol)
-        if _near_singular(float(diag.min()) ** 2, float(diag.max()) ** 2):
-            raise ValueError("iterate is near singular")
-        t = np.maximum(quad_forms_from_chol(chol, x), _DENOM_FLOOR)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        ll = (const - 0.5 * logdet
-              + float(w @ ((a - 0.5 * q) * np.log(t) - t / b)) / n_eff)
-        return t, ll
-
-    t, ll_prev = state(sigma)
-    lls, elapsed = [], []
-    iterations = 0
-    converged = False
-    near_singular = False
-    for p in range(1, config.max_iter + 1):
-        u = (q - 2.0 * a) / t + 2.0 / b
-        candidate = symmetrize((x * (w * u)[:, None]).T @ x / n_eff)
-        try:
-            t, ll = state(candidate)
-        except (ValueError, np.linalg.LinAlgError):
-            # update left the factorizable SPD cone; keep the last iterate
-            near_singular = True
-            break
-        sigma = candidate
-        iterations = p
-        lls.append(ll)
-        elapsed.append(1000.0 * (time.perf_counter() - start))
-        if abs(ll - ll_prev) < config.tol:
-            converged = True
-            break
-        ll_prev = ll
-    sigma_hat = ScatterMatrix(sigma)
-    residual = math.nan
-    if config.residual_check and not near_singular:
-        try:
-            residual = stationarity_residual(sigma_hat, data, c, d)
-        except ValueError:
-            near_singular = True
-    return FitReport(
-        sigma_hat=sigma_hat,
-        iterations=iterations,
-        converged=converged,
-        final_residual=residual,
-        loglik_trace=np.asarray(lls),
-        elapsed_ms_trace=np.asarray(elapsed),
-        near_singular=near_singular,
-    )
+        config = replace(config, init="user", user_matrix=np.eye(q))
+    problem = whiten(data, c, d)
+    return _run(problem, config, _scaled_steps(problem, config, None), ())
 
 
 def fit_scatter(data: Dataset, a: float, b: float,

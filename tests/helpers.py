@@ -86,6 +86,29 @@ def tyler_reference(samples, tol=1e-10, max_iter=20000):
     return sigma
 
 
+def kent_tyler_reference(samples, weights, a, b, sigma0, tol,
+                         max_iter=20000):
+    """Kent-Tyler recursion in original coordinates, explicit inverses.
+
+    Iterates ``Sigma <- n_eff^{-1} sum_i w_i u(t_i) x_i x_i'`` with
+    ``u(t) = (q - 2a)/t + 2/b`` from ``sigma0`` and stops, like the library
+    fits, once the average log-likelihood changes by less than ``tol``.
+    Returns ``(sigma, iterations)``.
+    """
+    q = samples.shape[1]
+    sigma = np.asarray(sigma0, dtype=float)
+    ll_prev = egd_avg_loglik_reference(samples, weights, sigma, a, b)
+    for it in range(1, max_iter + 1):
+        t = np.einsum("ij,jk,ik->i", samples, np.linalg.inv(sigma), samples)
+        u = (q - 2.0 * a) / t + 2.0 / b
+        sigma = (samples * (weights * u)[:, None]).T @ samples / weights.sum()
+        ll = egd_avg_loglik_reference(samples, weights, sigma, a, b)
+        if abs(ll - ll_prev) < tol:
+            return sigma, it
+        ll_prev = ll
+    return sigma, max_iter
+
+
 def ascent_oracle_avg_loglik(samples, weights, a, b, x0_cov):
     """Maximize the average log-likelihood over Cholesky factors directly."""
     q = samples.shape[1]

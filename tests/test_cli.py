@@ -150,6 +150,26 @@ class TestFit:
         assert info["iterations"] == 2
         assert model.dim == 3
 
+    def test_zero_iteration_near_singular_stop(self, tmp_path, capsys):
+        # a start this close to singular is flagged before the first step
+        data = tmp_path / "d.csv"
+        init = tmp_path / "init.csv"
+        eio.write_matrix_csv(data,
+                             np.random.default_rng(29).standard_normal((200, 2)))
+        eio.write_matrix_csv(init, np.diag([1.0, 1e-15]))
+        out = tmp_path / "m.json"
+        trace = tmp_path / "trace.csv"
+        code = run_cli("fit", "--data", data, "--a", 3, "--b", 2,
+                       "--init", init, "--out", out, "--trace", trace)
+        assert code == 3
+        assert "near-singular" in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert doc["fit_info"]["final_avg_loglik"] is None
+        assert doc["fit_info"]["iterations"] == 0
+        assert doc["fit_info"]["converged"] is False
+        assert eio.read_model(out)[0].dim == 2
+        assert eio.read_trace(trace) == []
+
     def test_rank_deficient_data_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         line = np.outer(np.arange(1.0, 9.0), [1.0, 2.0])

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 
 import egd
 from egd.scatter import whiten
-from helpers import (ascent_oracle_avg_loglik, make_egd_data, random_spd,
-                     rel_frob, tyler_reference)
+from helpers import (ascent_oracle_avg_loglik, kent_tyler_reference,
+                     make_egd_data, random_spd, rel_frob, tyler_reference)
 
 
 class TestComputeConstants:
@@ -219,6 +219,15 @@ class TestFitNonconcaveRegime:
         assert not report.converged
         assert report.near_singular
 
+    def test_alpha_breakdown_flagged_not_raised(self, monkeypatch):
+        # a step scaling that is not positive ends the fit near-singular
+        data, _ = make_egd_data(3, 0.7, 2.0, 300, seed=30)
+        monkeypatch.setattr(egd.scatter, "_alpha_eigen",
+                            lambda *args: (-1.0, 2))
+        report = egd.fit_scatter(data, 0.7, 2.0, egd.FixedPointConfig())
+        assert report.near_singular and not report.converged
+        assert report.iterations == 0
+
 
 class TestSelectAlpha:
     @pytest.fixture()
@@ -304,6 +313,32 @@ class TestKentTyler:
         kt = egd.fit_kent_tyler(data, 1.2, 2.0, cfg)
         fp = egd.fit_scatter(data, 1.2, 2.0, cfg)
         assert rel_frob(kt.sigma_hat.entries, fp.sigma_hat.entries) <= 1e-4
+
+    @pytest.mark.parametrize("init", ["identity", "sample-cov", "user"])
+    def test_matches_original_coordinate_reference(self, init):
+        # 'identity' means Sigma_0 = I here, not the whitened identity B
+        q, a, b = 4, 0.8, 1.5
+        data, _ = make_egd_data(q, a, b, 600, seed=27)
+        rng = np.random.default_rng(28)
+        x = data.samples
+        w = rng.uniform(0.5, 2.0, data.n)
+        starts = {"identity": np.eye(q),
+                  "sample-cov": (x * w[:, None]).T @ x / w.sum(),
+                  "user": random_spd(q, rng)}
+        cfg = egd.FixedPointConfig(
+            init=init, tol=1e-10, max_iter=5000,
+            user_matrix=starts["user"] if init == "user" else None)
+        report = egd.fit_kent_tyler(egd.Dataset(x, w), a, b, cfg)
+        sigma, iterations = kent_tyler_reference(x, w, a, b, starts[init],
+                                                 tol=1e-10)
+        assert report.converged
+        assert report.iterations == iterations
+        assert rel_frob(report.sigma_hat.entries, sigma) <= 1e-10
+
+    def test_rank_deficient_data_rejected(self):
+        x = np.outer(np.arange(1.0, 9.0), [1.0, 2.0, -1.0])
+        with pytest.raises(egd.RankDeficiencyError):
+            egd.fit_kent_tyler(egd.Dataset(x), 0.5, 2.0)
 
     def test_tiny_shape_matches_distribution_free_scatter(self):
         q = 8
