@@ -180,7 +180,9 @@ def _single_component_model(report: FitReport, a, b, args, extra=None):
         "iterations": report.iterations,
         "converged": bool(report.converged),
         "tol": args.tol,
-        "final_residual": report.final_residual,
+        # null when not evaluated (a near-singular stop): JSON has no NaN
+        "final_residual": (report.final_residual
+                           if math.isfinite(report.final_residual) else None),
         # null when the fit stopped before accepting any iterate
         "final_avg_loglik": (float(report.loglik_trace[-1])
                              if report.iterations else None),

@@ -53,8 +53,12 @@ class ScatterMatrix:
             raise ValueError("scatter matrix must be square")
         if not np.all(np.isfinite(mat)):
             raise ValueError("scatter matrix entries must be finite")
-        scale = float(np.linalg.norm(mat))
-        if scale == 0.0 or float(np.linalg.norm(mat - mat.T)) > _SYMMETRY_RTOL * scale:
+        # compared at unit scale, so that norms of tiny entries do not
+        # underflow to zero
+        peak = float(np.abs(mat).max())
+        unit = mat / peak if peak > 0.0 else mat
+        scale = float(np.linalg.norm(unit))
+        if scale == 0.0 or float(np.linalg.norm(unit - unit.T)) > _SYMMETRY_RTOL * scale:
             raise ValueError("scatter matrix must be symmetric")
         sym = np.ascontiguousarray(symmetrize(mat))
         self._chol = chol_lower(sym)

@@ -4,6 +4,12 @@ Matrices travel either as plain CSV (shortest-round-trip decimal floats, so
 write-then-read is bit exact) or as a little-endian binary container with a
 four-byte magic; readers sniff the magic to pick the decoder.  Models are
 JSON documents; traces are CSV with a fixed column header.
+
+CSV matrices are read by numpy's C reader (``np.loadtxt``), which converts
+each cell with the same routine as ``float()``, so values are bit-identical
+to a per-cell parse.  Input it refuses (quoted cells, ``1_0``, non-ASCII
+digits, blank lines holding spaces, ragged or bad rows) is parsed again cell
+by cell with the :mod:`csv` module, which also words every error.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -36,6 +43,8 @@ MATRIX_MAGIC = b"EGDM"
 MATRIX_VERSION = 1
 
 _HEADER = struct.Struct("<4sIQQ")
+_NONBLANK = re.compile(rb"[^\r\n]")
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 MODEL_FORMAT = "egd-mixture-v1"
 
@@ -64,7 +73,7 @@ def write_matrix_csv(path, array) -> None:
     m = _as_matrix(array)
     with open(path, "w", newline="") as fh:
         for row in m:
-            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 
@@ -81,22 +90,53 @@ def _read_matrix_binary(raw: bytes) -> np.ndarray:
     return _as_matrix(m.reshape(rows, cols))
 
 
-def _read_matrix_csv(text: str) -> np.ndarray:
+def _read_matrix_csv(raw: bytes) -> np.ndarray:
+    stream = _stdio.BytesIO(raw)
+    try:
+        first = next(csv.reader(line.decode("utf-8") for line in stream), [])
+    except (csv.Error, ValueError):
+        return _parse_csv_cells(raw.decode("utf-8"))
+    try:
+        float(first[0])
+        stream.seek(0)  # the first line is data: read it too
+    except (IndexError, ValueError):
+        pass  # a header, or a blank line: both are skipped
+    matrix = None
+    # left to the cell parser: input without data, on which loadtxt only
+    # warns, and cells padded with the separators \x1c-\x1f, which loadtxt
+    # strips as whitespace and float() refuses
+    if (_NONBLANK.search(raw, stream.tell())
+            and not any(sep in raw for sep in _SEPARATORS)):
+        try:
+            matrix = np.loadtxt(stream, dtype="<f8", delimiter=",",
+                                comments=None, ndmin=2, encoding="utf-8")
+        except ValueError:
+            pass
+    if matrix is None:
+        return _parse_csv_cells(raw.decode("utf-8"))
+    return _as_matrix(matrix)
+
+
+def _parse_csv_cells(text: str) -> np.ndarray:
+    """Reference CSV parser, one ``float()`` per cell."""
     rows = []
     reader = csv.reader(_stdio.StringIO(text))
-    for line_no, row in enumerate(reader):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if line_no == 0:
-            # a non-numeric first line is treated as a header
-            try:
-                float(row[0])
-            except ValueError:
+    try:
+        for line_no, row in enumerate(reader):
+            if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError as exc:
-            raise ValueError(f"line {line_no + 1}: {exc}") from None
+            if line_no == 0:
+                # a non-numeric first line is treated as a header
+                try:
+                    float(row[0])
+                except ValueError:
+                    continue
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"line {line_no + 1}: {exc}") from None
+    except csv.Error as exc:  # e.g. a bare carriage return ending a line
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("no numeric rows found")
     widths = {len(r) for r in rows}
@@ -113,7 +153,7 @@ def read_matrix(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:len(MATRIX_MAGIC)] == MATRIX_MAGIC:
         return _read_matrix_binary(raw)
-    return _read_matrix_csv(raw.decode("utf-8"))
+    return _read_matrix_csv(raw)
 
 
 def write_model(path, model: MixtureModel, fit_info: dict | None = None) -> None:

@@ -5,6 +5,9 @@ The reference routines here deliberately avoid the package's own code paths
 can serve as oracles for the library's results.
 """
 
+import csv
+import io
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 from scipy.special import gammaln
@@ -143,3 +146,34 @@ def align_scatters(fitted, truth):
     order = np.empty_like(cols)
     order[rows] = cols
     return order
+
+
+def csv_matrix_reference(text):
+    """Per-cell CSV matrix parser: ``csv.reader`` and one ``float()`` a cell.
+
+    A non-numeric first record is a header, blank records are skipped, and
+    a bad cell raises ``ValueError`` naming its record.  Malformed line ends
+    raise ``csv.Error``.
+    """
+    rows = []
+    reader = csv.reader(io.StringIO(text))
+    for line_no, row in enumerate(reader):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if line_no == 0:
+            try:
+                float(row[0])
+            except ValueError:
+                continue
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"line {line_no + 1}: {exc}") from None
+    if not rows:
+        raise ValueError("no numeric rows found")
+    if len({len(r) for r in rows}) != 1:
+        raise ValueError("rows have inconsistent column counts")
+    matrix = np.asarray(rows, dtype="<f8")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix entries must be finite")
+    return matrix

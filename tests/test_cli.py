@@ -26,6 +26,11 @@ def strip_timing(path, drop):
     return [tuple(line.split(",")[i] for i in keep) for line in lines]
 
 
+def reject_constant(name):
+    """``parse_constant`` hook: strict JSON has no NaN or Infinity."""
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     """Shared sampled dataset plus a converged fit of it."""
@@ -163,8 +168,9 @@ class TestFit:
                        "--init", init, "--out", out, "--trace", trace)
         assert code == 3
         assert "near-singular" in capsys.readouterr().err
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(), parse_constant=reject_constant)
         assert doc["fit_info"]["final_avg_loglik"] is None
+        assert doc["fit_info"]["final_residual"] is None
         assert doc["fit_info"]["iterations"] == 0
         assert doc["fit_info"]["converged"] is False
         assert eio.read_model(out)[0].dim == 2

@@ -21,6 +21,18 @@ class TestScatterMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             egd.ScatterMatrix(np.array([[1.0, 0.5], [0.1, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_tiny_scale_accepted(self, scale):
+        s = egd.ScatterMatrix(scale * np.eye(3))
+        assert_allclose(s.log_det, 3.0 * np.log(scale), rtol=1e-12)
+
+    @pytest.mark.parametrize("mat", [
+        np.zeros((2, 2)), 1e-170 * np.array([[1.0, 0.5], [0.1, 1.0]])],
+        ids=["zero", "tiny-asymmetric"])
+    def test_rejects_zero_and_tiny_asymmetric(self, mat):
+        with pytest.raises(ValueError, match="symmetric"):
+            egd.ScatterMatrix(mat)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             egd.ScatterMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -1,14 +1,21 @@
 """Serialization round-trips for matrices, models, and traces."""
 
+import csv
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import egd
 from egd import io as eio
-from helpers import random_spd
+from helpers import csv_matrix_reference, random_spd
 
 
 class TestMatrixBinary:
@@ -93,6 +100,103 @@ class TestMatrixCsv:
         path.write_text("1.0,inf\n")
         with pytest.raises(ValueError, match="finite"):
             eio.read_matrix(path)
+
+    @pytest.mark.parametrize("text, expected", [
+        ('"1.0","2.0"\n3.0,4.0\n', [[1.0, 2.0], [3.0, 4.0]]),
+        ("1.0,2.0\r\n3.0,4.0\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        (" 1.0 ,2.0\n3.0,\t4.0 \n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("x,y,z\n1.5,-0.0,3e-320\n", [[1.5, -0.0, 3e-320]]),
+        ("1.0\n\n2.0\n \n3.0", [[1.0], [2.0], [3.0]]),
+        ("1_0,2.0\n", [[10.0, 2.0]]),
+    ], ids=["quoted-first-line-is-data", "crlf", "spaces", "single-row",
+            "single-column", "underscore"])
+    def test_cells_parsed(self, tmp_path, text, expected):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        back = eio.read_matrix(path)
+        want = np.asarray(expected, dtype="<f8")
+        assert back.shape == want.shape
+        assert back.tobytes() == want.tobytes()
+        assert back.tobytes() == csv_matrix_reference(text).tobytes()
+
+    @pytest.mark.parametrize("text, line", [
+        ("1.0,2.0\n\n3.0,oops\n", 3),
+        ("1.0,2.0\r3.0,4.0\r", 1),
+    ], ids=["after-blank-line", "bare-carriage-return"])
+    def test_bad_line_numbered(self, tmp_path, text, line):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            eio.read_matrix(path)
+
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "m.csv"
+        eio.write_matrix_csv(path, np.array([[-0.0, 5e-324], [1e308, 3.0]]))
+        assert path.read_bytes() == b"-0.0,5e-324\n1e+308,3.0\n"
+
+
+# text over the characters of numeric CSV, a header word, and cells that
+# the C reader accepts, refuses (quotes, underscores), reads as infinite or
+# strips where float() does not (the separator \x1f)
+CSV_TOKENS = list("0123456789.eE+-,\"_ \r\n") + ["head"]
+CSV_CELLS = ["1", "-0.0", "2.5e3", " 3 ", "4.", ".5", "+1", "5e-324",
+             "1e308", "1e999", "1_0", '"7"', "", "head", "\x1f2"]
+
+
+@st.composite
+def csv_texts(draw):
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(CSV_TOKENS),
+                                     max_size=40)))
+    width = draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from(CSV_CELLS), min_size=width,
+                   max_size=width).map(",".join)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    head = draw(st.sampled_from(["", "head,head\n", '"1",2\n', " \n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return head + end.join(rows) + draw(st.sampled_from(["", end, "\n \n"]))
+
+
+def read_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return eio.read_matrix(path)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@example("1,2\r3,4\r")
+@example("head,1\n1,2\n \n3,4")
+@given(csv_texts())
+def test_csv_reader_matches_cell_parser(text):
+    try:
+        want = csv_matrix_reference(text)
+    except (ValueError, csv.Error) as exc:
+        with pytest.raises(ValueError) as err:
+            read_text(text)
+        # a malformed line end is reported as a ValueError naming the line
+        assert str(err.value).endswith(str(exc))
+        return
+    got = read_text(text)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@example(np.array([[-0.0, 5e-324, 1e308, -1e308]]))
+@example(np.array([[2.2250738585072014e-308], [-1.7976931348623157e308]]))
+@given(hnp.arrays("<f8", hnp.array_shapes(min_dims=2, max_dims=2,
+                                          max_side=6),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_round_trip_bit_exact(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        eio.write_matrix_csv(path, m)
+        back = eio.read_matrix(path)
+    assert back.shape == m.shape
+    assert back.tobytes() == m.tobytes()
 
 
 class TestModelFile:

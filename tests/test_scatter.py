@@ -389,6 +389,17 @@ class TestRecoverSigma:
             - gamma
         assert np.linalg.norm(defect) <= 1e-8
 
+    @pytest.mark.parametrize("fit, a", [
+        (egd.fit_scatter, 3.0), (egd.fit_scatter, 0.6),
+        (egd.fit_kent_tyler, 0.6)],
+        ids=["concave", "nonconcave", "kent-tyler"])
+    def test_tiny_scale_samples(self, fit, a):
+        # the fitted scatter has entries near 1e-198
+        x = 1e-99 * np.random.default_rng(26).standard_normal((60, 3))
+        report = fit(egd.Dataset(x), a, 2.0)
+        assert report.converged and not report.near_singular
+        assert 0.0 < report.sigma_hat.entries[0, 0] < 1e-190
+
 
 class TestConfigValidation:
     def test_user_init_requires_matrix(self):
