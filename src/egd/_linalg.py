@@ -75,6 +75,17 @@ def chol_lower(mat: np.ndarray) -> np.ndarray:
 
 
 def quad_forms_from_chol(chol: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rowwise quadratic forms ``r_i M^{-1} r_i^T`` given ``M = L L^T``."""
-    z = scipy.linalg.solve_triangular(chol, rows.T, lower=True)
-    return np.einsum("ij,ij->j", z, z)
+    """Rowwise quadratic forms ``r_i M^{-1} r_i^T`` given ``M = L L^T``.
+
+    ``chol`` is the lower factor ``L`` (its upper triangle is ignored) and
+    ``rows`` an ``(n, q)`` array.  The forms are ``|z_i|^2`` with
+    ``Z = R L^{-T}``: the q x q triangular inverse is formed once and the
+    rows are multiplied by it in one matrix product, which is several times
+    faster than a triangular solve with ``n`` right-hand sides and, for a
+    Cholesky factor, as accurate.
+    """
+    inv, info = scipy.linalg.lapack.dtrtri(chol, lower=1)
+    if info != 0:
+        raise ValueError("matrix is not positive definite")
+    z = rows @ np.tril(inv).T
+    return np.einsum("ij,ij->i", z, z)

@@ -9,6 +9,7 @@ still written), 4 bad data.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -16,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import io as eio
 from .core import Dataset, EgdParams, MixtureModel, ScatterMatrix, sample
@@ -257,15 +259,18 @@ def cmd_eval(args, parser) -> int:
     if args.splits > data.n:
         parser.error("--splits exceeds the number of samples")
     bounds = np.linspace(0, data.n, args.splits + 1).astype(int)
+    totals = []
     avgs = []
     rates = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         part = Dataset(data.samples[lo:hi], data.weights[lo:hi])
-        avg = mixture_log_likelihood(model, part) / part.total_weight
+        totals.append(mixture_log_likelihood(model, part))
+        avg = totals[-1] / part.total_weight
         avgs.append(avg)
         if args.mi_rate:
             rates.append(mi_rate(avg, part, data.dim))
-    total = mixture_log_likelihood(model, data)
+    # the splits partition the data, so their totals add up to the total
+    total = math.fsum(totals)
     print(f"total_loglik {total!r}")
     print(f"avg_loglik {total / data.total_weight!r}")
     if args.splits > 1:
@@ -330,6 +335,16 @@ def run_benchmark(args, algos, out_dir) -> list[dict]:
 
 _RUN_COLUMNS = ("trial", "algo", "init", "iterations", "converged",
                 "final_avg_loglik", "final_residual", "elapsed_ms")
+# thread settings recorded next to the timings; unset variables are null
+_THREAD_VARIABLES = ("EGD_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+def _bench_environment() -> dict:
+    env = {name: os.environ.get(name) for name in _THREAD_VARIABLES}
+    env.update(cpu_count=os.cpu_count(), numpy=np.__version__,
+               scipy=scipy.__version__)
+    return env
 
 
 def cmd_bench(args, parser) -> int:
@@ -344,6 +359,9 @@ def cmd_bench(args, parser) -> int:
         parser.error("kent-tyler requires a < dim/2")
     out_dir = Path(args.out_dir)
     rows = run_benchmark(args, algos, out_dir)
+    with open(out_dir / "environment.json", "w") as fh:
+        json.dump(_bench_environment(), fh, indent=2)
+        fh.write("\n")
     with open(out_dir / "runs.csv", "w", newline="") as fh:
         fh.write(",".join(_RUN_COLUMNS) + "\n")
         for row in rows:

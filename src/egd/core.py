@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import gammaln, logsumexp
 
 from ._linalg import chol_lower, quad_forms_from_chol, spd_sqrt_factors, symmetrize
@@ -223,18 +222,18 @@ def _log_norm_const(q: int, a: float, b: float) -> float:
 
 
 def squared_radius(scatter: ScatterMatrix, x) -> float | np.ndarray:
-    """Quadratic form ``x' Sigma^{-1} x`` via triangular solves.
+    """Quadratic form ``x' Sigma^{-1} x`` via the inverse Cholesky factor.
 
     Accepts a single vector of length ``dim`` (returns a float) or an
-    ``(n, dim)`` array (returns a length-``n`` array).  The scatter inverse
-    is never formed explicitly.
+    ``(n, dim)`` array (returns a length-``n`` array).  The rows are
+    multiplied by the triangular inverse ``L^{-1}`` of the cached Cholesky
+    factor ``Sigma = L L'``; the scatter inverse itself is never formed.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         if x.shape != (scatter.dim,):
             raise ValueError("x has wrong dimension")
-        z = scipy.linalg.solve_triangular(scatter.cholesky, x, lower=True)
-        return float(z @ z)
+        return float(quad_forms_from_chol(scatter.cholesky, x[None, :])[0])
     if x.ndim != 2 or x.shape[1] != scatter.dim:
         raise ValueError("x must be a vector or an (n, dim) array")
     return quad_forms_from_chol(scatter.cholesky, x)

@@ -16,11 +16,14 @@ Whitening by ``B = d sum_i w_i x_i x_i'`` absorbs the second sum into a
 convergent inverse-map iteration whose iterate spectra stay inside a fixed
 box; ``c > 0`` (``a < q/2``) uses a multiplicative update with a per-step
 scalar ``alpha`` chosen either by an eigenvalue case analysis or by a trace
-normalization.  A data-augmentation baseline (Kent-Tyler) covers the
-``a < q/2`` regime: whitened, its update is exactly the nonconcave
-candidate, so it runs as the unscaled (``alpha = 1``) whitened fixed point.
-One driver runs all three iterations and stops when the average
-log-likelihood changes by less than ``tol``.
+normalization.  The eigen rule evaluates the map matrix
+``G2 = I + c sum_i w_i y_i y_i' / s'_i`` at the candidate, and the next
+candidate is ``I + alpha (G2 - I)``, so it is carried forward instead of
+being built again from the data.  A data-augmentation baseline
+(Kent-Tyler) covers the ``a < q/2`` regime: whitened, its update is exactly
+the nonconcave candidate, so it runs as the unscaled (``alpha = 1``)
+whitened fixed point.  One driver runs all three iterations and stops when
+the average log-likelihood changes by less than ``tol``.
 """
 
 from __future__ import annotations
@@ -247,14 +250,19 @@ def _near_singular(eig_lo: float, eig_hi: float) -> bool:
     return not eig_lo > _NEAR_SINGULAR_REL * eig_hi
 
 
+def _candidate(c: float, y: np.ndarray, w: np.ndarray,
+               s: np.ndarray) -> np.ndarray:
+    """``I + c sum_i w_i y_i y_i' / s_i``, one n x q^2 product."""
+    coeff = c * w / s
+    return symmetrize(np.eye(y.shape[1]) + (y * coeff[:, None]).T @ y)
+
+
 def _whitened_residual(problem: WhitenedProblem, gamma: np.ndarray,
                        s: np.ndarray) -> float:
     # ||M - I||_F = ||Gamma^{-1/2} (G - Gamma) Gamma^{-1/2}||_F with
     # G = I + c sum_i w_i y_i y_i' / s_i; equal to the original-coordinate
     # residual because the two defects are orthogonally similar.
-    y = problem.y
-    coeff = problem.c * problem.weights / s
-    g = np.eye(problem.dim) + (y * coeff[:, None]).T @ y
+    g = _candidate(problem.c, problem.y, problem.weights, s)
     inv_half = spd_sqrt_factors(gamma).inv_sqrt
     return float(np.linalg.norm(inv_half @ (g - gamma) @ inv_half, "fro"))
 
@@ -341,23 +349,19 @@ def fit_concave(problem: WhitenedProblem,
                 ("iterate_eig_min_trace", "iterate_eig_max_trace"))
 
 
-def _alpha_eigen(c: float, y: np.ndarray, w: np.ndarray, gamma_prime: np.ndarray,
-                 s_prime: np.ndarray):
+def _alpha_eigen(gamma_prime: np.ndarray, g2: np.ndarray, lam: np.ndarray):
     """Case analysis on the spectrum of the map matrix evaluated at Gamma'.
 
-    Returns ``(alpha, case_id)`` with case 1 leaving the step unscaled,
-    case 2 shrinking it so the largest map eigenvalue lands on one, and
-    case 3 stretching it so the smallest does.
+    ``g2`` is the map matrix ``I + c sum_i w_i y_i y_i' / s'_i`` and ``lam``
+    its spectrum relative to ``gamma_prime``.  Returns ``(alpha, case_id)``
+    with case 1 leaving the step unscaled, case 2 shrinking it so the
+    largest map eigenvalue lands on one, and case 3 stretching it so the
+    smallest does.
     """
-    q = gamma_prime.shape[0]
-    eye = np.eye(q)
-    coeff = c * w / s_prime
-    g2 = symmetrize(eye + (y * coeff[:, None]).T @ y)
-    lam = scipy.linalg.eigh(g2, gamma_prime, eigvals_only=True)
     lam_lo, lam_hi = float(lam[0]), float(lam[-1])
     if lam_hi >= 1.0 >= lam_lo:
         return 1.0, 1
-    a_mat = gamma_prime + eye - g2
+    a_mat = gamma_prime + np.eye(gamma_prime.shape[0]) - g2
     avals = np.linalg.eigvalsh(a_mat)
     inv_alpha = float(avals[0]) if lam_hi < 1.0 else float(avals[-1])
     case = 2 if lam_hi < 1.0 else 3
@@ -369,9 +373,14 @@ def _alpha_eigen(c: float, y: np.ndarray, w: np.ndarray, gamma_prime: np.ndarray
 
 def _alpha(rule: str, c: float, y: np.ndarray, w: np.ndarray,
            gamma_prime: np.ndarray, gvals: np.ndarray, s_prime: np.ndarray):
-    # gvals is the spectrum of gamma_prime, s_prime its quadratic forms
+    # gvals is the spectrum of gamma_prime, s_prime its quadratic forms.
+    # Returns (alpha, case_id, g2, lam); the eigen rule's map matrix g2 and
+    # its spectrum lam are None under the trace rule.
+    g2 = lam = None
     if rule == "eigen":
-        alpha, case = _alpha_eigen(c, y, w, gamma_prime, s_prime)
+        g2 = _candidate(c, y, w, s_prime)
+        lam = scipy.linalg.eigh(g2, gamma_prime, eigvals_only=True)
+        alpha, case = _alpha_eigen(gamma_prime, g2, lam)
     else:
         n_eff = float(w.sum())
         shape_a = 0.5 * gvals.size - 0.5 * c * n_eff
@@ -379,7 +388,7 @@ def _alpha(rule: str, c: float, y: np.ndarray, w: np.ndarray,
             2.0 * shape_a * (n_eff / w.size)), 0
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise _Breakdown(f"alpha selection failed: alpha = {alpha}")
-    return alpha, case
+    return alpha, case, g2, lam
 
 
 def _quad_forms_from_eig(y: np.ndarray, gvals: np.ndarray,
@@ -408,7 +417,7 @@ def select_alpha(gamma_prime: np.ndarray, c: float, y: np.ndarray,
     if not gvals[0] > 0.0:
         raise ValueError("matrix is not positive definite")
     return _alpha(rule, c, y, np.asarray(weights, dtype=float), gamma_prime,
-                  gvals, _quad_forms_from_eig(y, gvals, gvecs))
+                  gvals, _quad_forms_from_eig(y, gvals, gvecs))[:2]
 
 
 def _scaled_steps(problem: WhitenedProblem, config: FixedPointConfig,
@@ -425,12 +434,14 @@ def _scaled_steps(problem: WhitenedProblem, config: FixedPointConfig,
     s = np.maximum(quad_forms_from_chol(chol, y), _DENOM_FLOOR)
     ll = _avg_loglik(problem, s, 2.0 * float(np.sum(np.log(np.diag(chol)))))
     row = None
+    # candidate and map spectrum carried over from the eigen rule's last step
+    g_prime = lam_n = None
     while True:
         yield gamma, s, ll, row
-        coeff = c * w / s
-        g_prime = symmetrize(eye + (y * coeff[:, None]).T @ y)
+        if g_prime is None:
+            g_prime = _candidate(c, y, w, s)
         try:
-            if rule is not None:
+            if rule is not None and lam_n is None:
                 lam_n = scipy.linalg.eigh(g_prime, gamma, eigvals_only=True)
             gvals, gvecs = np.linalg.eigh(g_prime)
         except np.linalg.LinAlgError as exc:
@@ -441,15 +452,24 @@ def _scaled_steps(problem: WhitenedProblem, config: FixedPointConfig,
                 or _near_singular(float(gvals[0]), float(gvals[-1]))):
             raise _Breakdown("candidate is near singular")
         s_prime = _quad_forms_from_eig(y, gvals, gvecs)
-        alpha = 1.0
+        alpha, g2 = 1.0, None
         if rule is not None:
-            alpha = _alpha(rule, c, y, w, g_prime, gvals, s_prime)[0]
+            alpha, _, g2, lam = _alpha(rule, c, y, w, g_prime, gvals, s_prime)
             row = (alpha, float(lam_n[0]), float(lam_n[-1]),
                    alpha * float(gvals[0]), alpha * float(gvals[-1]))
         gamma = alpha * g_prime
         s = s_prime / alpha
         ll = _avg_loglik(problem, s,
                          q * math.log(alpha) + float(np.log(gvals).sum()))
+        # With s = s'/alpha the next candidate is I + alpha (G2 - I).  At
+        # alpha = 1 it is G2 bit for bit, and G2's spectrum relative to
+        # Gamma' = gamma is the next map spectrum as well.
+        g_prime = lam_n = None
+        if g2 is not None:
+            if alpha == 1.0:
+                g_prime, lam_n = g2, lam
+            else:
+                g_prime = eye + alpha * (g2 - eye)
 
 
 def fit_nonconcave(problem: WhitenedProblem,
@@ -460,8 +480,12 @@ def fit_nonconcave(problem: WhitenedProblem,
     ``Gamma' = I + c sum_i w_i y_i y_i' / (y_i' Gamma^{-1} y_i)`` and accepts
     ``alpha * Gamma'`` with ``alpha`` from :func:`select_alpha`.  Under the
     eigen rule the extreme eigenvalues of the map matrix bracket one and the
-    scaling tends to one as the iteration converges.  ``c = 0`` is accepted
-    and lands on the identity in a single step.
+    scaling tends to one as the iteration converges.  The eigen rule's map
+    matrix ``G2``, built from the candidate's quadratic forms ``s'``, is
+    carried forward: the next candidate is ``I + alpha (G2 - I)``, which is
+    ``G2`` itself (with its map spectrum) when ``alpha = 1``.  The trace rule
+    builds each candidate from the data.  ``c = 0`` is accepted and lands on
+    the identity in a single step.
     """
     config = config or FixedPointConfig()
     if problem.c < 0.0:

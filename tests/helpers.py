@@ -9,6 +9,7 @@ import csv
 import io
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment, minimize
 from scipy.special import gammaln
 
@@ -44,6 +45,94 @@ def egd_avg_loglik_reference(samples, weights, sigma, a, b):
     per = (const - 0.5 * np.log(np.linalg.det(sigma))
            + (a - 0.5 * q) * np.log(t) - t / b)
     return float(weights @ per / weights.sum())
+
+
+def quad_forms_longdouble(chol, rows):
+    """Rowwise ``r_i (L L')^{-1} r_i'`` by forward substitution in long double.
+
+    Solves ``L z_i = r_i`` column by column in ``np.longdouble`` (80-bit
+    extended precision on x86-64) and returns ``|z_i|^2`` in that precision.
+    """
+    lower = np.asarray(chol, dtype=np.longdouble)
+    rhs = np.atleast_2d(np.asarray(rows, dtype=np.longdouble))
+    z = np.zeros_like(rhs)
+    for i in range(lower.shape[0]):
+        z[:, i] = (rhs[:, i] - z[:, :i] @ lower[i, :i]) / lower[i, i]
+    return np.sum(z * z, axis=1)
+
+
+def nonconcave_reference_step(problem, gamma, s):
+    """One eigen-rule step of the nonconcave fixed point from ``gamma``.
+
+    ``s`` holds the quadratic forms ``y_i' gamma^{-1} y_i``.  The candidate
+    ``Gamma' = I + c sum_i w_i y_i y_i' / s_i`` is built from the data, and
+    so is the map matrix ``G2`` at ``Gamma'``; the arithmetic of each is
+    the library's, so that a step from the same state can be compared bit
+    for bit.  Returns ``(row, case, gamma_next, s_next, logdet_next)`` with
+    ``row = (alpha, lam_min, lam_max, eig_min, eig_max)`` as in the
+    report's traces.
+    """
+    y, w, c = problem.y, problem.weights, problem.c
+    eye = np.eye(problem.dim)
+
+    def candidate(forms):
+        mat = eye + (y * (c * w / forms)[:, None]).T @ y
+        return 0.5 * (mat + mat.T)
+
+    g_prime = candidate(s)
+    lam = scipy.linalg.eigh(g_prime, gamma, eigvals_only=True)
+    gvals, gvecs = np.linalg.eigh(g_prime)
+    ty = y @ gvecs
+    s_prime = np.maximum((ty * ty) @ (1.0 / gvals), 1e-300)
+    g2 = candidate(s_prime)
+    lam2 = scipy.linalg.eigh(g2, g_prime, eigvals_only=True)
+    if lam2[-1] >= 1.0 >= lam2[0]:
+        alpha, case = 1.0, 1
+    else:
+        case = 2 if lam2[-1] < 1.0 else 3
+        avals = np.linalg.eigvalsh(g_prime + eye - g2)
+        alpha = 1.0 / float(avals[0] if case == 2 else avals[-1])
+    row = (alpha, float(lam[0]), float(lam[-1]),
+           alpha * float(gvals[0]), alpha * float(gvals[-1]))
+    logdet = problem.dim * np.log(alpha) + float(np.log(gvals).sum())
+    return row, case, alpha * g_prime, s_prime / alpha, logdet
+
+
+def nonconcave_reference(problem, gamma0, tol, max_iter=1000):
+    """Eigen-rule nonconcave fixed point that rebuilds ``Gamma'`` every step.
+
+    Starts from the whitened ``gamma0`` and stops, like the library fits,
+    once the average log-likelihood changes by less than ``tol``.  Returns
+    a dict with the per-step ``rows`` and ``cases``, the final ``gamma``,
+    ``iterations`` and ``converged``.
+    """
+    q = problem.dim
+    a, b = problem.shape_a, problem.scale_b
+    const = (gammaln(0.5 * q) - 0.5 * q * np.log(np.pi) - gammaln(a)
+             - a * np.log(b))
+
+    def avg_loglik(s, logdet_gamma):
+        radial = (a - 0.5 * q) * np.log(s) - s / b
+        return float(const - 0.5 * (problem.logdet_b + logdet_gamma)
+                     + problem.weights @ radial / problem.n_eff)
+
+    gamma = np.asarray(gamma0, dtype=float)
+    s = np.einsum("ij,jk,ik->i", problem.y, np.linalg.inv(gamma), problem.y)
+    ll_prev = avg_loglik(s, np.linalg.slogdet(gamma)[1])
+    rows, cases = [], []
+    converged = False
+    for _ in range(max_iter):
+        row, case, gamma, s, logdet = nonconcave_reference_step(
+            problem, gamma, s)
+        rows.append(row)
+        cases.append(case)
+        ll = avg_loglik(s, logdet)
+        if abs(ll - ll_prev) < tol:
+            converged = True
+            break
+        ll_prev = ll
+    return {"rows": np.asarray(rows), "cases": cases, "gamma": gamma,
+            "iterations": len(rows), "converged": converged}
 
 
 def golden_gamma_shape(values, weights, lo=1e-3, hi=1e3, tol=1e-10):

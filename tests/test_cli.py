@@ -2,10 +2,12 @@
 
 import csv
 import json
+import os
 import time
 
 import numpy as np
 import pytest
+import scipy
 from numpy.testing import assert_allclose
 
 import egd
@@ -295,6 +297,32 @@ class TestEval:
             printed["avg_loglik"], abs=1e-12)
         assert printed["split_avg_loglik_std"] < 0.2
 
+    @pytest.mark.parametrize("splits", [1, 4])
+    def test_total_from_split_totals(self, work, capsys, monkeypatch, splits):
+        # one pass over the data, split by split; a single split is that
+        # pass itself, bit for bit
+        calls = []
+
+        def counted(model, data):
+            calls.append(data.n)
+            return egd.mixture_log_likelihood(model, data)
+
+        monkeypatch.setattr(egd.cli, "mixture_log_likelihood", counted)
+        assert run_cli("eval", "--data", work["data"], "--model",
+                       work["model"], "--splits", splits) == 0
+        assert len(calls) == splits and sum(calls) == 4000
+        out = capsys.readouterr().out
+        printed = {line.split()[0]: float(line.split()[1])
+                   for line in out.splitlines()}
+        model, _ = eio.read_model(work["model"])
+        data = egd.Dataset(eio.read_matrix(work["data"]))
+        single = egd.mixture_log_likelihood(model, data)
+        if splits == 1:
+            assert printed["total_loglik"] == single
+            assert printed["avg_loglik"] == single / data.total_weight
+        else:
+            assert printed["total_loglik"] == pytest.approx(single, rel=1e-12)
+
     def test_mi_rate_printed(self, work, capsys):
         assert run_cli("eval", "--data", work["data"], "--model",
                        work["model"], "--mi-rate") == 0
@@ -384,8 +412,29 @@ class TestBench:
         run_cli(*self.bench_args(threaded))
         drop = {"elapsed_ms", "mean_elapsed_ms"}
         for name in sorted(p.name for p in serial.iterdir()):
+            if name == "environment.json":
+                continue  # records the thread settings, which differ
             assert strip_timing(serial / name, drop) == \
                 strip_timing(threaded / name, drop)
+        env = [json.loads((d / "environment.json").read_text())
+               for d in (serial, threaded)]
+        assert env[1].pop("EGD_THREADS") == "4"
+        env[0].pop("EGD_THREADS")
+        assert env[0] == env[1]
+
+    def test_environment_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EGD_THREADS", "2")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "r"
+        assert run_cli(*self.bench_args(out)) == 0
+        env = json.loads((out / "environment.json").read_text())
+        assert env == {"EGD_THREADS": "2", "OPENBLAS_NUM_THREADS": "1",
+                       "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None,
+                       "cpu_count": os.cpu_count(),
+                       "numpy": np.__version__,
+                       "scipy": scipy.__version__}
 
     def test_unknown_algo_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as ex:

@@ -4,6 +4,8 @@ A library fit either raises a ``ValueError`` subclass or returns a report
 whose trace length is its iteration count and whose stop is explained:
 converged, near-singular, or the iteration cap.  ``egd fit`` on the same
 inputs exits with one of the documented codes and never with a traceback.
+The fits are also scale equivariant: scaling the samples by ``s`` scales
+the fitted scatter by ``s**2`` and leaves the iteration count unchanged.
 """
 
 import tempfile
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import egd
 from egd import io as eio
 from egd.cli import main
+from helpers import rel_frob
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -113,3 +116,32 @@ def test_fits_report_or_raise_value_error(spec):
                             "--tol", 1e-8, "--max-iter", spec["max_iter"],
                             "--out", root / "m.json"])
     assert code in EXIT_CODES
+
+
+# (regime, alpha rule): the concave fixed point and both step scalings of
+# the nonconcave one
+REGIMES = [("concave", "eigen"), ("nonconcave", "eigen"),
+           ("nonconcave", "trace")]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(2, 6), extra=st.integers(5, 60),
+       regime=st.sampled_from(REGIMES), shape=st.floats(0.05, 0.95),
+       log_b=st.floats(-1.0, 1.0), log_s=st.floats(-50.0, 50.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_fit_is_scale_equivariant(q, extra, regime, shape, log_b, log_s,
+                                  seed):
+    kind, rule = regime
+    # a below q/2 is the nonconcave regime, above it the concave one
+    a = shape * 0.5 * q if kind == "nonconcave" else (0.5 + 4.0 * shape) * q
+    b = 10.0 ** log_b
+    s = 10.0 ** log_s
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((q + extra, q)) @ rng.standard_normal((q, q))
+    config = egd.FixedPointConfig(tol=1e-8, alpha_rule=rule)
+    base = egd.fit_scatter(egd.Dataset(x), a, b, config)
+    scaled = egd.fit_scatter(egd.Dataset(s * x), a, b, config)
+    assert base.converged and scaled.converged
+    assert scaled.iterations == base.iterations
+    assert rel_frob(scaled.sigma_hat.entries,
+                    s * s * base.sigma_hat.entries) <= 1e-8

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
 import egd
-from helpers import egd_avg_loglik_reference, random_spd
+from egd._linalg import quad_forms_from_chol
+from helpers import egd_avg_loglik_reference, quad_forms_longdouble, random_spd
 
 RNG_SEED = 20240817
 
@@ -103,6 +104,43 @@ class TestSquaredRadius:
         s = egd.ScatterMatrix(random_spd(3, rng))
         x = rng.standard_normal((50, 3))
         assert np.all(egd.squared_radius(s, x) > 0.0)
+
+
+class TestQuadFormsAccuracy:
+    """Quadratic forms through the triangular inverse, against long double."""
+
+    @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10, 1e13])
+    @pytest.mark.parametrize("q", [2, 7, 16, 40])
+    def test_ill_conditioned_scatter(self, cond, q):
+        rng = np.random.default_rng(int(np.log10(cond)) * 100 + q)
+        basis = np.linalg.qr(rng.standard_normal((q, q)))[0]
+        scatter = egd.ScatterMatrix(
+            (basis * np.logspace(0.0, -np.log10(cond), q)) @ basis.T)
+        x = rng.standard_normal((300, q))
+        expect = quad_forms_longdouble(scatter.cholesky, x)
+        got = quad_forms_from_chol(scatter.cholesky, x)
+        assert got.shape == (300,)
+        assert np.max(np.abs(got - expect) / expect) <= 1e-13
+
+    @pytest.mark.parametrize("q,n", [(1, 1), (1, 5), (5, 1)])
+    def test_small_shapes(self, q, n):
+        rng = np.random.default_rng(RNG_SEED + 2)
+        scatter = egd.ScatterMatrix(random_spd(q, rng))
+        x = rng.standard_normal((n, q))
+        expect = quad_forms_longdouble(scatter.cholesky, x)
+        got = egd.squared_radius(scatter, x)
+        assert got.shape == (n,)
+        assert_allclose(got, expect.astype(float), rtol=1e-13)
+
+    @pytest.mark.parametrize("q", [1, 4])
+    def test_vector_argument(self, q):
+        rng = np.random.default_rng(RNG_SEED + 3)
+        scatter = egd.ScatterMatrix(random_spd(q, rng))
+        x = rng.standard_normal(q)
+        got = egd.squared_radius(scatter, x)
+        assert isinstance(got, float)
+        expect = float(quad_forms_longdouble(scatter.cholesky, x)[0])
+        assert got == pytest.approx(expect, rel=1e-13)
 
 
 class TestLogDensity:

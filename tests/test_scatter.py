@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 import egd
 from egd.scatter import whiten
 from helpers import (ascent_oracle_avg_loglik, kent_tyler_reference,
-                     make_egd_data, random_spd, rel_frob, tyler_reference)
+                     make_egd_data, nonconcave_reference,
+                     nonconcave_reference_step, random_spd, rel_frob,
+                     tyler_reference)
 
 
 class TestComputeConstants:
@@ -292,6 +294,81 @@ class TestSelectAlpha:
         assert case == 0
         expect = np.trace(np.linalg.inv(g_prime)) / (2.0 * 0.7)
         assert alpha == pytest.approx(expect, rel=1e-12)
+
+
+class TestCarriedCandidate:
+    """The eigen rule carries its map matrix forward as the next candidate.
+
+    Started near the fixed point with an indefinite error, the iteration
+    takes case-1 steps first and then case-2 or case-3 steps, so both ways
+    of carrying the candidate (exactly at alpha = 1, rescaled otherwise)
+    are exercised.
+    """
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        q = 6
+        data, _ = make_egd_data(q, 0.8, 2.0, 900, seed=14)
+        c, d = egd.compute_constants(0.8, 2.0, q, data.total_weight)
+        problem = whiten(data, c, d)
+        report = egd.fit_nonconcave(problem, egd.FixedPointConfig(tol=1e-13))
+        inv_half = problem.b_half_inv
+        vals, vecs = np.linalg.eigh(
+            inv_half @ report.sigma_hat.entries @ inv_half)
+        starts = []
+        for spread, seed in ((0.5, 0), (0.5, 1), (1.0, 1)):
+            f = np.exp(np.random.default_rng(seed).uniform(-spread, spread, q))
+            starts.append(problem.b_half @ ((vecs * (vals * f)) @ vecs.T)
+                          @ problem.b_half)
+        return problem, starts
+
+    @staticmethod
+    def _config(problem, user):
+        # the whitened start the library derives from the user matrix
+        start = problem.b_half_inv @ user @ problem.b_half_inv
+        cfg = egd.FixedPointConfig(init="user", user_matrix=user, tol=1e-12)
+        return cfg, 0.5 * (start + start.T)
+
+    def test_matches_rebuilding_reference(self, setting):
+        problem, starts = setting
+        cases = set()
+        for user in starts:
+            cfg, gamma0 = self._config(problem, user)
+            report = egd.fit_nonconcave(problem, cfg)
+            ref = nonconcave_reference(problem, gamma0, cfg.tol)
+            cases.update(ref["cases"])
+            assert report.iterations == ref["iterations"]
+            assert report.converged == ref["converged"]
+            rows = ref["rows"]
+            for col, trace in enumerate((report.alpha_trace,
+                                         report.lambda_min_trace,
+                                         report.lambda_max_trace)):
+                assert_allclose(trace, rows[:, col], rtol=1e-12, atol=0.0)
+            sigma = problem.b_half @ ref["gamma"] @ problem.b_half
+            assert rel_frob(report.sigma_hat.entries, sigma) <= 1e-12
+        assert cases == {1, 2, 3}
+
+    def test_carried_steps_bit_equal(self, setting):
+        # every step is replayed by the reference from the library's own
+        # iterate; after a case-1 step the carried candidate and map
+        # spectrum are those the reference builds, bit for bit
+        problem, starts = setting
+        carried_exact = 0
+        for user in starts:
+            cfg, _ = self._config(problem, user)
+            steps = egd.scatter._scaled_steps(problem, cfg, "eigen")
+            gamma, s, _, _ = next(steps)
+            prev_case = None  # the first candidate is built from the data
+            for _ in range(egd.fit_nonconcave(problem, cfg).iterations):
+                ref_row, case, *_ = nonconcave_reference_step(problem, gamma, s)
+                gamma, s, _, row = next(steps)
+                if prev_case in (None, 1):
+                    assert row == ref_row
+                else:
+                    assert_allclose(row, ref_row, rtol=1e-12, atol=0.0)
+                carried_exact += prev_case == 1
+                prev_case = case
+        assert carried_exact >= 3
 
 
 class TestKentTyler:
