@@ -25,7 +25,6 @@ class SpdFactors:
 
     sqrt: np.ndarray
     inv_sqrt: np.ndarray
-    eigvals: np.ndarray
     logdet: float
 
 
@@ -60,7 +59,6 @@ def spd_sqrt_factors(mat: np.ndarray) -> SpdFactors:
     return SpdFactors(
         sqrt=(vecs * root) @ vecs.T,
         inv_sqrt=(vecs / root) @ vecs.T,
-        eigvals=clamped,
         logdet=float(np.sum(np.log(clamped))),
     )
 

@@ -114,6 +114,17 @@ class EgdParams:
         return self.shape_a >= 0.5 * self.dim
 
 
+def _checked_weights(weights, n: int) -> np.ndarray:
+    w = np.ascontiguousarray(np.asarray(weights, dtype=float))
+    if w.shape != (n,):
+        raise ValueError("weights must be a vector with one entry per sample")
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ValueError("weights must be finite and nonnegative")
+    if float(w.sum()) <= 0.0:
+        raise ValueError("weights must have positive total")
+    return w
+
+
 class Dataset:
     """Immutable bundle of samples (rows) and optional nonnegative weights.
 
@@ -136,17 +147,20 @@ class Dataset:
         if weights is None:
             w = np.ones(x.shape[0])
         else:
-            w = np.ascontiguousarray(np.asarray(weights, dtype=float))
-            if w.shape != (x.shape[0],):
-                raise ValueError("weights must be a vector with one entry per sample")
-            if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-                raise ValueError("weights must be finite and nonnegative")
-            if float(w.sum()) <= 0.0:
-                raise ValueError("weights must have positive total")
+            w = _checked_weights(weights, x.shape[0])
         x.setflags(write=False)
         w.setflags(write=False)
         self._samples = x
         self._weights = w
+
+    def _reweighted(self, weights) -> "Dataset":
+        """The same samples under new weights; only the weights are checked."""
+        w = _checked_weights(weights, self.n)
+        w.setflags(write=False)
+        out = object.__new__(Dataset)
+        out._samples = self._samples
+        out._weights = w
+        return out
 
     @property
     def samples(self) -> np.ndarray:

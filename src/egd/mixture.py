@@ -3,9 +3,17 @@
 The M-step is split into two blocks, alternated in stages: stage 1 refits
 each component's scatter by the regime-appropriate weighted fixed point with
 the radial parameters held fixed, stage 2 refits each component's gamma
-shape and scale from the squared radii under the current scatters.  Both
-blocks increase the observed-data likelihood, so the per-sweep trace is
-nondecreasing up to the inner solvers' tolerances.
+shape and scale from the squared radii under the current scatters.
+
+The scatter block is a generalized-EM step (Dempster, Laird & Rubin 1977):
+by default each component takes one fixed-point step from its current
+scatter per sweep instead of solving its subproblem.  An ascent guard drops
+a step that would lower the component's weighted average log-likelihood and
+keeps the scatter it started from, so no scatter sweep lowers the EM
+objective and the per-sweep trace is nondecreasing by construction, not up
+to a solver tolerance.  ``EmConfig.scatter_fit`` sets another inner budget,
+e.g. ``FixedPointConfig(tol=1e-10, max_iter=2000, residual_check=False)``
+for a tight solve of every refit; the guard applies there too.
 
 The squared radii ``x_i' Sigma_k^{-1} x_i`` depend on the scatters only, so
 :func:`fit_mixture` computes the K x n radius matrix once per scatter update
@@ -25,7 +33,7 @@ import numpy as np
 from .core import (Dataset, EgdParams, MixtureModel, ScatterMatrix,
                    _log_density_from_radii, sample, squared_radius)
 from .gammafit import WeightedSample, fit_gamma_weighted
-from .scatter import FixedPointConfig, RankDeficiencyError, fit_scatter
+from .scatter import FixedPointConfig, RankDeficiencyError, _fit_scatter_ascent
 
 __all__ = [
     "Responsibilities",
@@ -77,6 +85,11 @@ class EmConfig:
     ``stage2_sweeps`` radial sweeps (stage 2 stops early once its own
     improvement falls below ``tol``).  The run converges when the average
     log-likelihood changes by less than ``tol`` over a full round.
+
+    ``scatter_fit`` is the inner configuration of every scatter refit (see
+    :func:`m_step_scatter`).  It defaults to one guarded fixed-point step
+    per component per sweep; pass e.g. ``FixedPointConfig(tol=1e-10,
+    max_iter=2000, residual_check=False)`` to solve each refit tightly.
     """
 
     n_components: int
@@ -116,8 +129,9 @@ class EmReport:
 
 
 def _default_scatter_fit() -> FixedPointConfig:
-    # tight subproblem tolerance keeps the outer EM trace monotone
-    return FixedPointConfig(tol=1e-10, max_iter=2000, residual_check=False)
+    # one step per component per sweep (generalized EM); the ascent guard,
+    # not a subproblem tolerance, keeps the outer EM trace monotone
+    return FixedPointConfig(tol=1e-10, max_iter=1, residual_check=False)
 
 
 def e_step(model: MixtureModel, data: Dataset):
@@ -164,9 +178,15 @@ def m_step_scatter(data: Dataset, resp: Responsibilities, model: MixtureModel,
     """Refit every component scatter with radial parameters held fixed.
 
     Component ``k`` is fitted with weights ``w_i t_ki``, warm-started from
-    its current scatter.  A component whose effective weight falls below the
-    dimension is left unchanged for the sweep and flagged with a warning.
-    Mixing probabilities are refreshed from the responsibilities.
+    its current scatter.  By default each component takes one fixed-point
+    step (a generalized-EM update); ``config`` sets another ``tol`` and
+    ``max_iter``, e.g. ``max_iter=2000`` to solve each refit tightly.  Either
+    way the inner loop ends at the first step that would lower the
+    component's weighted average log-likelihood and keeps the iterate before
+    it, so the refit never lowers the EM objective.  A component whose
+    effective weight falls below the dimension is left unchanged for the
+    sweep and flagged with a warning.  Mixing probabilities are refreshed
+    from the responsibilities.
     """
     config = config or _default_scatter_fit()
     t = resp.matrix
@@ -185,8 +205,8 @@ def m_step_scatter(data: Dataset, resp: Responsibilities, model: MixtureModel,
             continue
         cfg_k = replace(config, init="user", user_matrix=comp.scatter.entries)
         try:
-            report = fit_scatter(Dataset(data.samples, wk), comp.shape_a,
-                                 comp.scale_b, cfg_k)
+            report = _fit_scatter_ascent(data._reweighted(wk), comp.shape_a,
+                                         comp.scale_b, cfg_k)
         except RankDeficiencyError:
             warnings.warn(f"component {k} weights concentrate on a rank-deficient "
                           "subset; scatter frozen for this sweep")

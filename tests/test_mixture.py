@@ -4,10 +4,27 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import egd
 from helpers import align_scatters, random_spd, rel_frob
+
+
+@pytest.fixture()
+def scatter_fits(monkeypatch):
+    """Collects ``(config, report)`` of every scatter fit the M-step makes."""
+    calls = []
+    fit = egd.scatter.fit_scatter
+
+    def spy(data, a, b, config):
+        report = fit(data, a, b, config)
+        calls.append((config, report))
+        return report
+
+    monkeypatch.setattr(egd.scatter, "fit_scatter", spy)
+    return calls
 
 
 def two_scale_model(q, lo=1.0, hi=400.0):
@@ -139,6 +156,15 @@ class TestMSteps:
         after = egd.mixture_log_likelihood(stepped, data)
         assert after >= before - 1e-9
 
+    def test_default_scatter_step_is_one_guarded_step(self, blob_data,
+                                                      scatter_fits):
+        model, data = blob_data
+        resp, _ = egd.e_step(model, data)
+        egd.m_step_scatter(data, resp, model)
+        seen = [(type(cfg), cfg.tol, cfg.max_iter, report.iterations)
+                for cfg, report in scatter_fits]
+        assert seen == [(egd.scatter._AscentConfig, 1e-10, 1, 1)] * 2
+
     def test_shape_step_monotone_and_updates_radial(self, blob_data):
         model, data = blob_data
         resp, before = egd.e_step(model, data)
@@ -168,6 +194,53 @@ class TestMSteps:
         with pytest.warns(UserWarning, match="degenerate"):
             stepped = egd.m_step_scatter(data, resp, model)
         assert stepped.components[1].scatter is model.components[1].scatter
+
+
+@st.composite
+def mixture_steps(draw):
+    """A mixture, weighted data from another one, and its E-step.
+
+    The mixture is random, or its scatters and mixing probabilities are
+    moved toward a stationary point by up to 30 scatter sweeps, where the
+    steps are small.  The radial parameters stay as drawn.
+    """
+    k = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 4))
+    n = draw(st.integers(k * (q + 2), 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def random_model():
+        comps = [egd.EgdParams(
+            egd.ScatterMatrix(10.0 ** rng.uniform(-1.0, 1.0)
+                              * random_spd(q, rng, ridge=0.5)),
+            # both regimes: a on either side of q/2
+            0.5 * q * 10.0 ** rng.uniform(-1.0, 1.0),
+            10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(k)]
+        return egd.MixtureModel(comps, rng.dirichlet(np.ones(k)))
+
+    data = egd.sample_mixture(random_model(), n, int(rng.integers(2**31)))
+    weights = rng.uniform(0.0, 2.0, n)
+    weights[rng.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
+    weights[0] = 1.0
+    data = egd.Dataset(data.samples, weights)
+    model = random_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(draw(st.integers(0, 30))):
+            model = egd.m_step_scatter(data, egd.e_step(model, data)[0], model)
+    resp, total = egd.e_step(model, data)
+    return data, model, resp, total
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mixture_steps())
+def test_scatter_step_never_lowers_likelihood(case):
+    data, model, resp, before = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stepped = egd.m_step_scatter(data, resp, model)
+    after = egd.mixture_log_likelihood(stepped, data)
+    assert after >= before - 1e-12 * abs(before)
 
 
 class TestFitMixture:
@@ -207,6 +280,27 @@ class TestFitMixture:
         report = egd.fit_mixture(data, egd.EmConfig(
             n_components=2, seed=5, outer_rounds=40))
         assert np.all(np.diff(report.loglik_trace) >= -1e-9)
+
+    def test_tight_scatter_fit_honoured(self, scatter_fits):
+        # the old default, a tight solve of every refit, is still reachable
+        # through scatter_fit and ends where the one-step default ends
+        model = two_scale_model(3, lo=1.0, hi=60.0)
+        a = egd.sample(model.components[0], 400, seed=41)
+        b = egd.sample(model.components[1], 400, seed=42)
+        data = egd.Dataset(np.vstack([a.samples, b.samples]))
+        kw = dict(n_components=2, seed=5, outer_rounds=200, tol=1e-7)
+        default = egd.fit_mixture(data, egd.EmConfig(**kw))
+        one_step = scatter_fits[:]
+        scatter_fits.clear()
+        tight = egd.fit_mixture(data, egd.EmConfig(
+            scatter_fit=egd.FixedPointConfig(tol=1e-10, max_iter=2000,
+                                             residual_check=False), **kw))
+        assert {(c.tol, c.max_iter) for c, _ in one_step} == {(1e-10, 1)}
+        assert {(c.tol, c.max_iter) for c, _ in scatter_fits} == {(1e-10, 2000)}
+        assert max(r.iterations for _, r in scatter_fits) > 1
+        assert default.converged and tight.converged
+        assert default.loglik_trace[-1] == pytest.approx(
+            tight.loglik_trace[-1], abs=1e-5)
 
     def test_two_component_recovery(self):
         q = 4
