@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -320,23 +319,16 @@ def _bench_trial(trial, args, algos, out_dir):
 
 
 def run_benchmark(args, algos, out_dir) -> list[dict]:
-    """Run all benchmark trials, optionally in parallel (EGD_THREADS)."""
+    """Run all benchmark trials in turn."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = int(os.environ.get("EGD_THREADS", "1"))
-    trials = range(args.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(
-                lambda t: _bench_trial(t, args, algos, out_dir), trials))
-    else:
-        per_trial = [_bench_trial(t, args, algos, out_dir) for t in trials]
-    return [row for rows in per_trial for row in rows]
+    return [row for trial in range(args.trials)
+            for row in _bench_trial(trial, args, algos, out_dir)]
 
 
 _RUN_COLUMNS = ("trial", "algo", "init", "iterations", "converged",
                 "final_avg_loglik", "final_residual", "elapsed_ms")
 # thread settings recorded next to the timings; unset variables are null
-_THREAD_VARIABLES = ("EGD_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                      "MKL_NUM_THREADS")
 
 

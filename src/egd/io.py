@@ -78,6 +78,9 @@ def write_matrix_csv(path, array) -> None:
 
 
 def _read_matrix_binary(raw: bytes) -> np.ndarray:
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"matrix file is {len(raw)} bytes, shorter than the "
+                         f"{_HEADER.size}-byte header")
     magic, version, rows, cols = _HEADER.unpack_from(raw)
     if version != MATRIX_VERSION:
         raise ValueError(f"unsupported matrix file version {version}")

@@ -7,17 +7,18 @@ shape and scale from the squared radii under the current scatters.
 
 The scatter block is a generalized-EM step (Dempster, Laird & Rubin 1977):
 by default each component takes one fixed-point step from its current
-scatter per sweep instead of solving its subproblem.  An ascent guard drops
-a step that would lower the component's weighted average log-likelihood and
-keeps the scatter it started from, so no scatter sweep lowers the EM
-objective and the per-sweep trace is nondecreasing by construction, not up
-to a solver tolerance.  ``EmConfig.scatter_fit`` sets another inner budget,
-e.g. ``FixedPointConfig(tol=1e-10, max_iter=2000, residual_check=False)``
-for a tight solve of every refit; the guard applies there too.
+scatter per sweep instead of solving its subproblem.  The M-step then
+compares the refit with its start: when the refit lowers the component's
+weighted log-likelihood it is dropped and the start kept, so no scatter
+sweep lowers the EM objective and the per-sweep trace is nondecreasing by
+construction, not up to a solver tolerance.  ``EmConfig.scatter_fit`` sets
+another inner budget, e.g. ``FixedPointConfig(tol=1e-10, max_iter=2000,
+residual_check=False)`` for a tight solve of every refit; the same
+comparison applies to the refit's end point.
 
 The squared radii ``x_i' Sigma_k^{-1} x_i`` depend on the scatters only, so
-:func:`fit_mixture` computes the K x n radius matrix once per scatter update
-and reuses it in every E-step and radial refit until the next one (the
+:func:`fit_mixture` computes each component's radii once per scatter update
+and reuses them in every E-step and radial refit until the next one (the
 conditional-maximization structure of ECM, Meng & Rubin 1993).  The same
 scatter always yields the same radii, so this changes no result.
 """
@@ -33,7 +34,8 @@ import numpy as np
 from .core import (Dataset, EgdParams, MixtureModel, ScatterMatrix,
                    _log_density_from_radii, sample, squared_radius)
 from .gammafit import WeightedSample, fit_gamma_weighted
-from .scatter import FixedPointConfig, RankDeficiencyError, _fit_scatter_ascent
+from . import scatter
+from .scatter import FixedPointConfig, RankDeficiencyError
 
 __all__ = [
     "Responsibilities",
@@ -87,9 +89,11 @@ class EmConfig:
     log-likelihood changes by less than ``tol`` over a full round.
 
     ``scatter_fit`` is the inner configuration of every scatter refit (see
-    :func:`m_step_scatter`).  It defaults to one guarded fixed-point step
-    per component per sweep; pass e.g. ``FixedPointConfig(tol=1e-10,
+    :func:`m_step_scatter`).  It defaults to one fixed-point step per
+    component per sweep; pass e.g. ``FixedPointConfig(tol=1e-10,
     max_iter=2000, residual_check=False)`` to solve each refit tightly.
+    Either way the M-step keeps a refit only if it does not lower the
+    component's weighted log-likelihood below that of its start.
     """
 
     n_components: int
@@ -129,8 +133,8 @@ class EmReport:
 
 
 def _default_scatter_fit() -> FixedPointConfig:
-    # one step per component per sweep (generalized EM); the ascent guard,
-    # not a subproblem tolerance, keeps the outer EM trace monotone
+    # one step per component per sweep (generalized EM); the M-step's check
+    # against the start, not a subproblem tolerance, keeps the trace monotone
     return FixedPointConfig(tol=1e-10, max_iter=1, residual_check=False)
 
 
@@ -181,17 +185,25 @@ def m_step_scatter(data: Dataset, resp: Responsibilities, model: MixtureModel,
     its current scatter.  By default each component takes one fixed-point
     step (a generalized-EM update); ``config`` sets another ``tol`` and
     ``max_iter``, e.g. ``max_iter=2000`` to solve each refit tightly.  Either
-    way the inner loop ends at the first step that would lower the
-    component's weighted average log-likelihood and keeps the iterate before
-    it, so the refit never lowers the EM objective.  A component whose
+    way the refit is then compared with its start, and a refit that lowers
+    the component's weighted log-likelihood is dropped in favour of the
+    start, so the M-step never lowers the EM objective.  A component whose
     effective weight falls below the dimension is left unchanged for the
     sweep and flagged with a warning.  Mixing probabilities are refreshed
     from the responsibilities.
     """
+    if resp.matrix.shape != (model.n_components, data.n):
+        raise ValueError("responsibilities shape does not match model and data")
+    return _m_step_scatter(data, resp, model, config,
+                           _squared_radii(model, data))[0]
+
+
+def _m_step_scatter(data, resp, model, config, radii):
+    # returns the model and its K x n radius matrix; a component that keeps
+    # its scatter keeps its row of ``radii``
     config = config or _default_scatter_fit()
     t = resp.matrix
-    if t.shape != (model.n_components, data.n):
-        raise ValueError("responsibilities shape does not match model and data")
+    radii = radii.copy()
     new_comps = []
     new_probs = np.empty(model.n_components)
     for k, comp in enumerate(model.components):
@@ -205,15 +217,22 @@ def m_step_scatter(data: Dataset, resp: Responsibilities, model: MixtureModel,
             continue
         cfg_k = replace(config, init="user", user_matrix=comp.scatter.entries)
         try:
-            report = _fit_scatter_ascent(data._reweighted(wk), comp.shape_a,
+            report = scatter.fit_scatter(data._reweighted(wk), comp.shape_a,
                                          comp.scale_b, cfg_k)
         except RankDeficiencyError:
             warnings.warn(f"component {k} weights concentrate on a rank-deficient "
                           "subset; scatter frozen for this sweep")
             new_comps.append(comp)
             continue
-        new_comps.append(EgdParams(report.sigma_hat, comp.shape_a, comp.scale_b))
-    return MixtureModel(new_comps, new_probs / new_probs.sum())
+        refit = EgdParams(report.sigma_hat, comp.shape_a, comp.scale_b)
+        refit_radii = squared_radius(refit.scatter, data.samples)
+        if (wk @ _log_density_from_radii(refit, refit_radii)
+                < wk @ _log_density_from_radii(comp, radii[k])):
+            new_comps.append(comp)
+            continue
+        new_comps.append(refit)
+        radii[k] = refit_radii
+    return MixtureModel(new_comps, new_probs / new_probs.sum()), radii
 
 
 def m_step_shape(data: Dataset, resp: Responsibilities,
@@ -286,10 +305,10 @@ def _labels_to_model(data, labels, k):
         probs[j] = swj / data.total_weight
         mat = _second_moment(x, wj) if swj > 0.0 else pooled
         try:
-            scatter = ScatterMatrix(mat)
+            sigma = ScatterMatrix(mat)
         except ValueError:
-            scatter = ScatterMatrix(pooled)
-        comps.append(EgdParams(scatter, 0.5 * q, 2.0))
+            sigma = ScatterMatrix(pooled)
+        comps.append(EgdParams(sigma, 0.5 * q, 2.0))
     probs = np.maximum(probs, 1.0 / (k * max(data.n, 1)))
     return MixtureModel(comps, probs / probs.sum())
 
@@ -345,11 +364,11 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     model.  Components that lose all responsibility are removed with a
     warning.
 
-    The squared radii are computed once for the initial model and once after
-    each scatter refit, then shared by every E-step and radial refit until
+    The squared radii are computed once for the initial model and once for
+    each refitted scatter, then shared by every E-step and radial refit until
     the next scatter refit.  They depend on the scatters alone, so the
-    results are those of calling :func:`e_step` and :func:`m_step_shape`,
-    which recompute them, in the same schedule.
+    results are those of calling :func:`e_step`, :func:`m_step_scatter` and
+    :func:`m_step_shape`, which recompute them, in the same schedule.
     """
     k = config.n_components
     if data.n < k * data.dim:
@@ -368,8 +387,8 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
         for _ in range(config.stage1_sweeps):
             model, radii, resp, total = _respond(model, radii, data)
             trace.append(total / n_eff)
-            model = m_step_scatter(data, resp, model, config.scatter_fit)
-            radii = _squared_radii(model, data)
+            model, radii = _m_step_scatter(data, resp, model,
+                                           config.scatter_fit, radii)
         prev_stage = None
         for _ in range(config.stage2_sweeps):
             model, radii, resp, total = _respond(model, radii, data)

@@ -23,10 +23,7 @@ being built again from the data.  A data-augmentation baseline
 (Kent-Tyler) covers the ``a < q/2`` regime: whitened, its update is exactly
 the nonconcave candidate, so it runs as the unscaled (``alpha = 1``)
 whitened fixed point.  One driver runs all three iterations and stops when
-the average log-likelihood changes by less than ``tol``.  For the EM M-step
-the driver can also stop at the first step that lowers the average
-log-likelihood and report the iterate before it (an ascent guard, reached
-only through the private :func:`_fit_scatter_ascent`).
+the average log-likelihood changes by less than ``tol``.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -107,11 +104,6 @@ class FixedPointConfig:
             raise ValueError("max_iter must be at least 1")
         if (self.init == "user") != (self.user_matrix is not None):
             raise ValueError("user_matrix required exactly when init='user'")
-
-
-@dataclass(frozen=True, eq=False)
-class _AscentConfig(FixedPointConfig):
-    """A :class:`FixedPointConfig` that turns on the driver's ascent guard."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,25 +276,14 @@ def _run(problem: WhitenedProblem, config: FixedPointConfig, steps,
     when a step leaves the usable SPD cone; the last accepted iterate is
     then reported with ``near_singular`` set.  ``fields`` names the report
     traces filled, in order, from the entries of each trace row.
-
-    Under an :class:`_AscentConfig` the loop also ends at the first step
-    that lowers the average log-likelihood.  That step is dropped and the
-    iterate before it is reported, so the trace never decreases; the fit
-    counts as converged when the drop is below ``tol``.
     """
-    guard = isinstance(config, _AscentConfig)
     start = time.perf_counter()
     gamma, s, ll_prev, _ = next(steps)
     lls, rows, elapsed = [], [], []
     converged = False
     near_singular = False
     try:
-        for step in itertools.islice(steps, config.max_iter):
-            ll = step[2]
-            if guard and ll < ll_prev:
-                converged = ll_prev - ll < config.tol
-                break
-            gamma, s, _, row = step
+        for gamma, s, ll, row in itertools.islice(steps, config.max_iter):
             lls.append(ll)
             rows.append(row)
             elapsed.append(1000.0 * (time.perf_counter() - start))
@@ -545,17 +526,3 @@ def fit_scatter(data: Dataset, a: float, b: float,
     if c <= 0.0:
         return fit_concave(problem, config)
     return fit_nonconcave(problem, config)
-
-
-def _fit_scatter_ascent(data: Dataset, a: float, b: float,
-                        config: FixedPointConfig) -> FitReport:
-    """:func:`fit_scatter` with the driver's ascent guard turned on.
-
-    The fit ends at the first step that lowers the weighted average
-    log-likelihood and reports the iterate before it, so the returned
-    scatter never scores below the start.  The call still goes through
-    :func:`fit_scatter`, so it runs the same public steps.
-    """
-    guarded = _AscentConfig(**{f.name: getattr(config, f.name)
-                               for f in fields(FixedPointConfig)})
-    return fit_scatter(data, a, b, guarded)

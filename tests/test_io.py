@@ -46,6 +46,14 @@ class TestMatrixBinary:
         with pytest.raises(ValueError, match="payload"):
             eio.read_matrix(path)
 
+    @pytest.mark.parametrize("size", [4, 23])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        path = tmp_path / "m.bin"
+        eio.write_matrix_binary(path, np.ones((1, 1)))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"{size} bytes"):
+            eio.read_matrix(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "m.bin"
         eio.write_matrix_binary(path, np.ones((1, 1)))

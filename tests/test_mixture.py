@@ -1,5 +1,6 @@
 """EM driver, responsibility bookkeeping, and evaluation utilities."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -163,7 +164,23 @@ class TestMSteps:
         egd.m_step_scatter(data, resp, model)
         seen = [(type(cfg), cfg.tol, cfg.max_iter, report.iterations)
                 for cfg, report in scatter_fits]
-        assert seen == [(egd.scatter._AscentConfig, 1e-10, 1, 1)] * 2
+        assert seen == [(egd.FixedPointConfig, 1e-10, 1, 1)] * 2
+
+    def test_lowering_refit_is_dropped(self, blob_data, monkeypatch):
+        model, data = blob_data
+        resp, before = egd.e_step(model, data)
+        fit = egd.scatter.fit_scatter
+
+        def inflated(data, a, b, config):
+            report = fit(data, a, b, config)
+            return dataclasses.replace(report, sigma_hat=egd.ScatterMatrix(
+                3.0 * report.sigma_hat.entries))
+
+        monkeypatch.setattr(egd.scatter, "fit_scatter", inflated)
+        stepped = egd.m_step_scatter(data, resp, model)
+        for new, old in zip(stepped.components, model.components):
+            assert new.scatter is old.scatter
+        assert egd.mixture_log_likelihood(stepped, data) >= before
 
     def test_shape_step_monotone_and_updates_radial(self, blob_data):
         model, data = blob_data
