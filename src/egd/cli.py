@@ -24,14 +24,14 @@ from .mixture import (EmConfig, fit_mixture, mi_rate, mixture_log_likelihood,
                       preprocess_patches, sample_mixture)
 from .scatter import (FixedPointConfig, FitReport, fit_kent_tyler, fit_scatter)
 
-__all__ = ["build_parser", "main", "run", "run_benchmark"]
+__all__ = ["build_parser", "main", "run"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_DATA = 4
 
-_ALGOS = ("fp", "kent-tyler")
+_FITS = {"fp": fit_scatter, "kent-tyler": fit_kent_tyler}
 
 
 def _positive_int(text: str) -> int:
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(2/b) times the second moment (the sample-cov "
                         "start when b = 2); for kent-tyler it is I")
     p.add_argument("--alpha-rule", choices=("eigen", "trace"), default="eigen")
-    p.add_argument("--algo", choices=_ALGOS, default="fp")
+    p.add_argument("--algo", choices=_FITS, default="fp")
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--max-iter", type=_positive_int, default=1000)
     p.add_argument("--out", required=True)
@@ -200,12 +200,9 @@ def cmd_fit(args, parser) -> int:
     config = FixedPointConfig(init=init, tol=args.tol, max_iter=args.max_iter,
                               alpha_rule=args.alpha_rule,
                               user_matrix=user_matrix)
-    if args.algo == "kent-tyler":
-        if args.a >= 0.5 * data.dim:
-            parser.error("--algo kent-tyler requires a < dim/2")
-        report = fit_kent_tyler(data, args.a, args.b, config)
-    else:
-        report = fit_scatter(data, args.a, args.b, config)
+    if args.algo == "kent-tyler" and args.a >= 0.5 * data.dim:
+        parser.error("--algo kent-tyler requires a < dim/2")
+    report = _FITS[args.algo](data, args.a, args.b, config)
     model, fit_info = _single_component_model(
         report, args.a, args.b, args, {"algo": args.algo})
     eio.write_model(args.out, model, fit_info)
@@ -296,10 +293,7 @@ def _bench_trial(trial, args, algos, out_dir):
             config = FixedPointConfig(init=init, tol=args.tol,
                                       max_iter=args.max_iter,
                                       alpha_rule=args.alpha_rule)
-            if algo == "kent-tyler":
-                report = fit_kent_tyler(data, args.a, args.b, config)
-            else:
-                report = fit_scatter(data, args.a, args.b, config)
+            report = _FITS[algo](data, args.a, args.b, config)
             name = f"trace_trial{trial:03d}_{algo}_{init}.csv"
             eio.write_trace(out_dir / name, eio.trace_rows(report))
             rows.append({
@@ -316,13 +310,6 @@ def _bench_trial(trial, args, algos, out_dir):
                                if report.elapsed_ms_trace.size else 0.0),
             })
     return rows
-
-
-def run_benchmark(args, algos, out_dir) -> list[dict]:
-    """Run all benchmark trials in turn."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return [row for trial in range(args.trials)
-            for row in _bench_trial(trial, args, algos, out_dir)]
 
 
 _RUN_COLUMNS = ("trial", "algo", "init", "iterations", "converged",
@@ -342,15 +329,17 @@ def _bench_environment() -> dict:
 def cmd_bench(args, parser) -> int:
     algos = tuple(name.strip() for name in args.algos.split(",") if name.strip())
     for name in algos:
-        if name not in _ALGOS:
+        if name not in _FITS:
             parser.error(f"unknown algorithm {name!r} (choose from "
-                         f"{', '.join(_ALGOS)})")
+                         f"{', '.join(_FITS)})")
     if not algos:
         parser.error("--algos must name at least one algorithm")
     if "kent-tyler" in algos and args.a >= 0.5 * args.dim:
         parser.error("kent-tyler requires a < dim/2")
     out_dir = Path(args.out_dir)
-    rows = run_benchmark(args, algos, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [row for trial in range(args.trials)
+            for row in _bench_trial(trial, args, algos, out_dir)]
     with open(out_dir / "environment.json", "w") as fh:
         json.dump(_bench_environment(), fh, indent=2)
         fh.write("\n")

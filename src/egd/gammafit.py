@@ -8,6 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
+from .core import _checked_weights
+
 __all__ = ["WeightedSample", "GammaFit", "digamma", "trigamma",
            "fit_gamma_weighted"]
 
@@ -42,16 +44,8 @@ class WeightedSample:
             raise ValueError("values must be a nonempty vector")
         if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
             raise ValueError("values must be positive and finite")
-        if weights is None:
-            w = np.ones_like(v)
-        else:
-            w = np.ascontiguousarray(np.asarray(weights, dtype=float))
-            if w.shape != v.shape:
-                raise ValueError("weights must match values in length")
-            if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite and nonnegative")
-            if float(w.sum()) <= 0.0:
-                raise ValueError("weights must have positive total")
+        w = (np.ones_like(v) if weights is None
+             else _checked_weights(weights, v.size))
         v.setflags(write=False)
         w.setflags(write=False)
         self._values = v

@@ -16,14 +16,15 @@ Whitening by ``B = d sum_i w_i x_i x_i'`` absorbs the second sum into a
 convergent inverse-map iteration whose iterate spectra stay inside a fixed
 box; ``c > 0`` (``a < q/2``) uses a multiplicative update with a per-step
 scalar ``alpha`` chosen either by an eigenvalue case analysis or by a trace
-normalization.  The eigen rule evaluates the map matrix
+normalization.  Every step evaluates the map matrix
 ``G2 = I + c sum_i w_i y_i y_i' / s'_i`` at the candidate, and the next
-candidate is ``I + alpha (G2 - I)``, so it is carried forward instead of
-being built again from the data.  A data-augmentation baseline
-(Kent-Tyler) covers the ``a < q/2`` regime: whitened, its update is exactly
-the nonconcave candidate, so it runs as the unscaled (``alpha = 1``)
-whitened fixed point.  One driver runs all three iterations and stops when
-the average log-likelihood changes by less than ``tol``.
+candidate is ``I + alpha (G2 - I)``: only the start's candidate is built
+from the data, and the last one gives the stationarity residual.  A
+data-augmentation baseline (Kent-Tyler) covers the ``a < q/2`` regime:
+whitened, its update is exactly the nonconcave candidate, so it runs as the
+unscaled (``alpha = 1``) whitened fixed point.  One driver runs all three
+iterations and stops when the average log-likelihood changes by less than
+``tol``.
 """
 
 from __future__ import annotations
@@ -257,12 +258,10 @@ def _candidate(c: float, y: np.ndarray, w: np.ndarray,
     return symmetrize(np.eye(y.shape[1]) + (y * coeff[:, None]).T @ y)
 
 
-def _whitened_residual(problem: WhitenedProblem, gamma: np.ndarray,
-                       s: np.ndarray) -> float:
-    # ||M - I||_F = ||Gamma^{-1/2} (G - Gamma) Gamma^{-1/2}||_F with
-    # G = I + c sum_i w_i y_i y_i' / s_i; equal to the original-coordinate
-    # residual because the two defects are orthogonally similar.
-    g = _candidate(problem.c, problem.y, problem.weights, s)
+def _whitened_residual(gamma: np.ndarray, g: np.ndarray) -> float:
+    # ||M - I||_F = ||Gamma^{-1/2} (G - Gamma) Gamma^{-1/2}||_F with G the
+    # candidate at gamma; equal to the original-coordinate residual because
+    # the two defects are orthogonally similar.
     inv_half = spd_sqrt_factors(gamma).inv_sqrt
     return float(np.linalg.norm(inv_half @ (g - gamma) @ inv_half, "fro"))
 
@@ -272,18 +271,20 @@ def _run(problem: WhitenedProblem, config: FixedPointConfig, steps,
     """Drive a step generator to the average log-likelihood stop.
 
     ``steps`` yields the start and then every accepted iterate as
-    ``(gamma, s, avg_loglik, trace_row)`` and raises :class:`_Breakdown`
+    ``(gamma, s, avg_loglik, trace_row, candidate)``, where ``candidate`` is
+    ``I + c sum_i w_i y_i y_i' / s_i`` at ``gamma`` or None when the step
+    does not form it (the concave fit), and raises :class:`_Breakdown`
     when a step leaves the usable SPD cone; the last accepted iterate is
     then reported with ``near_singular`` set.  ``fields`` names the report
     traces filled, in order, from the entries of each trace row.
     """
     start = time.perf_counter()
-    gamma, s, ll_prev, _ = next(steps)
+    gamma, s, ll_prev, _, g = next(steps)
     lls, rows, elapsed = [], [], []
     converged = False
     near_singular = False
     try:
-        for gamma, s, ll, row in itertools.islice(steps, config.max_iter):
+        for gamma, s, ll, row, g in itertools.islice(steps, config.max_iter):
             lls.append(ll)
             rows.append(row)
             elapsed.append(1000.0 * (time.perf_counter() - start))
@@ -296,7 +297,9 @@ def _run(problem: WhitenedProblem, config: FixedPointConfig, steps,
     residual = math.nan
     if config.residual_check and not near_singular:
         try:
-            residual = _whitened_residual(problem, gamma, s)
+            if g is None:
+                g = _candidate(problem.c, problem.y, problem.weights, s)
+            residual = _whitened_residual(gamma, g)
         except ValueError:
             near_singular = True
     traces = {name: np.asarray([row[i] for row in rows])
@@ -325,7 +328,7 @@ def _concave_steps(problem: WhitenedProblem, config: FixedPointConfig):
         z = problem.y @ ((vecs / np.sqrt(vals)) @ vecs.T)
         s = np.maximum(np.einsum("ij,ij->i", z, z), _DENOM_FLOOR)
         ll = _avg_loglik(problem, s, float(np.log(vals).sum()))
-        yield gamma, s, ll, (float(vals[0]), float(vals[-1]))
+        yield gamma, s, ll, (float(vals[0]), float(vals[-1])), None
         if _near_singular(float(vals[0]), float(vals[-1])):
             raise _Breakdown("iterate is near singular")
         weight_mat = (z * (w / s)[:, None]).T @ z
@@ -371,14 +374,13 @@ def _alpha_eigen(gamma_prime: np.ndarray, g2: np.ndarray, lam: np.ndarray):
     return 1.0 / inv_alpha, case
 
 
-def _alpha(rule: str, c: float, y: np.ndarray, w: np.ndarray,
-           gamma_prime: np.ndarray, gvals: np.ndarray, s_prime: np.ndarray):
-    # gvals is the spectrum of gamma_prime, s_prime its quadratic forms.
-    # Returns (alpha, case_id, g2, lam); the eigen rule's map matrix g2 and
-    # its spectrum lam are None under the trace rule.
-    g2 = lam = None
+def _alpha(rule: str, c: float, w: np.ndarray, gamma_prime: np.ndarray,
+           gvals: np.ndarray, g2: np.ndarray | None):
+    # gvals is the spectrum of gamma_prime and g2 the map matrix at it, read
+    # by the eigen rule only.  Returns (alpha, case_id, lam); the map
+    # spectrum lam is None under the trace rule.
+    lam = None
     if rule == "eigen":
-        g2 = _candidate(c, y, w, s_prime)
         lam = scipy.linalg.eigh(g2, gamma_prime, eigvals_only=True)
         alpha, case = _alpha_eigen(gamma_prime, g2, lam)
     else:
@@ -388,7 +390,7 @@ def _alpha(rule: str, c: float, y: np.ndarray, w: np.ndarray,
             2.0 * shape_a * (n_eff / w.size)), 0
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise _Breakdown(f"alpha selection failed: alpha = {alpha}")
-    return alpha, case, g2, lam
+    return alpha, case, lam
 
 
 def _quad_forms_from_eig(y: np.ndarray, gvals: np.ndarray,
@@ -416,8 +418,10 @@ def select_alpha(gamma_prime: np.ndarray, c: float, y: np.ndarray,
     gvals, gvecs = np.linalg.eigh(gamma_prime)
     if not gvals[0] > 0.0:
         raise ValueError("matrix is not positive definite")
-    return _alpha(rule, c, y, np.asarray(weights, dtype=float), gamma_prime,
-                  gvals, _quad_forms_from_eig(y, gvals, gvecs))[:2]
+    w = np.asarray(weights, dtype=float)
+    g2 = (_candidate(c, y, w, _quad_forms_from_eig(y, gvals, gvecs))
+          if rule == "eigen" else None)
+    return _alpha(rule, c, w, gamma_prime, gvals, g2)[:2]
 
 
 def _scaled_steps(problem: WhitenedProblem, config: FixedPointConfig,
@@ -434,12 +438,10 @@ def _scaled_steps(problem: WhitenedProblem, config: FixedPointConfig,
     s = np.maximum(quad_forms_from_chol(chol, y), _DENOM_FLOOR)
     ll = _avg_loglik(problem, s, 2.0 * float(np.sum(np.log(np.diag(chol)))))
     row = None
-    # candidate and map spectrum carried over from the eigen rule's last step
-    g_prime = lam_n = None
+    # the candidate at gamma, and the map spectrum if the last step carried it
+    g_prime, lam_n = _candidate(c, y, w, s), None
     while True:
-        yield gamma, s, ll, row
-        if g_prime is None:
-            g_prime = _candidate(c, y, w, s)
+        yield gamma, s, ll, row, g_prime
         try:
             if rule is not None and lam_n is None:
                 lam_n = scipy.linalg.eigh(g_prime, gamma, eigvals_only=True)
@@ -452,9 +454,10 @@ def _scaled_steps(problem: WhitenedProblem, config: FixedPointConfig,
                 or _near_singular(float(gvals[0]), float(gvals[-1]))):
             raise _Breakdown("candidate is near singular")
         s_prime = _quad_forms_from_eig(y, gvals, gvecs)
-        alpha, g2 = 1.0, None
+        g2 = _candidate(c, y, w, s_prime)
+        alpha, lam = 1.0, None
         if rule is not None:
-            alpha, _, g2, lam = _alpha(rule, c, y, w, g_prime, gvals, s_prime)
+            alpha, _, lam = _alpha(rule, c, w, g_prime, gvals, g2)
             row = (alpha, float(lam_n[0]), float(lam_n[-1]),
                    alpha * float(gvals[0]), alpha * float(gvals[-1]))
         gamma = alpha * g_prime
@@ -463,13 +466,11 @@ def _scaled_steps(problem: WhitenedProblem, config: FixedPointConfig,
                          q * math.log(alpha) + float(np.log(gvals).sum()))
         # With s = s'/alpha the next candidate is I + alpha (G2 - I).  At
         # alpha = 1 it is G2 bit for bit, and G2's spectrum relative to
-        # Gamma' = gamma is the next map spectrum as well.
-        g_prime = lam_n = None
-        if g2 is not None:
-            if alpha == 1.0:
-                g_prime, lam_n = g2, lam
-            else:
-                g_prime = eye + alpha * (g2 - eye)
+        # Gamma' = gamma, if the rule computed it, is the next map spectrum.
+        if alpha == 1.0:
+            g_prime, lam_n = g2, lam
+        else:
+            g_prime, lam_n = eye + alpha * (g2 - eye), None
 
 
 def fit_nonconcave(problem: WhitenedProblem,
@@ -480,12 +481,11 @@ def fit_nonconcave(problem: WhitenedProblem,
     ``Gamma' = I + c sum_i w_i y_i y_i' / (y_i' Gamma^{-1} y_i)`` and accepts
     ``alpha * Gamma'`` with ``alpha`` from :func:`select_alpha`.  Under the
     eigen rule the extreme eigenvalues of the map matrix bracket one and the
-    scaling tends to one as the iteration converges.  The eigen rule's map
-    matrix ``G2``, built from the candidate's quadratic forms ``s'``, is
+    scaling tends to one as the iteration converges.  Under either rule the
+    map matrix ``G2``, built from the candidate's quadratic forms ``s'``, is
     carried forward: the next candidate is ``I + alpha (G2 - I)``, which is
-    ``G2`` itself (with its map spectrum) when ``alpha = 1``.  The trace rule
-    builds each candidate from the data.  ``c = 0`` is accepted and lands on
-    the identity in a single step.
+    ``G2`` itself (with the eigen rule's map spectrum) when ``alpha = 1``.
+    ``c = 0`` is accepted and lands on the identity in a single step.
     """
     config = config or FixedPointConfig()
     if problem.c < 0.0:

@@ -146,3 +146,29 @@ class TestFitGamma:
                 egd.WeightedSample(v, np.ones(v.size)))
             assert fit.converged and fit.iterations <= 50
             assert fit.shape_a == pytest.approx(true_a, rel=0.1)
+
+
+class TestBisectionHandOff:
+    """Newton hands an unfinished or broken fit to bisection on the score."""
+
+    @pytest.fixture
+    def sample(self):
+        v = np.random.default_rng(4).gamma(3.0, 2.0, size=300)
+        return egd.WeightedSample(v)
+
+    def test_unconverged_newton_is_finished_by_bisection(self, sample):
+        reference = egd.fit_gamma_weighted(sample)
+        fit = egd.fit_gamma_weighted(sample, max_iter=1)
+        assert fit.converged
+        assert fit.iterations > 1
+        assert_allclose(fit.shape_a, reference.shape_a, rtol=1e-9, atol=0.0)
+        assert_allclose(fit.scale_b, reference.scale_b, rtol=1e-9, atol=0.0)
+
+    def test_zero_newton_denominator_falls_back(self, sample, monkeypatch):
+        reference = egd.fit_gamma_weighted(sample)
+        # trigamma(a) = 1/a makes the Newton denominator a^2 (1/a - 1/a) zero
+        monkeypatch.setattr(scipy.special, "zeta", lambda s, a: 1.0 / a)
+        fit = egd.fit_gamma_weighted(sample)
+        assert fit.converged
+        assert_allclose(fit.shape_a, reference.shape_a, rtol=1e-9, atol=0.0)
+        assert_allclose(fit.scale_b, reference.scale_b, rtol=1e-9, atol=0.0)

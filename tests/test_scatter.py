@@ -94,6 +94,27 @@ class TestStationarityResidual:
         scaled = egd.ScatterMatrix(2.0 * report.sigma_hat.entries)
         assert egd.stationarity_residual(scaled, data, c, d) > at_solution
 
+    @pytest.mark.parametrize("fit, a, config", [
+        ("scatter", 3.5, {}),
+        ("scatter", 1.2, {"alpha_rule": "eigen"}),
+        ("scatter", 1.2, {"alpha_rule": "trace"}),
+        ("kent-tyler", 1.2, {}),
+        ("scatter", 1.2, {"max_iter": 2}),
+    ], ids=["concave", "eigen", "trace", "kent-tyler", "stopped"])
+    def test_reported_residual_matches_reference(self, fit, a, config):
+        # the driver's residual comes from the candidate the fit carries;
+        # the public function builds it again in original coordinates
+        q, b = 5, 2.0
+        sample, _ = make_egd_data(q, a, b, 800, seed=8)
+        w = np.random.default_rng(9).uniform(0.2, 2.0, sample.n)
+        data = egd.Dataset(sample.samples, w)
+        cfg = egd.FixedPointConfig(**config)
+        run = egd.fit_kent_tyler if fit == "kent-tyler" else egd.fit_scatter
+        report = run(data, a, b, cfg)
+        c, d = egd.compute_constants(a, b, q, data.total_weight)
+        ref = egd.stationarity_residual(report.sigma_hat, data, c, d)
+        assert abs(report.final_residual - ref) <= 1e-8 * ref + 1e-12
+
 
 class TestFitConcaveRegime:
     def test_gaussian_lands_on_sample_cov(self):
@@ -357,11 +378,11 @@ class TestCarriedCandidate:
         for user in starts:
             cfg, _ = self._config(problem, user)
             steps = egd.scatter._scaled_steps(problem, cfg, "eigen")
-            gamma, s, _, _ = next(steps)
+            gamma, s, _, _, _ = next(steps)
             prev_case = None  # the first candidate is built from the data
             for _ in range(egd.fit_nonconcave(problem, cfg).iterations):
                 ref_row, case, *_ = nonconcave_reference_step(problem, gamma, s)
-                gamma, s, _, row = next(steps)
+                gamma, s, _, row, _ = next(steps)
                 if prev_case in (None, 1):
                     assert row == ref_row
                 else:
@@ -398,11 +419,14 @@ class TestAscentGuard:
         yield from steps
 
     @staticmethod
-    def stretched(problem, gamma, s, ll, row):
-        # a real iterate, three times the honest one and far worse
+    def stretched(problem, gamma, s, ll, row, g):
+        # a real iterate, three times the honest one and far worse; its
+        # candidate I + c sum_i w_i y_i y_i' / (s_i / 3) is I + 3 (G - I)
         logdet = float(np.linalg.slogdet(3.0 * gamma)[1])
+        eye = np.eye(problem.dim)
         return (3.0 * gamma, s / 3.0,
-                egd.scatter._avg_loglik(problem, s / 3.0, logdet), row)
+                egd.scatter._avg_loglik(problem, s / 3.0, logdet), row,
+                eye + 3.0 * (g - eye))
 
     def test_public_fits_have_no_guard(self, problem):
         # the driver accepts the worse step and runs on past it
