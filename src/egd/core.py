@@ -108,11 +108,6 @@ class EgdParams:
     def dim(self) -> int:
         return self.scatter.dim
 
-    @property
-    def is_concave(self) -> bool:
-        """True when the scatter log-likelihood is concave (a >= dim/2)."""
-        return self.shape_a >= 0.5 * self.dim
-
 
 def _checked_weights(weights, n: int) -> np.ndarray:
     w = np.ascontiguousarray(np.asarray(weights, dtype=float))

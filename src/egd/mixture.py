@@ -6,15 +6,12 @@ the radial parameters held fixed, stage 2 refits each component's gamma
 shape and scale from the squared radii under the current scatters.
 
 The scatter block is a generalized-EM step (Dempster, Laird & Rubin 1977):
-by default each component takes one fixed-point step from its current
-scatter per sweep instead of solving its subproblem.  The M-step then
-compares the refit with its start: when the refit lowers the component's
-weighted log-likelihood it is dropped and the start kept, so no scatter
-sweep lowers the EM objective and the per-sweep trace is nondecreasing by
-construction, not up to a solver tolerance.  ``EmConfig.scatter_fit`` sets
-another inner budget, e.g. ``FixedPointConfig(tol=1e-10, max_iter=2000,
-residual_check=False)`` for a tight solve of every refit; the same
-comparison applies to the refit's end point.
+each component takes one fixed-point step from its current scatter per
+sweep instead of solving its subproblem.  The M-step then compares the
+refit with its start: when the refit lowers the component's weighted
+log-likelihood it is dropped and the start kept, so no scatter sweep lowers
+the EM objective and the per-sweep trace is nondecreasing by construction,
+not up to a solver tolerance.
 
 The squared radii ``x_i' Sigma_k^{-1} x_i`` depend on the scatters only, so
 :func:`fit_mixture` computes each component's radii once per scatter update
@@ -53,6 +50,13 @@ __all__ = [
 
 _EM_INITS = ("random-assignment", "kmeans-on-radii", "user-model")
 
+# most radial sweeps per outer round; stage 2 stops early when it stalls
+_STAGE2_SWEEPS = 20
+
+# one step per component per sweep (generalized EM); the M-step's check
+# against the start, not a subproblem tolerance, keeps the trace monotone
+_SCATTER_STEP = FixedPointConfig(tol=1e-10, max_iter=1, residual_check=False)
+
 
 class Responsibilities:
     """Posterior component probabilities, one column per sample."""
@@ -83,36 +87,22 @@ class Responsibilities:
 class EmConfig:
     """Options for :func:`fit_mixture`.
 
-    Each outer round runs ``stage1_sweeps`` scatter sweeps followed by up to
-    ``stage2_sweeps`` radial sweeps (stage 2 stops early once its own
-    improvement falls below ``tol``).  The run converges when the average
-    log-likelihood changes by less than ``tol`` over a full round.
-
-    ``scatter_fit`` is the inner configuration of every scatter refit (see
-    :func:`m_step_scatter`).  It defaults to one fixed-point step per
-    component per sweep; pass e.g. ``FixedPointConfig(tol=1e-10,
-    max_iter=2000, residual_check=False)`` to solve each refit tightly.
-    Either way the M-step keeps a refit only if it does not lower the
-    component's weighted log-likelihood below that of its start.
+    Each outer round runs one scatter sweep followed by up to 20 radial
+    sweeps (stage 2 stops early once its own improvement falls below
+    ``tol``).  The run converges when the average log-likelihood changes by
+    less than ``tol`` over a full round.
     """
 
     n_components: int
-    stage1_sweeps: int = 1
-    stage2_sweeps: int = 20
     outer_rounds: int = 100
     tol: float = 1e-6
     seed: int = 0
     init: str = "random-assignment"
     user_model: MixtureModel | None = None
-    scatter_fit: FixedPointConfig | None = None
 
     def __post_init__(self):
         if self.n_components < 1:
             raise ValueError("n_components must be at least 1")
-        if self.stage1_sweeps < 0 or self.stage2_sweeps < 0:
-            raise ValueError("sweep counts must be nonnegative")
-        if self.stage1_sweeps + self.stage2_sweeps == 0:
-            raise ValueError("at least one sweep per round required")
         if self.outer_rounds < 1:
             raise ValueError("outer_rounds must be at least 1")
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
@@ -130,12 +120,6 @@ class EmReport:
     responsibilities: Responsibilities
     converged: bool
     rounds: int
-
-
-def _default_scatter_fit() -> FixedPointConfig:
-    # one step per component per sweep (generalized EM); the M-step's check
-    # against the start, not a subproblem tolerance, keeps the trace monotone
-    return FixedPointConfig(tol=1e-10, max_iter=1, residual_check=False)
 
 
 def e_step(model: MixtureModel, data: Dataset):
@@ -177,31 +161,26 @@ def mixture_log_likelihood(model: MixtureModel, data: Dataset) -> float:
     return e_step(model, data)[1]
 
 
-def m_step_scatter(data: Dataset, resp: Responsibilities, model: MixtureModel,
-                   config: FixedPointConfig | None = None) -> MixtureModel:
+def m_step_scatter(data: Dataset, resp: Responsibilities,
+                   model: MixtureModel) -> MixtureModel:
     """Refit every component scatter with radial parameters held fixed.
 
-    Component ``k`` is fitted with weights ``w_i t_ki``, warm-started from
-    its current scatter.  By default each component takes one fixed-point
-    step (a generalized-EM update); ``config`` sets another ``tol`` and
-    ``max_iter``, e.g. ``max_iter=2000`` to solve each refit tightly.  Either
-    way the refit is then compared with its start, and a refit that lowers
-    the component's weighted log-likelihood is dropped in favour of the
-    start, so the M-step never lowers the EM objective.  A component whose
-    effective weight falls below the dimension is left unchanged for the
-    sweep and flagged with a warning.  Mixing probabilities are refreshed
-    from the responsibilities.
+    Component ``k`` takes one fixed-point step (a generalized-EM update)
+    with weights ``w_i t_ki`` from its current scatter.  The refit is then
+    compared with its start, and a refit that lowers the component's
+    weighted log-likelihood is dropped in favour of the start, so the M-step
+    never lowers the EM objective.  A component whose effective weight falls
+    below the dimension is left unchanged for the sweep and flagged with a
+    warning.  Mixing probabilities are refreshed from the responsibilities.
     """
     if resp.matrix.shape != (model.n_components, data.n):
         raise ValueError("responsibilities shape does not match model and data")
-    return _m_step_scatter(data, resp, model, config,
-                           _squared_radii(model, data))[0]
+    return _m_step_scatter(data, resp, model, _squared_radii(model, data))[0]
 
 
-def _m_step_scatter(data, resp, model, config, radii):
+def _m_step_scatter(data, resp, model, radii):
     # returns the model and its K x n radius matrix; a component that keeps
     # its scatter keeps its row of ``radii``
-    config = config or _default_scatter_fit()
     t = resp.matrix
     radii = radii.copy()
     new_comps = []
@@ -215,7 +194,8 @@ def _m_step_scatter(data, resp, model, config, radii):
                           f"{swk:.3g} < dim); scatter frozen for this sweep")
             new_comps.append(comp)
             continue
-        cfg_k = replace(config, init="user", user_matrix=comp.scatter.entries)
+        cfg_k = replace(_SCATTER_STEP, init="user",
+                        user_matrix=comp.scatter.entries)
         try:
             report = scatter.fit_scatter(data._reweighted(wk), comp.shape_a,
                                          comp.scale_b, cfg_k)
@@ -357,12 +337,12 @@ def _init_model(data, config, rng):
 def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     """Two-stage EM for an elliptical gamma mixture.
 
-    Stage 1 sweeps alternate an E-step with scatter refits; stage 2 sweeps
-    alternate an E-step with radial refits and stop early once their own
-    improvement stalls.  ``loglik_trace`` records the average log-likelihood
-    at the start of every sweep plus a final evaluation of the returned
-    model.  Components that lose all responsibility are removed with a
-    warning.
+    Each round's stage 1 is one E-step followed by one scatter sweep (see
+    :func:`m_step_scatter`); its stage 2 is up to 20 sweeps that alternate
+    an E-step with radial refits and stop early once their own improvement
+    stalls.  ``loglik_trace`` records the average log-likelihood at the
+    start of every sweep plus a final evaluation of the returned model.
+    Components that lose all responsibility are removed with a warning.
 
     The squared radii are computed once for the initial model and once for
     each refitted scatter, then shared by every E-step and radial refit until
@@ -381,16 +361,13 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     converged = False
     prev_round = None
     rounds = 0
-    resp = None
     for _ in range(config.outer_rounds):
         rounds += 1
-        for _ in range(config.stage1_sweeps):
-            model, radii, resp, total = _respond(model, radii, data)
-            trace.append(total / n_eff)
-            model, radii = _m_step_scatter(data, resp, model,
-                                           config.scatter_fit, radii)
+        model, radii, resp, total = _respond(model, radii, data)
+        trace.append(total / n_eff)
+        model, radii = _m_step_scatter(data, resp, model, radii)
         prev_stage = None
-        for _ in range(config.stage2_sweeps):
+        for _ in range(_STAGE2_SWEEPS):
             model, radii, resp, total = _respond(model, radii, data)
             avg = total / n_eff
             trace.append(avg)

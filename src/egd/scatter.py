@@ -374,7 +374,7 @@ def _alpha_eigen(gamma_prime: np.ndarray, g2: np.ndarray, lam: np.ndarray):
     return 1.0 / inv_alpha, case
 
 
-def _alpha(rule: str, c: float, w: np.ndarray, gamma_prime: np.ndarray,
+def _alpha(rule: str, shape_a: float, gamma_prime: np.ndarray,
            gvals: np.ndarray, g2: np.ndarray | None):
     # gvals is the spectrum of gamma_prime and g2 the map matrix at it, read
     # by the eigen rule only.  Returns (alpha, case_id, lam); the map
@@ -384,10 +384,9 @@ def _alpha(rule: str, c: float, w: np.ndarray, gamma_prime: np.ndarray,
         lam = scipy.linalg.eigh(g2, gamma_prime, eigvals_only=True)
         alpha, case = _alpha_eigen(gamma_prime, g2, lam)
     else:
-        n_eff = float(w.sum())
-        shape_a = 0.5 * gvals.size - 0.5 * c * n_eff
-        alpha, case = float(np.sum(1.0 / gvals)) / (
-            2.0 * shape_a * (n_eff / w.size)), 0
+        # at a fixed point tr(Gamma^{-1} Gamma') = q, so tr(Gamma^{-1}) =
+        # q - c n_eff = 2a whatever the weights
+        alpha, case = float(np.sum(1.0 / gvals)) / (2.0 * shape_a), 0
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise _Breakdown(f"alpha selection failed: alpha = {alpha}")
     return alpha, case, lam
@@ -405,9 +404,10 @@ def select_alpha(gamma_prime: np.ndarray, c: float, y: np.ndarray,
 
     With ``rule='eigen'`` returns ``(alpha, case_id)`` from the three-way
     eigenvalue analysis.  With ``rule='trace'`` returns the trace
-    normalization ``alpha = tr(Gamma'^{-1}) / (2 a mean_weight)`` (case id
-    0), where ``a`` is recovered from ``c`` and ``mean_weight`` is the mean
-    of the weights, one for unweighted data.  Raises ``ValueError`` when
+    normalization ``alpha = tr(Gamma'^{-1}) / (2 a)`` (case id 0), where
+    ``a = q/2 - c n_eff / 2`` is recovered from ``c`` and the total weight
+    ``n_eff``: ``alpha Gamma'`` gets the inverse trace ``2a`` of every
+    fixed point, whatever the scale of the weights.  Raises ``ValueError`` when
     ``gamma_prime`` is not positive definite or the selection breaks down,
     i.e. yields no positive finite ``alpha``.
     """
@@ -421,7 +421,8 @@ def select_alpha(gamma_prime: np.ndarray, c: float, y: np.ndarray,
     w = np.asarray(weights, dtype=float)
     g2 = (_candidate(c, y, w, _quad_forms_from_eig(y, gvals, gvecs))
           if rule == "eigen" else None)
-    return _alpha(rule, c, w, gamma_prime, gvals, g2)[:2]
+    shape_a = 0.5 * gvals.size - 0.5 * c * float(w.sum())
+    return _alpha(rule, shape_a, gamma_prime, gvals, g2)[:2]
 
 
 def _scaled_steps(problem: WhitenedProblem, config: FixedPointConfig,
@@ -457,7 +458,7 @@ def _scaled_steps(problem: WhitenedProblem, config: FixedPointConfig,
         g2 = _candidate(c, y, w, s_prime)
         alpha, lam = 1.0, None
         if rule is not None:
-            alpha, _, lam = _alpha(rule, c, w, g_prime, gvals, g2)
+            alpha, _, lam = _alpha(rule, problem.shape_a, g_prime, gvals, g2)
             row = (alpha, float(lam_n[0]), float(lam_n[-1]),
                    alpha * float(gvals[0]), alpha * float(gvals[-1]))
         gamma = alpha * g_prime

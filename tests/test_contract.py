@@ -5,7 +5,9 @@ whose trace length is its iteration count and whose stop is explained:
 converged, near-singular, or the iteration cap.  ``egd fit`` on the same
 inputs exits with one of the documented codes and never with a traceback.
 The fits are also scale equivariant: scaling the samples by ``s`` scales
-the fitted scatter by ``s**2`` and leaves the iteration count unchanged.
+the fitted scatter by ``s**2`` and leaves the iteration count unchanged,
+and scaling every weight by the same power of two changes no bit of the
+report.
 """
 
 import tempfile
@@ -145,3 +147,28 @@ def test_fit_is_scale_equivariant(q, extra, regime, shape, log_b, log_s,
     assert scaled.iterations == base.iterations
     assert rel_frob(scaled.sigma_hat.entries,
                     s * s * base.sigma_hat.entries) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(2, 6), extra=st.integers(5, 60),
+       regime=st.sampled_from(REGIMES + [("kent-tyler", None)]),
+       shape=st.floats(0.05, 0.95), log_b=st.floats(-1.0, 1.0),
+       log2_k=st.integers(-20, 20), seed=st.integers(0, 2**32 - 1))
+def test_fit_ignores_common_weight_scale(q, extra, regime, shape, log_b,
+                                         log2_k, seed):
+    # c and d scale as 1/n_eff, so c w_i and d w_i, and with them every
+    # step, are unchanged; a power of two scales the weights exactly
+    kind, rule = regime
+    a = (0.5 + 4.0 * shape) * q if kind == "concave" else shape * 0.5 * q
+    b = 10.0 ** log_b
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((q + extra, q)) @ rng.standard_normal((q, q))
+    fit = egd.fit_kent_tyler if kind == "kent-tyler" else egd.fit_scatter
+    # Kent-Tyler takes no step scaling, so the rule is not read there
+    config = egd.FixedPointConfig(tol=1e-8, alpha_rule=rule or "eigen")
+    base = fit(egd.Dataset(x), a, b, config)
+    scaled = fit(egd.Dataset(x, np.full(len(x), 2.0 ** log2_k)), a, b, config)
+    assert scaled.iterations == base.iterations
+    assert scaled.converged == base.converged
+    assert np.array_equal(scaled.loglik_trace, base.loglik_trace)
+    assert np.array_equal(scaled.sigma_hat.entries, base.sigma_hat.entries)
