@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Eigenvalues below EIG_FLOOR_REL times the largest are clamped before taking
 # matrix square roots; clamping that shifts log|M| by more than DET_SHIFT_TOL
@@ -66,8 +65,7 @@ def spd_sqrt_factors(mat: np.ndarray) -> SpdFactors:
 def chol_lower(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor; raises ValueError if the matrix is not SPD."""
     try:
-        return scipy.linalg.cholesky(symmetrize(np.asarray(mat, dtype=float)),
-                                     lower=True)
+        return np.linalg.cholesky(symmetrize(np.asarray(mat, dtype=float)))
     except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not positive definite") from exc
 
@@ -75,15 +73,30 @@ def chol_lower(mat: np.ndarray) -> np.ndarray:
 def quad_forms_from_chol(chol: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rowwise quadratic forms ``r_i M^{-1} r_i^T`` given ``M = L L^T``.
 
-    ``chol`` is the lower factor ``L`` (its upper triangle is ignored) and
-    ``rows`` an ``(n, q)`` array.  The forms are ``|z_i|^2`` with
-    ``Z = R L^{-T}``: the q x q triangular inverse is formed once and the
-    rows are multiplied by it in one matrix product, which is several times
+    ``chol`` is the lower factor ``L`` (zeros above the diagonal, as
+    :func:`chol_lower` returns it) and ``rows`` an ``(n, q)`` array.  The
+    forms are ``|z_i|^2`` with ``Z = R L^{-T}``: the q x q inverse of the
+    factor is formed once by ``np.linalg.inv`` and its lower triangle
+    multiplies the rows in one matrix product, which is several times
     faster than a triangular solve with ``n`` right-hand sides and, for a
-    Cholesky factor, as accurate.
+    Cholesky factor, as accurate.  Raises ValueError if the factor is
+    singular.
     """
-    inv, info = scipy.linalg.lapack.dtrtri(chol, lower=1)
-    if info != 0:
-        raise ValueError("matrix is not positive definite")
+    try:
+        inv = np.linalg.inv(chol)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("matrix is not positive definite") from exc
     z = rows @ np.tril(inv).T
     return np.einsum("ij,ij->i", z, z)
+
+
+def generalized_eigvalsh(mat: np.ndarray, spd: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric pencil ``mat v = lam spd v``.
+
+    Reduces the pencil by the Cholesky factor ``spd = L L^T`` to the
+    standard problem for ``L^{-1} mat L^{-T}``, as LAPACK ``sygv`` does,
+    with ``L^{-1}`` formed by ``np.linalg.inv``.  Raises
+    ``np.linalg.LinAlgError`` if ``spd`` is not positive definite.
+    """
+    linv = np.linalg.inv(np.linalg.cholesky(spd))
+    return np.linalg.eigvalsh(symmetrize(linv @ mat @ linv.T))

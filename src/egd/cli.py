@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import io as eio
 from .core import Dataset, EgdParams, MixtureModel, ScatterMatrix, sample
@@ -320,9 +319,17 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 def _bench_environment() -> dict:
+    import importlib.metadata
+
     env = {name: os.environ.get(name) for name in _THREAD_VARIABLES}
+    # the installed scipy version, read without importing scipy; null when
+    # scipy is absent
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
     env.update(cpu_count=os.cpu_count(), numpy=np.__version__,
-               scipy=scipy.__version__)
+               scipy=scipy_version)
     return env
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from ._linalg import chol_lower, quad_forms_from_chol, spd_sqrt_factors, symmetrize
 
@@ -224,10 +223,18 @@ class MixtureModel:
         return f"MixtureModel(n_components={self.n_components}, dim={self.dim})"
 
 
+def _lgamma(x: float) -> float:
+    """``log Gamma(x)`` for ``x > 0``; inf where ``math.lgamma`` overflows."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def _log_norm_const(q: int, a: float, b: float) -> float:
     """Log normalizing constant excluding the |Sigma| term."""
-    return (float(gammaln(0.5 * q)) - 0.5 * q * math.log(math.pi)
-            - float(gammaln(a)) - a * math.log(b))
+    return (_lgamma(0.5 * q) - 0.5 * q * math.log(math.pi)
+            - _lgamma(a) - a * math.log(b))
 
 
 def squared_radius(scatter: ScatterMatrix, x) -> float | np.ndarray:
@@ -305,7 +312,7 @@ def gamma_log_density(v, a: float, b: float) -> float | np.ndarray:
     v_arr = np.atleast_1d(v_arr)
     if np.any(v_arr <= 0.0) or not np.all(np.isfinite(v_arr)):
         raise ValueError("gamma density requires positive finite values")
-    out = ((a - 1.0) * np.log(v_arr) - float(gammaln(a))
+    out = ((a - 1.0) * np.log(v_arr) - _lgamma(a)
            - a * math.log(b) - v_arr / b)
     return float(out[0]) if scalar else out
 
@@ -357,4 +364,9 @@ def gsm_density_mc(scatter: ScatterMatrix, a: float, x, num_mc: int,
     u = np.maximum(u, np.finfo(float).tiny)
     log_terms = (-0.5 * q * np.log(2.0 * math.pi * u)
                  - 0.5 * scatter.log_det - t / (2.0 * u))
-    return float(np.exp(logsumexp(log_terms) - math.log(num_mc)))
+    # log-sum-exp shifted by the largest term; no term above -inf gives 0
+    shift = float(np.max(log_terms))
+    if shift == -math.inf:
+        return 0.0
+    total = float(np.sum(np.exp(log_terms - shift)))
+    return float(np.exp(shift + math.log(total) - math.log(num_mc)))

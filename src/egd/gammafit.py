@@ -6,9 +6,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .core import _checked_weights
+
+# scipy.special is imported inside the functions that use it, so that
+# importing egd does not load scipy
 
 __all__ = ["WeightedSample", "GammaFit", "digamma", "trigamma",
            "fit_gamma_weighted"]
@@ -19,6 +21,7 @@ def digamma(x):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0):
         raise ValueError("digamma requires x > 0")
+    import scipy.special
     out = scipy.special.psi(x_arr)
     return float(out) if np.ndim(x) == 0 else out
 
@@ -28,6 +31,7 @@ def trigamma(x):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0):
         raise ValueError("trigamma requires x > 0")
+    import scipy.special
     # zeta(2, x) is what polygamma(1, x) evaluates, without its overhead
     out = scipy.special.zeta(2.0, x_arr)
     return float(out) if np.ndim(x) == 0 else out
@@ -70,6 +74,7 @@ class GammaFit:
 
 def _bisect_shape(gap: float, start: float, tol: float, max_iter: int):
     """Bisection on the strictly decreasing score log(a) - digamma(a) - gap."""
+    import scipy.special
 
     def score(a):
         return math.log(a) - float(scipy.special.psi(a)) - gap
@@ -123,6 +128,8 @@ def fit_gamma_weighted(data: WeightedSample, tol: float = 1e-10,
     # gap > 0 by Jensen unless every weighted value is identical
     if gap <= 0.0:
         raise ValueError("degenerate sample: shape unbounded")
+
+    import scipy.special
 
     a = 0.5 / gap
     iterations = 0

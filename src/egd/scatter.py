@@ -35,9 +35,9 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import chol_lower, quad_forms_from_chol, spd_sqrt_factors, symmetrize
+from ._linalg import (chol_lower, generalized_eigvalsh, quad_forms_from_chol,
+                      spd_sqrt_factors, symmetrize)
 from .core import Dataset, ScatterMatrix, _log_norm_const
 
 __all__ = [
@@ -381,7 +381,7 @@ def _alpha(rule: str, shape_a: float, gamma_prime: np.ndarray,
     # spectrum lam is None under the trace rule.
     lam = None
     if rule == "eigen":
-        lam = scipy.linalg.eigh(g2, gamma_prime, eigvals_only=True)
+        lam = generalized_eigvalsh(g2, gamma_prime)
         alpha, case = _alpha_eigen(gamma_prime, g2, lam)
     else:
         # at a fixed point tr(Gamma^{-1} Gamma') = q, so tr(Gamma^{-1}) =
@@ -445,7 +445,7 @@ def _scaled_steps(problem: WhitenedProblem, config: FixedPointConfig,
         yield gamma, s, ll, row, g_prime
         try:
             if rule is not None and lam_n is None:
-                lam_n = scipy.linalg.eigh(g_prime, gamma, eigvals_only=True)
+                lam_n = generalized_eigvalsh(g_prime, gamma)
             gvals, gvecs = np.linalg.eigh(g_prime)
         except np.linalg.LinAlgError as exc:
             raise _Breakdown("candidate is not factorizable") from exc

@@ -9,7 +9,6 @@ import csv
 import io
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linear_sum_assignment, minimize
 from scipy.special import gammaln
 
@@ -66,7 +65,8 @@ def nonconcave_reference_step(problem, gamma, s):
 
     ``s`` holds the quadratic forms ``y_i' gamma^{-1} y_i``.  The candidate
     ``Gamma' = I + c sum_i w_i y_i y_i' / s_i`` is built from the data, and
-    so is the map matrix ``G2`` at ``Gamma'``; the arithmetic of each is
+    so is the map matrix ``G2`` at ``Gamma'``.  The arithmetic of each, and
+    of the generalized eigenvalues (Cholesky reduction of the pencil), is
     the library's, so that a step from the same state can be compared bit
     for bit.  Returns ``(row, case, gamma_next, s_next, logdet_next)`` with
     ``row = (alpha, lam_min, lam_max, eig_min, eig_max)`` as in the
@@ -79,13 +79,19 @@ def nonconcave_reference_step(problem, gamma, s):
         mat = eye + (y * (c * w / forms)[:, None]).T @ y
         return 0.5 * (mat + mat.T)
 
+    def pencil_eigvals(mat, spd):
+        # Cholesky reduction of the pencil, as the library does it
+        linv = np.linalg.inv(np.linalg.cholesky(spd))
+        red = linv @ mat @ linv.T
+        return np.linalg.eigvalsh(0.5 * (red + red.T))
+
     g_prime = candidate(s)
-    lam = scipy.linalg.eigh(g_prime, gamma, eigvals_only=True)
+    lam = pencil_eigvals(g_prime, gamma)
     gvals, gvecs = np.linalg.eigh(g_prime)
     ty = y @ gvecs
     s_prime = np.maximum((ty * ty) @ (1.0 / gvals), 1e-300)
     g2 = candidate(s_prime)
-    lam2 = scipy.linalg.eigh(g2, g_prime, eigvals_only=True)
+    lam2 = pencil_eigvals(g2, g_prime)
     if lam2[-1] >= 1.0 >= lam2[0]:
         alpha, case = 1.0, 1
     else:

@@ -424,6 +424,18 @@ class TestBench:
                        "numpy": np.__version__,
                        "scipy": scipy.__version__}
 
+    def test_environment_without_scipy(self, tmp_path, monkeypatch):
+        import importlib.metadata
+
+        def version(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", version)
+        out = tmp_path / "r"
+        assert run_cli(*self.bench_args(out)) == 0
+        env = json.loads((out / "environment.json").read_text())
+        assert env["scipy"] is None
+
     def test_unknown_algo_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as ex:
             run_cli("bench", "--dim", 2, "--a", 0.5, "--b", 1.0, "--n", 50,

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate, stats
+from scipy import integrate, linalg, special, stats
 
 import egd
-from egd._linalg import quad_forms_from_chol
+from egd._linalg import generalized_eigvalsh, quad_forms_from_chol
 from helpers import egd_avg_loglik_reference, quad_forms_longdouble, random_spd
 
 RNG_SEED = 20240817
@@ -142,6 +142,34 @@ class TestQuadFormsAccuracy:
         expect = float(quad_forms_longdouble(scatter.cholesky, x)[0])
         assert got == pytest.approx(expect, rel=1e-13)
 
+    def test_singular_factor_rejected(self):
+        chol = np.array([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="not positive definite"):
+            quad_forms_from_chol(chol, np.ones((3, 2)))
+
+
+class TestGeneralizedEigvals:
+    """Pencil eigenvalues by Cholesky reduction, against scipy's ``eigh``."""
+
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e12])
+    @pytest.mark.parametrize("q", [2, 3, 8, 16, 33, 64])
+    def test_matches_scipy(self, q, cond):
+        # B = D K D and A = D J D with K, J well conditioned and D a diagonal
+        # grading of spread sqrt(cond): cond(B) is about cond, while the
+        # eigenvalues, those of (J, K), stay well determined
+        rng = np.random.default_rng(int(np.log10(cond)) * 100 + q)
+        grading = np.logspace(0.0, -0.5 * np.log10(cond), q)[rng.permutation(q)]
+        k, j = (random_spd(q, rng) / q + np.eye(q) for _ in range(2))
+        b = grading[:, None] * k * grading
+        a = grading[:, None] * j * grading
+        assert np.linalg.cond(b) >= 0.1 * cond
+        got = generalized_eigvalsh(a, b)
+        assert_allclose(got, linalg.eigh(a, b, eigvals_only=True), rtol=1e-12)
+
+    def test_indefinite_spd_argument_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            generalized_eigvalsh(np.eye(2), np.diag([1.0, -1.0]))
+
 
 class TestLogDensity:
     def test_gaussian_at_origin(self):
@@ -160,6 +188,11 @@ class TestLogDensity:
         p = egd.EgdParams(egd.ScatterMatrix.identity(2), 0.5, 2.0)
         assert_allclose(egd.log_density(p, np.array([1.0, 0.0])),
                         -2.563668419054073, rtol=1e-12)
+
+    def test_huge_shape_is_minus_inf(self):
+        # log Gamma(a) overflows a double here and is taken as inf
+        p = egd.EgdParams(egd.ScatterMatrix.identity(2), 1e306, 1.0)
+        assert egd.log_density(p, np.array([1.0, 0.5])) == -np.inf
 
     def test_origin_rejected_off_gaussian_shape(self):
         p = egd.EgdParams(egd.ScatterMatrix.identity(2), 0.5, 2.0)
@@ -228,6 +261,12 @@ class TestGammaLogDensity:
         expect = stats.gamma.logpdf(v, 1.8, scale=2.4)
         got = [egd.gamma_log_density(x, 1.8, 2.4) for x in v]
         assert_allclose(got, expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("v", [1.0, [1.0, 2.0]])
+    def test_huge_shape_is_minus_inf(self, v):
+        # log Gamma(a) overflows a double here and is taken as inf
+        got = egd.gamma_log_density(v, 1e306, 1.0)
+        assert np.all(np.asarray(got) == -np.inf)
 
 
 class TestLogLikelihood:
@@ -315,6 +354,29 @@ class TestGsmDensity:
         s = egd.ScatterMatrix.identity(2)
         with pytest.raises(ValueError, match="a < dim/2"):
             egd.gsm_density_mc(s, 1.0, np.array([1.0, 0.0]), 10, seed=0)
+
+    def test_all_terms_underflow_to_zero(self):
+        s = egd.ScatterMatrix(np.eye(4))
+        assert egd.gsm_density_mc(s, 1.0, np.full(4, 1e200), num_mc=50,
+                                  seed=0) == 0.0
+
+    @pytest.mark.parametrize("q,a,num_mc,spread", [
+        (2, 0.5, 1, 1.0), (3, 0.7, 500, 1.0), (3, 0.7, 500, 10.0),
+        (6, 1.1, 2000, 10.0)])
+    def test_matches_scipy_logsumexp(self, q, a, num_mc, spread):
+        # at spread 10 the log terms run from about -300 down past -15000,
+        # so most of them vanish beside the largest
+        rng = np.random.default_rng(RNG_SEED + 20 + q)
+        scatter = egd.ScatterMatrix(random_spd(q, rng))
+        x = spread * rng.standard_normal(q)
+        got = egd.gsm_density_mc(scatter, a, x, num_mc=num_mc, seed=q)
+        u = np.random.default_rng(q).beta(0.5 * q - a, a, size=num_mc)
+        u = np.maximum(u, np.finfo(float).tiny)
+        log_terms = (-0.5 * q * np.log(2.0 * np.pi * u) - 0.5 * scatter.log_det
+                     - egd.squared_radius(scatter, x) / (2.0 * u))
+        expect = np.exp(special.logsumexp(log_terms) - np.log(num_mc))
+        assert expect > 0.0
+        assert got == pytest.approx(expect, rel=1e-13)
 
 
 class TestMixtureModel:
