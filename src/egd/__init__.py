@@ -18,8 +18,8 @@ from .mixture import (EmConfig, EmReport, Responsibilities, e_step,
                       sample_mixture)
 from .scatter import (FitReport, FixedPointConfig, RankDeficiencyError,
                       compute_constants, fit_concave, fit_kent_tyler,
-                      fit_nonconcave, fit_scatter, recover_sigma,
-                      select_alpha, stationarity_residual, whiten)
+                      fit_nonconcave, fit_scatter, select_alpha,
+                      stationarity_residual)
 
 __version__ = "0.1.0"
 
@@ -58,9 +58,7 @@ __all__ = [
     "fit_kent_tyler",
     "fit_nonconcave",
     "fit_scatter",
-    "recover_sigma",
     "select_alpha",
     "stationarity_residual",
-    "whiten",
     "__version__",
 ]

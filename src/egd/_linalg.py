@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Eigenvalues below EIG_FLOOR_REL times the largest are clamped before taking
@@ -18,26 +16,8 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-@dataclass(frozen=True, eq=False)
-class SpdFactors:
-    """Eigendecomposition-derived factors of an SPD matrix."""
-
-    sqrt: np.ndarray
-    inv_sqrt: np.ndarray
-    logdet: float
-
-
-def spd_sqrt_factors(mat: np.ndarray) -> SpdFactors:
-    """Symmetric square root, inverse square root and log-determinant.
-
-    Parameters
-    ----------
-    mat : ndarray
-        Symmetric positive definite matrix.
-
-    Returns
-    -------
-    SpdFactors
+def spd_eigh(mat: np.ndarray):
+    """Ascending eigenvalues (small ones clamped) and eigenvectors of SPD ``mat``.
 
     Raises
     ------
@@ -54,12 +34,13 @@ def spd_sqrt_factors(mat: np.ndarray) -> SpdFactors:
     if abs(float(np.sum(np.log(clamped) - np.log(vals)))) > DET_SHIFT_TOL:
         raise ValueError("matrix is effectively singular: eigenvalue clamping "
                          "would alter the determinant")
-    root = np.sqrt(clamped)
-    return SpdFactors(
-        sqrt=(vecs * root) @ vecs.T,
-        inv_sqrt=(vecs / root) @ vecs.T,
-        logdet=float(np.sum(np.log(clamped))),
-    )
+    return clamped, vecs
+
+
+def spd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Symmetric square root; raises ValueError as :func:`spd_eigh` does."""
+    vals, vecs = spd_eigh(mat)
+    return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 def chol_lower(mat: np.ndarray) -> np.ndarray:
@@ -70,33 +51,51 @@ def chol_lower(mat: np.ndarray) -> np.ndarray:
         raise ValueError("matrix is not positive definite") from exc
 
 
+def tril_inv(chol: np.ndarray) -> np.ndarray:
+    """Lower triangle of ``np.linalg.inv`` of a lower Cholesky factor.
+
+    Raises ValueError if the factor is singular.
+    """
+    try:
+        return np.tril(np.linalg.inv(chol))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("matrix is not positive definite") from exc
+
+
+def quad_forms(linv: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rowwise ``|L^{-1} r_i|^2`` given the inverse factor ``linv = L^{-1}``.
+
+    One matrix product with the q x q inverse is several times faster than
+    a triangular solve with ``n`` right-hand sides and, for a Cholesky
+    factor, as accurate.
+    """
+    z = rows @ linv.T
+    return np.einsum("ij,ij->i", z, z)
+
+
 def quad_forms_from_chol(chol: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rowwise quadratic forms ``r_i M^{-1} r_i^T`` given ``M = L L^T``.
 
-    ``chol`` is the lower factor ``L`` (zeros above the diagonal, as
-    :func:`chol_lower` returns it) and ``rows`` an ``(n, q)`` array.  The
-    forms are ``|z_i|^2`` with ``Z = R L^{-T}``: the q x q inverse of the
-    factor is formed once by ``np.linalg.inv`` and its lower triangle
-    multiplies the rows in one matrix product, which is several times
-    faster than a triangular solve with ``n`` right-hand sides and, for a
-    Cholesky factor, as accurate.  Raises ValueError if the factor is
-    singular.
+    ``chol`` is the lower factor ``L`` and ``rows`` an ``(n, q)`` array.
+    Raises ValueError if the factor is singular.
     """
-    try:
-        inv = np.linalg.inv(chol)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("matrix is not positive definite") from exc
-    z = rows @ np.tril(inv).T
-    return np.einsum("ij,ij->i", z, z)
+    return quad_forms(tril_inv(chol), rows)
+
+
+def reduced_eigvalsh(mat: np.ndarray, linv: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``L^{-1} mat L^{-T}``.
+
+    For any factor ``spd = L L^T`` these are the eigenvalues of the pencil
+    ``mat v = lam spd v``.
+    """
+    return np.linalg.eigvalsh(symmetrize(linv @ mat @ linv.T))
 
 
 def generalized_eigvalsh(mat: np.ndarray, spd: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric pencil ``mat v = lam spd v``.
 
-    Reduces the pencil by the Cholesky factor ``spd = L L^T`` to the
-    standard problem for ``L^{-1} mat L^{-T}``, as LAPACK ``sygv`` does,
-    with ``L^{-1}`` formed by ``np.linalg.inv``.  Raises
-    ``np.linalg.LinAlgError`` if ``spd`` is not positive definite.
+    Reduces the pencil by the Cholesky factor ``spd = L L^T``, as LAPACK
+    ``sygv`` does, with ``L^{-1}`` formed as :func:`tril_inv` forms it.
+    Raises ``np.linalg.LinAlgError`` if ``spd`` is not positive definite.
     """
-    linv = np.linalg.inv(np.linalg.cholesky(spd))
-    return np.linalg.eigvalsh(symmetrize(linv @ mat @ linv.T))
+    return reduced_eigvalsh(mat, np.tril(np.linalg.inv(np.linalg.cholesky(spd))))

@@ -89,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights")
     p.add_argument("--init", default="sample-cov",
                    help="'identity', 'sample-cov', or a matrix file; for "
-                        "fp, 'identity' is the whitened identity, i.e. "
-                        "(2/b) times the second moment (the sample-cov "
-                        "start when b = 2); for kent-tyler it is I")
+                        "fp, 'identity' is B = (2/b) times the weighted "
+                        "second moment (the sample-cov start when b = 2); "
+                        "for kent-tyler it is I")
     p.add_argument("--alpha-rule", choices=("eigen", "trace"), default="eigen")
     p.add_argument("--algo", choices=_FITS, default="fp")
     p.add_argument("--tol", type=_positive_float, default=1e-6)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_lower, quad_forms_from_chol, spd_sqrt_factors, symmetrize
+from ._linalg import chol_lower, quad_forms_from_chol, spd_sqrt, symmetrize
 
 __all__ = [
     "ScatterMatrix",
@@ -340,7 +340,7 @@ def sample(params: EgdParams, n: int, seed: int) -> Dataset:
     g = rng.standard_normal((n, q))
     u = g / np.linalg.norm(g, axis=1, keepdims=True)
     radii_sq = rng.gamma(shape=params.shape_a, scale=params.scale_b, size=n)
-    root = spd_sqrt_factors(params.scatter.entries).sqrt
+    root = spd_sqrt(params.scatter.entries)
     return Dataset((np.sqrt(radii_sq)[:, None] * u) @ root)
 
 

@@ -14,17 +14,18 @@ the EM objective and the per-sweep trace is nondecreasing by construction,
 not up to a solver tolerance.
 
 The squared radii ``x_i' Sigma_k^{-1} x_i`` depend on the scatters only, so
-:func:`fit_mixture` computes each component's radii once per scatter update
-and reuses them in every E-step and radial refit until the next one (the
-conditional-maximization structure of ECM, Meng & Rubin 1993).  The same
-scatter always yields the same radii, so this changes no result.
+:func:`fit_mixture` reuses each component's radii in every E-step and radial
+refit until the next scatter update (the conditional-maximization structure
+of ECM, Meng & Rubin 1993).  A scatter step starts from the radii at hand
+and leaves the radii of its refit behind; they agree to rounding with the
+radii :func:`e_step` computes from the refitted scatter.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .core import (Dataset, EgdParams, MixtureModel, ScatterMatrix,
                    _log_density_from_radii, sample, squared_radius)
 from .gammafit import WeightedSample, fit_gamma_weighted
 from . import scatter
-from .scatter import FixedPointConfig, RankDeficiencyError
+from .scatter import RankDeficiencyError
 
 __all__ = [
     "Responsibilities",
@@ -52,10 +53,6 @@ _EM_INITS = ("random-assignment", "kmeans-on-radii", "user-model")
 
 # most radial sweeps per outer round; stage 2 stops early when it stalls
 _STAGE2_SWEEPS = 20
-
-# one step per component per sweep (generalized EM); the M-step's check
-# against the start, not a subproblem tolerance, keeps the trace monotone
-_SCATTER_STEP = FixedPointConfig(tol=1e-10, max_iter=1, residual_check=False)
 
 
 class Responsibilities:
@@ -165,11 +162,11 @@ def m_step_scatter(data: Dataset, resp: Responsibilities,
                    model: MixtureModel) -> MixtureModel:
     """Refit every component scatter with radial parameters held fixed.
 
-    Component ``k`` takes one fixed-point step (a generalized-EM update)
-    with weights ``w_i t_ki`` from its current scatter.  The refit is then
-    compared with its start, and a refit that lowers the component's
-    weighted log-likelihood is dropped in favour of the start, so the M-step
-    never lowers the EM objective.  A component whose effective weight falls
+    Component ``k`` takes one step of :func:`egd.fit_scatter`'s fixed point
+    (a generalized-EM update) with weights ``w_i t_ki`` from its current
+    scatter.  The refit is then compared with its start, and a refit that
+    lowers the component's weighted log-likelihood is dropped in favour of
+    the start, so the M-step never lowers the EM objective.  A component whose effective weight falls
     below the dimension is left unchanged for the sweep and flagged with a
     warning.  Mixing probabilities are refreshed from the responsibilities.
     """
@@ -194,23 +191,24 @@ def _m_step_scatter(data, resp, model, radii):
                           f"{swk:.3g} < dim); scatter frozen for this sweep")
             new_comps.append(comp)
             continue
-        cfg_k = replace(_SCATTER_STEP, init="user",
-                        user_matrix=comp.scatter.entries)
         try:
-            report = scatter.fit_scatter(data._reweighted(wk), comp.shape_a,
-                                         comp.scale_b, cfg_k)
+            steps = scatter._steps(data._reweighted(wk), comp.shape_a,
+                                   comp.scale_b, comp.scatter, radii[k])
+            ll_start = next(steps)[2]
+            sigma, refit_radii, ll, _, _ = next(steps)
         except RankDeficiencyError:
             warnings.warn(f"component {k} weights concentrate on a rank-deficient "
                           "subset; scatter frozen for this sweep")
             new_comps.append(comp)
             continue
-        refit = EgdParams(report.sigma_hat, comp.shape_a, comp.scale_b)
-        refit_radii = squared_radius(refit.scatter, data.samples)
-        if (wk @ _log_density_from_radii(refit, refit_radii)
-                < wk @ _log_density_from_radii(comp, radii[k])):
+        except scatter._Breakdown:
             new_comps.append(comp)
             continue
-        new_comps.append(refit)
+        if ll < ll_start:
+            new_comps.append(comp)
+            continue
+        new_comps.append(EgdParams(ScatterMatrix(sigma), comp.shape_a,
+                                   comp.scale_b))
         radii[k] = refit_radii
     return MixtureModel(new_comps, new_probs / new_probs.sum()), radii
 
@@ -344,11 +342,11 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     start of every sweep plus a final evaluation of the returned model.
     Components that lose all responsibility are removed with a warning.
 
-    The squared radii are computed once for the initial model and once for
-    each refitted scatter, then shared by every E-step and radial refit until
-    the next scatter refit.  They depend on the scatters alone, so the
-    results are those of calling :func:`e_step`, :func:`m_step_scatter` and
-    :func:`m_step_shape`, which recompute them, in the same schedule.
+    The squared radii are computed once for the initial model; each scatter
+    step returns those of its refit, and they are shared by every E-step and
+    radial refit until the next scatter refit.  The results are those of
+    calling :func:`e_step`, :func:`m_step_scatter` and :func:`m_step_shape`,
+    which recompute the radii, in the same schedule, to rounding.
     """
     k = config.n_components
     if data.n < k * data.dim:

@@ -60,84 +60,94 @@ def quad_forms_longdouble(chol, rows):
     return np.sum(z * z, axis=1)
 
 
-def nonconcave_reference_step(problem, gamma, s):
-    """One eigen-rule step of the nonconcave fixed point from ``gamma``.
+def nonconcave_reference_step(data, a, b, sigma, t):
+    """One eigen-rule step of the nonconcave fixed point from ``sigma``.
 
-    ``s`` holds the quadratic forms ``y_i' gamma^{-1} y_i``.  The candidate
-    ``Gamma' = I + c sum_i w_i y_i y_i' / s_i`` is built from the data, and
-    so is the map matrix ``G2`` at ``Gamma'``.  The arithmetic of each, and
-    of the generalized eigenvalues (Cholesky reduction of the pencil), is
-    the library's, so that a step from the same state can be compared bit
-    for bit.  Returns ``(row, case, gamma_next, s_next, logdet_next)`` with
+    ``t`` holds the squared radii ``x_i' sigma^{-1} x_i``.  The candidate
+    ``Sigma' = B + c sum_i w_i x_i x_i' / t_i`` is built from the data, and
+    so is the map matrix ``G2`` at ``Sigma'``.  The arithmetic of each, of
+    the radii and of the pencil eigenvalues (reduction by an inverse factor
+    of the pencil's second matrix: the Cholesky factor, or ``V D^{1/2}``
+    from the eigendecomposition ``B = V D V'``) is the library's, so that a
+    step from the same state can be compared bit for bit.  Returns
+    ``(row, case, sigma_next, t_next, logdet_next)`` with
     ``row = (alpha, lam_min, lam_max, eig_min, eig_max)`` as in the
     report's traces.
     """
-    y, w, c = problem.y, problem.weights, problem.c
-    eye = np.eye(problem.dim)
+    x, w = data.samples, data.weights
+    c, d = egd.compute_constants(a, b, data.dim, data.total_weight)
 
-    def candidate(forms):
-        mat = eye + (y * (c * w / forms)[:, None]).T @ y
+    def sym(mat):
         return 0.5 * (mat + mat.T)
 
-    def pencil_eigvals(mat, spd):
-        # Cholesky reduction of the pencil, as the library does it
-        linv = np.linalg.inv(np.linalg.cholesky(spd))
-        red = linv @ mat @ linv.T
-        return np.linalg.eigvalsh(0.5 * (red + red.T))
+    b_mat = sym(d * (x * w[:, None]).T @ x)
+    vals, vecs = np.linalg.eigh(b_mat)
+    b_inv = (vecs / np.sqrt(vals)).T
 
-    g_prime = candidate(s)
-    lam = pencil_eigvals(g_prime, gamma)
-    gvals, gvecs = np.linalg.eigh(g_prime)
-    ty = y @ gvecs
-    s_prime = np.maximum((ty * ty) @ (1.0 / gvals), 1e-300)
-    g2 = candidate(s_prime)
-    lam2 = pencil_eigvals(g2, g_prime)
+    def candidate(forms):
+        return sym(b_mat + (x * (c * w / forms)[:, None]).T @ x)
+
+    def chol_inv(spd):
+        return np.tril(np.linalg.inv(np.linalg.cholesky(spd)))
+
+    def pencil_eigvals(mat, linv):
+        return np.linalg.eigvalsh(sym(linv @ mat @ linv.T))
+
+    g_prime = candidate(t)
+    lam = pencil_eigvals(g_prime, chol_inv(sigma))
+    chol = np.linalg.cholesky(g_prime)
+    linv = np.tril(np.linalg.inv(chol))
+    z = x @ linv.T
+    t_prime = np.maximum(np.einsum("ij,ij->i", z, z), 1e-300)
+    g2 = candidate(t_prime)
+    lam2 = pencil_eigvals(g2, linv)
+    mu = pencil_eigvals(g_prime, b_inv)
     if lam2[-1] >= 1.0 >= lam2[0]:
         alpha, case = 1.0, 1
     else:
         case = 2 if lam2[-1] < 1.0 else 3
-        avals = np.linalg.eigvalsh(g_prime + eye - g2)
+        avals = pencil_eigvals(g_prime + b_mat - g2, b_inv)
         alpha = 1.0 / float(avals[0] if case == 2 else avals[-1])
     row = (alpha, float(lam[0]), float(lam[-1]),
-           alpha * float(gvals[0]), alpha * float(gvals[-1]))
-    logdet = problem.dim * np.log(alpha) + float(np.log(gvals).sum())
-    return row, case, alpha * g_prime, s_prime / alpha, logdet
+           alpha * float(mu[0]), alpha * float(mu[-1]))
+    logdet = (data.dim * np.log(alpha)
+              + 2.0 * float(np.sum(np.log(np.diag(chol)))))
+    return row, case, alpha * g_prime, t_prime / alpha, logdet
 
 
-def nonconcave_reference(problem, gamma0, tol, max_iter=1000):
-    """Eigen-rule nonconcave fixed point that rebuilds ``Gamma'`` every step.
+def nonconcave_reference(data, a, b, sigma0, tol, max_iter=1000):
+    """Eigen-rule nonconcave fixed point that rebuilds ``Sigma'`` every step.
 
-    Starts from the whitened ``gamma0`` and stops, like the library fits,
-    once the average log-likelihood changes by less than ``tol``.  Returns
-    a dict with the per-step ``rows`` and ``cases``, the final ``gamma``,
+    Starts from ``sigma0`` and stops, like the library fits, once the
+    average log-likelihood changes by less than ``tol``.  Returns a dict
+    with the per-step ``rows`` and ``cases``, the final ``sigma``,
     ``iterations`` and ``converged``.
     """
-    q = problem.dim
-    a, b = problem.shape_a, problem.scale_b
+    x, w = data.samples, data.weights
+    q = data.dim
     const = (gammaln(0.5 * q) - 0.5 * q * np.log(np.pi) - gammaln(a)
              - a * np.log(b))
 
-    def avg_loglik(s, logdet_gamma):
-        radial = (a - 0.5 * q) * np.log(s) - s / b
-        return float(const - 0.5 * (problem.logdet_b + logdet_gamma)
-                     + problem.weights @ radial / problem.n_eff)
+    def avg_loglik(t, logdet):
+        radial = (a - 0.5 * q) * np.log(t) - t / b
+        return float(const - 0.5 * logdet + w @ radial / w.sum())
 
-    gamma = np.asarray(gamma0, dtype=float)
-    s = np.einsum("ij,jk,ik->i", problem.y, np.linalg.inv(gamma), problem.y)
-    ll_prev = avg_loglik(s, np.linalg.slogdet(gamma)[1])
+    sigma = np.asarray(sigma0, dtype=float)
+    t = np.einsum("ij,jk,ik->i", x, np.linalg.inv(sigma), x)
+    ll_prev = avg_loglik(t, np.linalg.slogdet(sigma)[1])
     rows, cases = [], []
     converged = False
     for _ in range(max_iter):
-        row, case, gamma, s, logdet = nonconcave_reference_step(
-            problem, gamma, s)
+        row, case, sigma, t, logdet = nonconcave_reference_step(
+            data, a, b, sigma, t)
         rows.append(row)
         cases.append(case)
-        ll = avg_loglik(s, logdet)
+        ll = avg_loglik(t, logdet)
         if abs(ll - ll_prev) < tol:
             converged = True
             break
         ll_prev = ll
-    return {"rows": np.asarray(rows), "cases": cases, "gamma": gamma,
+    return {"rows": np.asarray(rows), "cases": cases, "sigma": sigma,
             "iterations": len(rows), "converged": converged}
 
 

@@ -1,4 +1,7 @@
-"""Whitening, the two fixed-point iterations, step scaling, and the baseline."""
+"""The matrix B, the two fixed-point iterations, step scaling, and the baseline."""
+
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 import egd
-from egd.scatter import whiten
+from egd._linalg import reduced_eigvalsh
+from egd.scatter import _problem, _start
 from helpers import (ascent_oracle_avg_loglik, kent_tyler_reference,
                      make_egd_data, nonconcave_reference,
                      nonconcave_reference_step, random_spd, rel_frob,
@@ -31,18 +35,20 @@ class TestComputeConstants:
 
 
 class TestWhiten:
+    """The matrix ``B = d sum_i w_i x_i x_i'`` of a fit, its factor and rank rule."""
+
     def test_scalar_case(self):
-        d_const = 0.25
-        x = np.array([[np.sqrt(1.0 / d_const)]])
-        problem = whiten(egd.Dataset(x), 0.1, d_const)
-        assert problem.b_matrix[0, 0] == pytest.approx(1.0, rel=1e-14)
-        assert problem.y[0, 0] == pytest.approx(x[0, 0], rel=1e-14)
+        # one sample, n_eff = 1: d = 2 / b = 0.25
+        x = np.array([[np.sqrt(1.0 / 0.25)]])
+        problem = _problem(egd.Dataset(x), 0.1, 8.0)
+        assert problem.b_mat[0, 0] == pytest.approx(1.0, rel=1e-14)
+        assert abs(problem.b_factor[0, 0]) == pytest.approx(1.0, rel=1e-14)
 
     def test_rank_deficient_rejected(self):
         x = np.random.default_rng(0).standard_normal((3, 5))
         with pytest.raises(egd.RankDeficiencyError,
                            match="does not span R\\^q"):
-            whiten(egd.Dataset(x), 0.1, 0.01)
+            _problem(egd.Dataset(x), 0.1, 2.0)
 
     def test_zero_weights_outside_subspace_rejected(self):
         rng = np.random.default_rng(1)
@@ -50,29 +56,33 @@ class TestWhiten:
         w = np.zeros(10)
         w[:2] = 1.0
         with pytest.raises(egd.RankDeficiencyError):
-            whiten(egd.Dataset(x, w), 0.1, 0.01)
+            _problem(egd.Dataset(x, w), 0.1, 2.0)
 
     def test_factor_reconstruction(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1000, 8))
-        problem = whiten(egd.Dataset(x), -0.05, 2.0 / (2.0 * 1000))
-        assert rel_frob(problem.b_half @ problem.b_half,
-                        problem.b_matrix) < 1e-10
+        problem = _problem(egd.Dataset(x), 4.05, 2.0)
+        assert rel_frob(problem.b_factor @ problem.b_factor.T,
+                        problem.b_mat) < 1e-10
 
     def test_round_trip(self):
+        # the inverse factor undoes the factor, and reduces B to I
         rng = np.random.default_rng(3)
         x = rng.standard_normal((50, 4))
-        problem = whiten(egd.Dataset(x), 0.2, 0.01)
-        assert rel_frob(problem.y @ problem.b_half, x) < 1e-10
+        problem = _problem(egd.Dataset(x), 0.5, 4.0)
+        assert rel_frob(problem.b_inv @ problem.b_factor, np.eye(4)) < 1e-10
+        assert rel_frob(problem.b_inv @ problem.b_mat @ problem.b_inv.T,
+                        np.eye(4)) < 1e-10
 
     def test_weighted_b_matrix(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((30, 2))
         w = rng.uniform(0.5, 1.5, size=30)
         d_const = 0.03
-        problem = whiten(egd.Dataset(x, w), 0.0, d_const)
+        # d = 2 / (b n_eff)
+        problem = _problem(egd.Dataset(x, w), 1.0, 2.0 / (d_const * w.sum()))
         expect = d_const * (x * w[:, None]).T @ x
-        assert_allclose(problem.b_matrix, expect, rtol=1e-12)
+        assert_allclose(problem.b_mat, expect, rtol=1e-12)
 
 
 class TestStationarityResidual:
@@ -172,10 +182,10 @@ class TestFitNonconcaveRegime:
         # c = 0 degenerates to the closed form in one step
         rng = np.random.default_rng(12)
         x = rng.standard_normal((200, 3))
-        c, d = egd.compute_constants(1.5, 2.0, 3, 200.0)
+        c, _ = egd.compute_constants(1.5, 2.0, 3, 200.0)
         assert c == 0.0
-        problem = whiten(egd.Dataset(x), c, d)
-        report = egd.fit_nonconcave(problem, egd.FixedPointConfig())
+        report = egd.fit_nonconcave(egd.Dataset(x), 1.5, 2.0,
+                                    egd.FixedPointConfig())
         assert report.converged
         assert rel_frob(report.sigma_hat.entries, x.T @ x / 200) < 1e-10
 
@@ -254,11 +264,14 @@ class TestFitNonconcaveRegime:
 
 class TestSelectAlpha:
     @pytest.fixture()
-    def whitened(self):
+    def unit_b(self):
+        # rows whose B = d sum_i y_i y_i' is the identity: with n = 400,
+        # b = 2 and unit weights d = 1/400, so y = 20 Q for orthonormal Q
         rng = np.random.default_rng(19)
-        x = rng.standard_normal((400, 4)) @ np.diag([1.0, 1.5, 2.0, 3.0])
+        y = 20.0 * np.linalg.qr(rng.standard_normal((400, 4)))[0]
         c, d = egd.compute_constants(0.7, 2.0, 4, 400.0)
-        return whiten(egd.Dataset(x), c, d)
+        assert rel_frob(d * y.T @ y, np.eye(4)) < 1e-14
+        return SimpleNamespace(y=y, c=c, weights=np.ones(400), dim=4)
 
     @staticmethod
     def _candidate(problem, gamma):
@@ -270,48 +283,46 @@ class TestSelectAlpha:
         g_next = self._candidate(problem, gamma_next)
         return sla.eigh(g_next, gamma_next, eigvals_only=True)
 
-    def test_case_two_pins_largest(self, whitened):
+    def test_case_two_pins_largest(self, unit_b):
         # a hugely inflated iterate forces the all-below-one branch
         gamma = 1e6 * np.eye(4)
-        g_prime = self._candidate(whitened, gamma)
-        alpha, case = egd.select_alpha(g_prime, whitened.c, whitened.y,
-                                       whitened.weights)
+        g_prime = self._candidate(unit_b, gamma)
+        alpha, case = egd.select_alpha(g_prime, unit_b.c, unit_b.y,
+                                       unit_b.weights)
         assert case == 2
-        lam = self._next_map_eigs(whitened, alpha * g_prime)
+        lam = self._next_map_eigs(unit_b, alpha * g_prime)
         assert lam[-1] == pytest.approx(1.0, abs=1e-8)
 
-    def test_case_three_pins_smallest(self, whitened):
+    def test_case_three_pins_smallest(self, unit_b):
         # a tiny iterate forces the all-above-one branch
         gamma = 1e-6 * np.eye(4)
-        g_prime = self._candidate(whitened, gamma)
-        alpha, case = egd.select_alpha(g_prime, whitened.c, whitened.y,
-                                       whitened.weights)
+        g_prime = self._candidate(unit_b, gamma)
+        alpha, case = egd.select_alpha(g_prime, unit_b.c, unit_b.y,
+                                       unit_b.weights)
         assert case == 3
-        lam = self._next_map_eigs(whitened, alpha * g_prime)
+        lam = self._next_map_eigs(unit_b, alpha * g_prime)
         assert lam[0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_case_one_returns_exact_unit(self, whitened):
+    def test_case_one_returns_exact_unit(self, unit_b):
         # an indefinite error around the fixed point makes the map
         # eigenvalues bracket one, so no rescaling is applied
-        report = egd.fit_nonconcave(whitened,
+        report = egd.fit_nonconcave(egd.Dataset(unit_b.y), 0.7, 2.0,
                                     egd.FixedPointConfig(tol=1e-13))
-        gamma_star = np.linalg.inv(whitened.b_half) \
-            @ report.sigma_hat.entries @ np.linalg.inv(whitened.b_half)
-        vals, vecs = np.linalg.eigh(gamma_star)
+        vals, vecs = np.linalg.eigh(report.sigma_hat.entries)
         for eps in (1e-2, 1e-4):
             pert = vals * np.array([1 + eps, 1 - eps, 1.0, 1.0])
             gamma = (vecs * pert) @ vecs.T
-            g_prime = self._candidate(whitened, gamma)
-            alpha, case = egd.select_alpha(g_prime, whitened.c, whitened.y,
-                                           whitened.weights)
+            g_prime = self._candidate(unit_b, gamma)
+            alpha, case = egd.select_alpha(g_prime, unit_b.c, unit_b.y,
+                                           unit_b.weights)
             assert case == 1
             assert alpha == 1.0
 
-    def test_trace_rule_value(self, whitened):
+    def test_trace_rule_value(self, unit_b):
         gamma = np.eye(4)
-        g_prime = self._candidate(whitened, gamma)
-        alpha, case = egd.select_alpha(g_prime, whitened.c, whitened.y,
-                                       whitened.weights, rule="trace")
+        g_prime = self._candidate(unit_b, gamma)
+        alpha, case = egd.select_alpha(g_prime, unit_b.c, unit_b.y,
+                                       unit_b.weights, rule="trace")
         assert case == 0
         expect = np.trace(np.linalg.inv(g_prime)) / (2.0 * 0.7)
         assert alpha == pytest.approx(expect, rel=1e-12)
@@ -326,37 +337,37 @@ class TestCarriedCandidate:
     are exercised.
     """
 
+    A, B = 0.8, 2.0
+
     @pytest.fixture(scope="class")
     def setting(self):
         q = 6
-        data, _ = make_egd_data(q, 0.8, 2.0, 900, seed=14)
-        c, d = egd.compute_constants(0.8, 2.0, q, data.total_weight)
-        problem = whiten(data, c, d)
-        report = egd.fit_nonconcave(problem, egd.FixedPointConfig(tol=1e-13))
-        inv_half = problem.b_half_inv
+        data, _ = make_egd_data(q, self.A, self.B, 900, seed=14)
+        problem = _problem(data, self.A, self.B)
+        report = egd.fit_nonconcave(data, self.A, self.B,
+                                    egd.FixedPointConfig(tol=1e-13))
+        # perturb the spectrum of the pencil (Sigma*, B) of the fixed point
+        fac, fac_inv = problem.b_factor, problem.b_inv
         vals, vecs = np.linalg.eigh(
-            inv_half @ report.sigma_hat.entries @ inv_half)
+            fac_inv @ report.sigma_hat.entries @ fac_inv.T)
         starts = []
         for spread, seed in ((0.5, 0), (0.5, 1), (1.0, 1)):
             f = np.exp(np.random.default_rng(seed).uniform(-spread, spread, q))
-            starts.append(problem.b_half @ ((vecs * (vals * f)) @ vecs.T)
-                          @ problem.b_half)
-        return problem, starts
+            starts.append(fac @ ((vecs * (vals * f)) @ vecs.T) @ fac.T)
+        return data, problem, starts
 
     @staticmethod
-    def _config(problem, user):
-        # the whitened start the library derives from the user matrix
-        start = problem.b_half_inv @ user @ problem.b_half_inv
-        cfg = egd.FixedPointConfig(init="user", user_matrix=user, tol=1e-12)
-        return cfg, 0.5 * (start + start.T)
+    def _config(user):
+        return egd.FixedPointConfig(init="user", user_matrix=user, tol=1e-12)
 
     def test_matches_rebuilding_reference(self, setting):
-        problem, starts = setting
+        data, _, starts = setting
         cases = set()
         for user in starts:
-            cfg, gamma0 = self._config(problem, user)
-            report = egd.fit_nonconcave(problem, cfg)
-            ref = nonconcave_reference(problem, gamma0, cfg.tol)
+            cfg = self._config(user)
+            report = egd.fit_nonconcave(data, self.A, self.B, cfg)
+            ref = nonconcave_reference(data, self.A, self.B,
+                                       0.5 * (user + user.T), cfg.tol)
             cases.update(ref["cases"])
             assert report.iterations == ref["iterations"]
             assert report.converged == ref["converged"]
@@ -365,24 +376,26 @@ class TestCarriedCandidate:
                                          report.lambda_min_trace,
                                          report.lambda_max_trace)):
                 assert_allclose(trace, rows[:, col], rtol=1e-12, atol=0.0)
-            sigma = problem.b_half @ ref["gamma"] @ problem.b_half
-            assert rel_frob(report.sigma_hat.entries, sigma) <= 1e-12
+            assert rel_frob(report.sigma_hat.entries, ref["sigma"]) <= 1e-12
         assert cases == {1, 2, 3}
 
     def test_carried_steps_bit_equal(self, setting):
         # every step is replayed by the reference from the library's own
         # iterate; after a case-1 step the carried candidate and map
         # spectrum are those the reference builds, bit for bit
-        problem, starts = setting
+        data, problem, starts = setting
         carried_exact = 0
         for user in starts:
-            cfg, _ = self._config(problem, user)
-            steps = egd.scatter._scaled_steps(problem, cfg, "eigen")
-            gamma, s, _, _, _ = next(steps)
+            cfg = self._config(user)
+            steps = egd.scatter._scaled_steps(
+                problem, *_start(problem, cfg), "eigen")
+            sigma, t, _, _, _ = next(steps)
             prev_case = None  # the first candidate is built from the data
-            for _ in range(egd.fit_nonconcave(problem, cfg).iterations):
-                ref_row, case, *_ = nonconcave_reference_step(problem, gamma, s)
-                gamma, s, _, row, _ = next(steps)
+            fit = egd.fit_nonconcave(data, self.A, self.B, cfg)
+            for _ in range(fit.iterations):
+                ref_row, case, *_ = nonconcave_reference_step(
+                    data, self.A, self.B, sigma, t)
+                sigma, t, _, row, _ = next(steps)
                 if prev_case in (None, 1):
                     assert row == ref_row
                 else:
@@ -406,27 +419,27 @@ class TestAscentGuard:
     def problem(self):
         q = 5
         data, _ = make_egd_data(q, 0.8, 2.0, 600, seed=16)
-        c, d = egd.compute_constants(0.8, 2.0, q, data.total_weight)
-        return whiten(data, c, d)
+        return _problem(data, 0.8, 2.0)
 
     @staticmethod
     def sabotaged(problem, config, worse):
         """Honest steps, except that the second is replaced by ``worse``."""
-        steps = egd.scatter._scaled_steps(problem, config, "eigen")
+        steps = egd.scatter._scaled_steps(problem, *_start(problem, config),
+                                          "eigen")
         yield next(steps)
         yield next(steps)
         yield worse(problem, *next(steps))
         yield from steps
 
     @staticmethod
-    def stretched(problem, gamma, s, ll, row, g):
+    def stretched(problem, sigma, t, ll, row, g):
         # a real iterate, three times the honest one and far worse; its
-        # candidate I + c sum_i w_i y_i y_i' / (s_i / 3) is I + 3 (G - I)
-        logdet = float(np.linalg.slogdet(3.0 * gamma)[1])
-        eye = np.eye(problem.dim)
-        return (3.0 * gamma, s / 3.0,
-                egd.scatter._avg_loglik(problem, s / 3.0, logdet), row,
-                eye + 3.0 * (g - eye))
+        # candidate B + c sum_i w_i x_i x_i' / (t_i / 3) is B + 3 (G - B)
+        logdet = float(np.linalg.slogdet(3.0 * sigma)[1])
+        b_mat = problem.b_mat
+        return (3.0 * sigma, t / 3.0,
+                egd.scatter._avg_loglik(problem, t / 3.0, logdet), row,
+                b_mat + 3.0 * (g - b_mat))
 
     def test_public_fits_have_no_guard(self, problem):
         # the driver accepts the worse step and runs on past it
@@ -460,7 +473,7 @@ class TestKentTyler:
 
     @pytest.mark.parametrize("init", ["identity", "sample-cov", "user"])
     def test_matches_original_coordinate_reference(self, init):
-        # 'identity' means Sigma_0 = I here, not the whitened identity B
+        # 'identity' means Sigma_0 = I here, not B as for the fixed points
         q, a, b = 4, 0.8, 1.5
         data, _ = make_egd_data(q, a, b, 600, seed=27)
         rng = np.random.default_rng(28)
@@ -498,40 +511,45 @@ class TestKentTyler:
 
 
 class TestRecoverSigma:
+    """How a fit's scatter relates to ``B``: start, reduction and defect."""
+
     def test_identity_gamma(self):
+        # the fixed points' 'identity' start is B itself
         rng = np.random.default_rng(24)
         x = rng.standard_normal((100, 3))
-        problem = whiten(egd.Dataset(x), 0.1, 0.01)
-        sigma = egd.recover_sigma(np.eye(3), problem)
-        assert rel_frob(sigma.entries, problem.b_matrix) < 1e-12
+        problem = _problem(egd.Dataset(x), 0.1, 2.0)
+        start, _ = _start(problem, egd.FixedPointConfig(init="identity"))
+        assert rel_frob(start.entries, problem.b_mat) < 1e-12
 
     def test_identity_b(self):
-        # one orthonormal-ish sample set scaled so B is the identity
+        # one orthonormal-ish sample set scaled so B is the identity; the
+        # pencil (Sigma, B) then has the spectrum of Sigma
         d_const = 0.5
         x = np.array([[np.sqrt(1 / d_const), 0.0],
                       [0.0, np.sqrt(1 / d_const)]])
-        problem = whiten(egd.Dataset(x), 0.3, d_const)
-        assert rel_frob(problem.b_matrix, np.eye(2)) < 1e-12
-        gamma = np.array([[2.0, 0.3], [0.3, 1.0]])
-        sigma = egd.recover_sigma(gamma, problem)
-        assert rel_frob(sigma.entries, gamma) < 1e-12
+        problem = _problem(egd.Dataset(x), 0.3, 2.0 / (d_const * 2.0))
+        assert rel_frob(problem.b_mat, np.eye(2)) < 1e-12
+        sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
+        assert_allclose(reduced_eigvalsh(sigma, problem.b_inv),
+                        np.linalg.eigvalsh(sigma), rtol=1e-12)
 
     def test_round_trip_residual(self):
         data, _ = make_egd_data(4, 0.9, 2.0, 700, seed=25)
         c, d = egd.compute_constants(0.9, 2.0, 4, 700.0)
-        # tiny tol runs the iteration onto its floating-point fixed point
-        report = egd.fit_scatter(data, 0.9, 2.0,
-                                 egd.FixedPointConfig(tol=1e-18,
-                                                      max_iter=5000))
-        problem = whiten(data, c, d)
-        inv_half = np.linalg.inv(problem.b_half)
-        gamma = inv_half @ report.sigma_hat.entries @ inv_half
-        s = np.einsum("ij,ij->i", problem.y @ np.linalg.inv(gamma),
-                      problem.y)
-        coeff = c * problem.weights / s
-        defect = np.eye(4) + (problem.y * coeff[:, None]).T @ problem.y \
-            - gamma
-        assert np.linalg.norm(defect) <= 1e-8
+        # 40 steps run the iteration onto its floating-point fixed point; the
+        # log-likelihood stop fires earlier, once the steps change the
+        # average log-likelihood by less than its rounding
+        problem = _problem(data, 0.9, 2.0)
+        steps = egd.scatter._scaled_steps(
+            problem, *_start(problem, egd.FixedPointConfig()), "eigen")
+        sigma = list(itertools.islice(steps, 40))[-1][0]
+        x, w = data.samples, data.weights
+        b_mat = d * (x * w[:, None]).T @ x
+        t = np.einsum("ij,ij->i", x @ np.linalg.inv(sigma), x)
+        defect = b_mat + (x * (c * w / t)[:, None]).T @ x - sigma
+        # measured where B is the identity
+        linv = np.linalg.inv(np.linalg.cholesky(b_mat))
+        assert np.linalg.norm(linv @ defect @ linv.T) <= 1e-8
 
     @pytest.mark.parametrize("fit, a", [
         (egd.fit_scatter, 3.0), (egd.fit_scatter, 0.6),
