@@ -90,12 +90,3 @@ def reduced_eigvalsh(mat: np.ndarray, linv: np.ndarray) -> np.ndarray:
     """
     return np.linalg.eigvalsh(symmetrize(linv @ mat @ linv.T))
 
-
-def generalized_eigvalsh(mat: np.ndarray, spd: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric pencil ``mat v = lam spd v``.
-
-    Reduces the pencil by the Cholesky factor ``spd = L L^T``, as LAPACK
-    ``sygv`` does, with ``L^{-1}`` formed as :func:`tril_inv` forms it.
-    Raises ``np.linalg.LinAlgError`` if ``spd`` is not positive definite.
-    """
-    return reduced_eigvalsh(mat, np.tril(np.linalg.inv(np.linalg.cholesky(spd))))

@@ -162,13 +162,14 @@ def m_step_scatter(data: Dataset, resp: Responsibilities,
                    model: MixtureModel) -> MixtureModel:
     """Refit every component scatter with radial parameters held fixed.
 
-    Component ``k`` takes one step of :func:`egd.fit_scatter`'s fixed point
+    Component ``k`` takes one step of the default (eigen-rule) fixed point
     (a generalized-EM update) with weights ``w_i t_ki`` from its current
     scatter.  The refit is then compared with its start, and a refit that
     lowers the component's weighted log-likelihood is dropped in favour of
-    the start, so the M-step never lowers the EM objective.  A component whose effective weight falls
-    below the dimension is left unchanged for the sweep and flagged with a
-    warning.  Mixing probabilities are refreshed from the responsibilities.
+    the start, so the M-step never lowers the EM objective.  A component
+    whose effective weight falls below the dimension is left unchanged for
+    the sweep and flagged with a warning.  Mixing probabilities are
+    refreshed from the responsibilities.
     """
     if resp.matrix.shape != (model.n_components, data.n):
         raise ValueError("responsibilities shape does not match model and data")

@@ -27,8 +27,9 @@ the weighted second moment.  The sign of ``c`` selects the regime:
   is the unscaled (``alpha = 1``) iteration ``Sigma <- Sigma'``.
 
 One driver runs all three iterations and stops when the average
-log-likelihood changes by less than ``tol``; the EM scatter M-step takes
-single steps of the same step generators.
+log-likelihood changes by less than ``tol`` (for a ``tol`` below the
+rounding of the log-likelihood, once the steps also stop shrinking); the EM
+scatter M-step takes single steps of the same step generators.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (chol_lower, generalized_eigvalsh, quad_forms,
-                      reduced_eigvalsh, spd_eigh, symmetrize, tril_inv)
+from ._linalg import (chol_lower, quad_forms, reduced_eigvalsh, spd_eigh,
+                      symmetrize, tril_inv)
 from .core import Dataset, ScatterMatrix, _log_norm_const
 
 __all__ = [
@@ -61,6 +62,9 @@ __all__ = [
 # appear for effectively coincident directions.
 _DENOM_FLOOR = 1e-300
 _NEAR_SINGULAR_REL = 1e-14
+# The average log-likelihood is rounded to a few units in its last place;
+# a tol no larger than this many spacings cannot be resolved by its change.
+_LL_ROUNDING_ULPS = 4.0
 
 _INITS = ("identity", "sample-cov", "user")
 _ALPHA_RULES = ("eigen", "trace")
@@ -83,9 +87,13 @@ class FixedPointConfig:
     fixed points ``'identity'`` is ``Sigma_0 = B = (2/b)`` times the
     weighted second moment, the same start as ``'sample-cov'`` when
     ``b = 2``; for Kent-Tyler it is ``Sigma_0 = I``.  ``alpha_rule`` only
-    affects the nonconcave iteration.  ``residual_check`` controls whether
-    the stationarity residual of the final iterate is computed into the
-    report.
+    affects the nonconcave iteration.  A fit stops once the average
+    log-likelihood changes by less than ``tol``; a ``tol`` within a few
+    units in the last place of the log-likelihood asks for the
+    floating-point fixed point, and the fit then also waits until the step
+    ``||L^{-1} (Sigma_k - Sigma_{k-1}) L^{-T}||_F`` (``Sigma_{k-1} = L L'``)
+    stops shrinking.  ``residual_check`` controls whether the stationarity
+    residual of the final iterate is computed into the report.
     """
 
     init: str = "sample-cov"
@@ -246,7 +254,8 @@ def _near_singular(eig_lo: float, eig_hi: float) -> bool:
 
 def _run(problem: _Problem, config: FixedPointConfig, steps,
          fields: tuple) -> FitReport:
-    """Drive a step generator to the average log-likelihood stop.
+    """Drive a step generator to the stop described in
+    :class:`FixedPointConfig`.
 
     ``steps`` yields the start and then every accepted iterate as
     ``(sigma, t, avg_loglik, trace_row, candidate)``, where ``t`` holds the
@@ -262,12 +271,25 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
     lls, rows, elapsed = [], [], []
     converged = False
     near_singular = False
+    step_prev = math.inf
     try:
-        for sigma, t, ll, row, g in itertools.islice(steps, config.max_iter):
+        for sigma_next, t, ll, row, g in itertools.islice(steps,
+                                                         config.max_iter):
             lls.append(ll)
             rows.append(row)
             elapsed.append(1000.0 * (time.perf_counter() - start))
-            if abs(ll - ll_prev) < config.tol:
+            if config.tol > _LL_ROUNDING_ULPS * np.spacing(abs(ll)):
+                settled = abs(ll - ll_prev) < config.tol
+            else:
+                # two rounded log-likelihoods can tie long before the
+                # iteration settles, so a tol below their rounding runs
+                # on until the step stops shrinking: the floating-point
+                # fixed point
+                step = _residual(sigma, sigma_next)
+                settled = abs(ll - ll_prev) < config.tol and step >= step_prev
+                step_prev = step
+            sigma = sigma_next
+            if settled:
                 converged = True
                 break
             ll_prev = ll
@@ -435,7 +457,7 @@ def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
         yield sigma, t, ll, row, g_prime
         try:
             if rule is not None and lam_n is None:
-                lam_n = generalized_eigvalsh(g_prime, sigma)
+                lam_n = reduced_eigvalsh(g_prime, tril_inv(chol_lower(sigma)))
             chol = chol_lower(g_prime)
             linv = tril_inv(chol)
         except (ValueError, np.linalg.LinAlgError) as exc:

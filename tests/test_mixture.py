@@ -184,6 +184,24 @@ class TestMSteps:
             assert new.scatter is old.scatter
         assert egd.mixture_log_likelihood(stepped, data) >= before
 
+    def test_breakdown_keeps_start_and_radii(self, blob_data, monkeypatch):
+        # a step that leaves the SPD cone keeps the component and its row
+        # of radii
+        model, data = blob_data
+        resp, _ = egd.e_step(model, data)
+        steps = egd.scatter._steps
+
+        def broken(data, a, b, start, radii):
+            yield next(steps(data, a, b, start, radii))
+            raise egd.scatter._Breakdown("candidate is near singular")
+
+        monkeypatch.setattr(egd.scatter, "_steps", broken)
+        radii = egd.mixture._squared_radii(model, data)
+        stepped, kept = egd.mixture._m_step_scatter(data, resp, model, radii)
+        for new, old in zip(stepped.components, model.components):
+            assert new.scatter is old.scatter
+        assert np.array_equal(kept, radii)
+
     def test_shape_step_monotone_and_updates_radial(self, blob_data):
         model, data = blob_data
         resp, before = egd.e_step(model, data)
@@ -360,26 +378,17 @@ class TestFitMixture:
         assert report.responsibilities.n_components == 1
         assert np.all(np.diff(report.loglik_trace) >= -1e-8)
 
-    def test_matches_public_step_schedule(self):
-        # fit_mixture keeps the radii each scatter step leaves behind; the
-        # public steps recompute them from the scatters, which agrees to
-        # rounding, and must take the same schedule
-        model = two_scale_model(3, lo=1.0, hi=60.0)
-        a = egd.sample(model.components[0], 400, seed=41)
-        b = egd.sample(model.components[1], 400, seed=42)
-        data = egd.Dataset(np.vstack([a.samples, b.samples]))
-        start = egd.MixtureModel(
-            [egd.EgdParams(egd.ScatterMatrix(2.0 * np.eye(3)), 1.0, 2.0),
-             egd.EgdParams(egd.ScatterMatrix(30.0 * np.eye(3)), 2.0, 3.0)],
-            np.array([0.4, 0.6]))
-        cfg = egd.EmConfig(n_components=2, init="user-model",
-                           user_model=start, outer_rounds=8, tol=1e-7)
+    @staticmethod
+    def _public_schedule(data, cfg):
+        """fit_mixture and the same schedule run on the public steps."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = egd.fit_mixture(data, cfg)
 
-            model, trace, prev_round = start, [], None
+            model, trace, prev_round = cfg.user_model, [], None
+            rounds = 0
             for _ in range(cfg.outer_rounds):
+                rounds += 1
                 resp, total = egd.e_step(model, data)
                 trace.append(total / data.total_weight)
                 model = egd.m_step_scatter(data, resp, model)
@@ -399,12 +408,30 @@ class TestFitMixture:
                 prev_round = trace[-1]
             resp, total = egd.e_step(model, data)
             trace.append(total / data.total_weight)
-
         # no pruning, and both the stage-2 and the round stop were taken
         assert report.model.n_components == 2
         assert report.converged
+        assert report.rounds == rounds
         assert len(trace) < report.rounds * (1 + 20) + 1
         assert len(report.loglik_trace) == len(trace)
+        return report, model, trace, resp
+
+    def test_matches_public_step_schedule(self):
+        # fit_mixture keeps the radii t'/alpha each scaled step leaves
+        # behind; the public steps recompute them from the scatters, which
+        # agrees to rounding once a step is scaled (alpha != 1), and must
+        # take the same schedule
+        model = two_scale_model(3, lo=1.0, hi=60.0)
+        a = egd.sample(model.components[0], 400, seed=41)
+        b = egd.sample(model.components[1], 400, seed=42)
+        data = egd.Dataset(np.vstack([a.samples, b.samples]))
+        start = egd.MixtureModel(
+            [egd.EgdParams(egd.ScatterMatrix(2.0 * np.eye(3)), 1.0, 2.0),
+             egd.EgdParams(egd.ScatterMatrix(30.0 * np.eye(3)), 2.0, 3.0)],
+            np.array([0.4, 0.6]))
+        cfg = egd.EmConfig(n_components=2, init="user-model",
+                           user_model=start, outer_rounds=8, tol=1e-7)
+        report, model, trace, resp = self._public_schedule(data, cfg)
         assert_allclose(report.loglik_trace, trace, rtol=1e-13, atol=0.0)
         assert_allclose(report.model.mix_probs, model.mix_probs, rtol=1e-13)
         assert_allclose(report.responsibilities.matrix, resp.matrix,
@@ -413,6 +440,30 @@ class TestFitMixture:
             assert rel_frob(got.scatter.entries, want.scatter.entries) <= 1e-13
             assert got.shape_a == pytest.approx(want.shape_a, rel=1e-13)
             assert got.scale_b == pytest.approx(want.scale_b, rel=1e-13)
+
+    def test_matches_public_step_schedule_exactly_when_unscaled(self):
+        # with every shape above q/2 the scatter steps are concave, the kept
+        # radii are those squared_radius computes, and the floats must agree
+        comps = [egd.EgdParams(egd.ScatterMatrix(scale * np.eye(3)), 4.0, 2.0)
+                 for scale in (1.0, 60.0)]
+        a = egd.sample(comps[0], 400, seed=41)
+        b = egd.sample(comps[1], 400, seed=42)
+        data = egd.Dataset(np.vstack([a.samples, b.samples]))
+        start = egd.MixtureModel(
+            [egd.EgdParams(egd.ScatterMatrix(2.0 * np.eye(3)), 4.0, 2.0),
+             egd.EgdParams(egd.ScatterMatrix(30.0 * np.eye(3)), 5.0, 3.0)],
+            np.array([0.4, 0.6]))
+        cfg = egd.EmConfig(n_components=2, init="user-model",
+                           user_model=start, outer_rounds=8, tol=1e-7)
+        report, model, trace, resp = self._public_schedule(data, cfg)
+        assert all(comp.shape_a > 1.5 for comp in report.model.components)
+        assert np.array_equal(report.loglik_trace, np.asarray(trace))
+        assert np.array_equal(report.model.mix_probs, model.mix_probs)
+        assert np.array_equal(report.responsibilities.matrix, resp.matrix)
+        for got, want in zip(report.model.components, model.components):
+            assert np.array_equal(got.scatter.entries, want.scatter.entries)
+            assert got.shape_a == want.shape_a
+            assert got.scale_b == want.scale_b
 
     def test_deterministic(self):
         rng = np.random.default_rng(49)

@@ -1,6 +1,5 @@
 """The matrix B, the two fixed-point iterations, step scaling, and the baseline."""
 
-import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -536,13 +535,11 @@ class TestRecoverSigma:
     def test_round_trip_residual(self):
         data, _ = make_egd_data(4, 0.9, 2.0, 700, seed=25)
         c, d = egd.compute_constants(0.9, 2.0, 4, 700.0)
-        # 40 steps run the iteration onto its floating-point fixed point; the
-        # log-likelihood stop fires earlier, once the steps change the
-        # average log-likelihood by less than its rounding
-        problem = _problem(data, 0.9, 2.0)
-        steps = egd.scatter._scaled_steps(
-            problem, *_start(problem, egd.FixedPointConfig()), "eigen")
-        sigma = list(itertools.islice(steps, 40))[-1][0]
+        # tiny tol runs the iteration onto its floating-point fixed point
+        report = egd.fit_scatter(data, 0.9, 2.0,
+                                 egd.FixedPointConfig(tol=1e-18,
+                                                      max_iter=5000))
+        sigma = report.sigma_hat.entries
         x, w = data.samples, data.weights
         b_mat = d * (x * w[:, None]).T @ x
         t = np.einsum("ij,ij->i", x @ np.linalg.inv(sigma), x)
@@ -550,6 +547,20 @@ class TestRecoverSigma:
         # measured where B is the identity
         linv = np.linalg.inv(np.linalg.cholesky(b_mat))
         assert np.linalg.norm(linv @ defect @ linv.T) <= 1e-8
+
+    def test_tol_below_loglik_rounding_runs_to_fixed_point(self):
+        # at this tol the rounded log-likelihood ties at step 11, when the
+        # stationarity defect is still 2e-8; the stop waits for the steps
+        # to stop shrinking
+        data, _ = make_egd_data(4, 0.9, 2.0, 700, seed=25)
+        tight = egd.fit_scatter(data, 0.9, 2.0,
+                                egd.FixedPointConfig(tol=1e-18,
+                                                     max_iter=5000))
+        loose = egd.fit_scatter(data, 0.9, 2.0,
+                                egd.FixedPointConfig(tol=1e-14))
+        assert tight.converged and loose.converged
+        assert tight.iterations > loose.iterations
+        assert tight.final_residual < 1e-3 * loose.final_residual
 
     @pytest.mark.parametrize("fit, a", [
         (egd.fit_scatter, 3.0), (egd.fit_scatter, 0.6),
