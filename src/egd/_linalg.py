@@ -73,15 +73,6 @@ def quad_forms(linv: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", z, z)
 
 
-def quad_forms_from_chol(chol: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rowwise quadratic forms ``r_i M^{-1} r_i^T`` given ``M = L L^T``.
-
-    ``chol`` is the lower factor ``L`` and ``rows`` an ``(n, q)`` array.
-    Raises ValueError if the factor is singular.
-    """
-    return quad_forms(tril_inv(chol), rows)
-
-
 def reduced_eigvalsh(mat: np.ndarray, linv: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``L^{-1} mat L^{-T}``.
 

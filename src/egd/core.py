@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_lower, quad_forms_from_chol, spd_sqrt, symmetrize
+from ._linalg import chol_lower, quad_forms, spd_sqrt, symmetrize, tril_inv
 
 __all__ = [
     "ScatterMatrix",
@@ -249,10 +249,10 @@ def squared_radius(scatter: ScatterMatrix, x) -> float | np.ndarray:
     if x.ndim == 1:
         if x.shape != (scatter.dim,):
             raise ValueError("x has wrong dimension")
-        return float(quad_forms_from_chol(scatter.cholesky, x[None, :])[0])
+        return float(quad_forms(tril_inv(scatter.cholesky), x[None, :])[0])
     if x.ndim != 2 or x.shape[1] != scatter.dim:
         raise ValueError("x must be a vector or an (n, dim) array")
-    return quad_forms_from_chol(scatter.cholesky, x)
+    return quad_forms(tril_inv(scatter.cholesky), x)
 
 
 def log_density(params: EgdParams, x) -> float | np.ndarray:

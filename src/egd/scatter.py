@@ -88,12 +88,11 @@ class FixedPointConfig:
     weighted second moment, the same start as ``'sample-cov'`` when
     ``b = 2``; for Kent-Tyler it is ``Sigma_0 = I``.  ``alpha_rule`` only
     affects the nonconcave iteration.  A fit stops once the average
-    log-likelihood changes by less than ``tol``; a ``tol`` within a few
-    units in the last place of the log-likelihood asks for the
-    floating-point fixed point, and the fit then also waits until the step
-    ``||L^{-1} (Sigma_k - Sigma_{k-1}) L^{-T}||_F`` (``Sigma_{k-1} = L L'``)
-    stops shrinking.  ``residual_check`` controls whether the stationarity
-    residual of the final iterate is computed into the report.
+    log-likelihood changes by less than ``tol``; a ``tol`` within its
+    rounding also waits until the step ``||L^{-1} (Sigma_k - Sigma_{k-1})
+    L^{-T}||_F`` (``Sigma_{k-1} = L L'``) stops shrinking.  ``residual_check``
+    controls whether the stationarity residual of the final iterate is
+    computed into the report.
     """
 
     init: str = "sample-cov"
@@ -273,22 +272,17 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
     near_singular = False
     step_prev = math.inf
     try:
-        for sigma_next, t, ll, row, g in itertools.islice(steps,
-                                                         config.max_iter):
+        for item in itertools.islice(steps, config.max_iter):
+            sigma_prev, (sigma, t, ll, row, g) = sigma, item
             lls.append(ll)
             rows.append(row)
             elapsed.append(1000.0 * (time.perf_counter() - start))
-            if config.tol > _LL_ROUNDING_ULPS * np.spacing(abs(ll)):
-                settled = abs(ll - ll_prev) < config.tol
-            else:
-                # two rounded log-likelihoods can tie long before the
-                # iteration settles, so a tol below their rounding runs
-                # on until the step stops shrinking: the floating-point
-                # fixed point
-                step = _residual(sigma, sigma_next)
-                settled = abs(ll - ll_prev) < config.tol and step >= step_prev
-                step_prev = step
-            sigma = sigma_next
+            settled = abs(ll - ll_prev) < config.tol
+            if config.tol <= _LL_ROUNDING_ULPS * np.spacing(abs(ll)):
+                # rounded log-likelihoods tie long before the iteration
+                # settles; such a tol waits for the step to stop shrinking
+                step = _residual(sigma_prev, sigma)
+                settled, step_prev = settled and step >= step_prev, step
             if settled:
                 converged = True
                 break
