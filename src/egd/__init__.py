@@ -18,8 +18,7 @@ from .mixture import (EmConfig, EmReport, Responsibilities, e_step,
                       sample_mixture)
 from .scatter import (FitReport, FixedPointConfig, RankDeficiencyError,
                       compute_constants, fit_concave, fit_kent_tyler,
-                      fit_nonconcave, fit_scatter, select_alpha,
-                      stationarity_residual)
+                      fit_nonconcave, fit_scatter, stationarity_residual)
 
 __version__ = "0.1.0"
 
@@ -58,7 +57,6 @@ __all__ = [
     "fit_kent_tyler",
     "fit_nonconcave",
     "fit_scatter",
-    "select_alpha",
     "stationarity_residual",
     "__version__",
 ]

@@ -21,7 +21,7 @@ from . import io as eio
 from .core import Dataset, EgdParams, MixtureModel, ScatterMatrix, sample
 from .mixture import (EmConfig, fit_mixture, mi_rate, mixture_log_likelihood,
                       preprocess_patches, sample_mixture)
-from .scatter import (FixedPointConfig, FitReport, fit_kent_tyler, fit_scatter)
+from .scatter import FixedPointConfig, fit_kent_tyler, fit_scatter
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -175,7 +175,15 @@ def _resolve_init(init_arg):
     return "user", ScatterMatrix(eio.read_matrix(init_arg)).entries
 
 
-def _single_component_model(report: FitReport, a, b, args, extra=None):
+def cmd_fit(args, parser) -> int:
+    data = _load_dataset(args.data, args.weights)
+    init, user_matrix = _resolve_init(args.init)
+    config = FixedPointConfig(init=init, tol=args.tol, max_iter=args.max_iter,
+                              alpha_rule=args.alpha_rule,
+                              user_matrix=user_matrix)
+    if args.algo == "kent-tyler" and args.a >= 0.5 * data.dim:
+        parser.error("--algo kent-tyler requires a < dim/2")
+    report = _FITS[args.algo](data, args.a, args.b, config)
     fit_info = {
         "iterations": report.iterations,
         "converged": bool(report.converged),
@@ -186,24 +194,10 @@ def _single_component_model(report: FitReport, a, b, args, extra=None):
         # null when the fit stopped before accepting any iterate
         "final_avg_loglik": (float(report.loglik_trace[-1])
                              if report.iterations else None),
+        "algo": args.algo,
     }
-    if extra:
-        fit_info.update(extra)
-    model = MixtureModel([EgdParams(report.sigma_hat, a, b)], np.ones(1))
-    return model, fit_info
-
-
-def cmd_fit(args, parser) -> int:
-    data = _load_dataset(args.data, args.weights)
-    init, user_matrix = _resolve_init(args.init)
-    config = FixedPointConfig(init=init, tol=args.tol, max_iter=args.max_iter,
-                              alpha_rule=args.alpha_rule,
-                              user_matrix=user_matrix)
-    if args.algo == "kent-tyler" and args.a >= 0.5 * data.dim:
-        parser.error("--algo kent-tyler requires a < dim/2")
-    report = _FITS[args.algo](data, args.a, args.b, config)
-    model, fit_info = _single_component_model(
-        report, args.a, args.b, args, {"algo": args.algo})
+    model = MixtureModel([EgdParams(report.sigma_hat, args.a, args.b)],
+                         np.ones(1))
     eio.write_model(args.out, model, fit_info)
     if args.trace:
         eio.write_trace(args.trace, eio.trace_rows(report))

@@ -157,13 +157,29 @@ class TestFit:
         assert info["iterations"] == 2
         assert model.dim == 3
 
-    def test_zero_iteration_near_singular_stop(self, tmp_path, capsys):
-        # a start this close to singular is flagged before the first step
+    @pytest.mark.parametrize("start", ["diagonal", "rotated"])
+    def test_zero_iteration_near_singular_stop(self, tmp_path, capsys, start):
+        # a start this close to singular is flagged before the first step;
+        # the rotated one's pencil with B rounds to a negative eigenvalue
+        if start == "diagonal":
+            x = np.random.default_rng(29).standard_normal((200, 2))
+            sigma0 = np.diag([1.0, 1e-15])
+        else:
+            rng = np.random.default_rng(0)
+            x = rng.standard_normal((200, 4))
+            v = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            sigma0 = v @ np.diag([1.0, 1.0, 1.0, 1e-16]) @ v.T
+            sigma0 = 0.5 * (sigma0 + sigma0.T)
+        report = egd.fit_scatter(
+            egd.Dataset(x), 3.0, 2.0,
+            egd.FixedPointConfig(init="user", user_matrix=sigma0))
+        assert report.near_singular and not report.converged
+        assert report.iterations == 0
+        assert np.array_equal(report.sigma_hat.entries, sigma0)
         data = tmp_path / "d.csv"
         init = tmp_path / "init.csv"
-        eio.write_matrix_csv(data,
-                             np.random.default_rng(29).standard_normal((200, 2)))
-        eio.write_matrix_csv(init, np.diag([1.0, 1e-15]))
+        eio.write_matrix_csv(data, x)
+        eio.write_matrix_csv(init, sigma0)
         out = tmp_path / "m.json"
         trace = tmp_path / "trace.csv"
         code = run_cli("fit", "--data", data, "--a", 3, "--b", 2,
@@ -175,7 +191,7 @@ class TestFit:
         assert doc["fit_info"]["final_residual"] is None
         assert doc["fit_info"]["iterations"] == 0
         assert doc["fit_info"]["converged"] is False
-        assert eio.read_model(out)[0].dim == 2
+        assert eio.read_model(out)[0].dim == x.shape[1]
         assert eio.read_trace(trace) == []
 
     def test_rank_deficient_data_is_data_error(self, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """egd imports and runs its CLI on numpy alone; scipy is never loaded.
 
-Each check runs in a fresh interpreter, since the test process itself has
-scipy loaded.  The gamma shape fits are the only code that needs scipy.
+Each scipy check runs in a fresh interpreter, since the test process itself
+has scipy loaded.  The gamma shape fits are the only code that needs scipy.
+Every name a module exports exists.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +87,17 @@ def test_cli_runs_with_scipy_absent(tmp_path):
     # the installed version is read from package metadata, not by import
     env = json.loads((tmp_path / "bench" / "environment.json").read_text())
     assert env["scipy"]
+
+
+def test_every_public_name_exists():
+    # perfbench's public_functions skips names it cannot find, so a name
+    # left in one list after a deletion would otherwise go unseen
+    import egd
+    modules = {info.name: importlib.import_module(f"egd.{info.name}")
+               for info in pkgutil.iter_modules(egd.__path__)}
+    for module in (egd, *modules.values()):
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    exported = set().union(*(modules[name].__all__ for name in
+                             ("core", "gammafit", "mixture", "scatter")))
+    assert sorted(egd.__all__) == sorted(exported | {"__version__"})

@@ -1,6 +1,6 @@
 """The matrix B, the two fixed-point iterations, step scaling, and the baseline."""
 
-from types import SimpleNamespace
+import sys
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ class TestComputeConstants:
         assert d == pytest.approx(0.001, rel=1e-14)
 
 
-class TestWhiten:
+class TestBMatrix:
     """The matrix ``B = d sum_i w_i x_i x_i'`` of a fit, its factor and rank rule."""
 
     def test_scalar_case(self):
@@ -252,78 +252,87 @@ class TestFitNonconcaveRegime:
         assert report.near_singular
 
     def test_alpha_breakdown_flagged_not_raised(self, monkeypatch):
-        # a step scaling that is not positive ends the fit near-singular
+        # negated pencil spectra in the step scaling leave the map unbracketed
+        # and give 1/alpha < 0: the positivity check ends the fit
+        # near-singular before its first step is accepted
         data, _ = make_egd_data(3, 0.7, 2.0, 300, seed=30)
-        monkeypatch.setattr(egd.scatter, "_alpha_eigen",
-                            lambda *args: (-1.0, 2))
+        real = egd.scatter.reduced_eigvalsh
+
+        def negated_in_alpha(m, linv):
+            vals = real(m, linv)
+            if sys._getframe(1).f_code is egd.scatter._alpha.__code__:
+                return -vals[::-1]
+            return vals
+
+        monkeypatch.setattr(egd.scatter, "reduced_eigvalsh", negated_in_alpha)
         report = egd.fit_scatter(data, 0.7, 2.0, egd.FixedPointConfig())
         assert report.near_singular and not report.converged
         assert report.iterations == 0
 
 
 class TestSelectAlpha:
-    @pytest.fixture()
-    def unit_b(self):
-        # rows whose B = d sum_i y_i y_i' is the identity: with n = 400,
-        # b = 2 and unit weights d = 1/400, so y = 20 Q for orthonormal Q
-        rng = np.random.default_rng(19)
-        y = 20.0 * np.linalg.qr(rng.standard_normal((400, 4)))[0]
-        c, d = egd.compute_constants(0.7, 2.0, 4, 400.0)
-        assert rel_frob(d * y.T @ y, np.eye(4)) < 1e-14
-        return SimpleNamespace(y=y, c=c, weights=np.ones(400), dim=4)
+    """The step scaling, seen through one-step public fits on data whose
+    ``B`` is not the identity."""
 
-    @staticmethod
-    def _candidate(problem, gamma):
-        s = np.einsum("ij,ij->i", problem.y @ np.linalg.inv(gamma), problem.y)
-        coeff = problem.c * problem.weights / s
-        return np.eye(problem.dim) + (problem.y * coeff[:, None]).T @ problem.y
+    A, B = 0.7, 2.0
 
-    def _next_map_eigs(self, problem, gamma_next):
-        g_next = self._candidate(problem, gamma_next)
-        return sla.eigh(g_next, gamma_next, eigvals_only=True)
+    @pytest.fixture(scope="class")
+    def data(self):
+        data, _ = make_egd_data(4, self.A, self.B, 400, seed=19)
+        assert rel_frob(_problem(data, self.A, self.B).b_mat, np.eye(4)) > 0.5
+        return data
 
-    def test_case_two_pins_largest(self, unit_b):
-        # a hugely inflated iterate forces the all-below-one branch
-        gamma = 1e6 * np.eye(4)
-        g_prime = self._candidate(unit_b, gamma)
-        alpha, case = egd.select_alpha(g_prime, unit_b.c, unit_b.y,
-                                       unit_b.weights)
-        assert case == 2
-        lam = self._next_map_eigs(unit_b, alpha * g_prime)
-        assert lam[-1] == pytest.approx(1.0, abs=1e-8)
+    def _candidate(self, data, sigma):
+        x, w = data.samples, data.weights
+        c, d = egd.compute_constants(self.A, self.B, data.dim,
+                                     data.total_weight)
+        t = np.einsum("ij,ij->i", x @ np.linalg.inv(sigma), x)
+        return d * (x * w[:, None]).T @ x + (x * (c * w / t)[:, None]).T @ x
 
-    def test_case_three_pins_smallest(self, unit_b):
-        # a tiny iterate forces the all-above-one branch
-        gamma = 1e-6 * np.eye(4)
-        g_prime = self._candidate(unit_b, gamma)
-        alpha, case = egd.select_alpha(g_prime, unit_b.c, unit_b.y,
-                                       unit_b.weights)
-        assert case == 3
-        lam = self._next_map_eigs(unit_b, alpha * g_prime)
-        assert lam[0] == pytest.approx(1.0, abs=1e-8)
+    def _map_eigs(self, data, sigma):
+        return sla.eigh(self._candidate(data, sigma), sigma, eigvals_only=True)
 
-    def test_case_one_returns_exact_unit(self, unit_b):
+    def _one_step(self, data, start, rule="eigen"):
+        cfg = egd.FixedPointConfig(init="user", user_matrix=start,
+                                   max_iter=1, alpha_rule=rule)
+        report = egd.fit_nonconcave(data, self.A, self.B, cfg)
+        assert report.iterations == 1
+        return float(report.alpha_trace[0]), report.sigma_hat.entries
+
+    def test_case_two_pins_largest(self, data):
+        # a hugely inflated start forces the all-below-one branch
+        start = 1e6 * _problem(data, self.A, self.B).b_mat
+        alpha, sigma = self._one_step(data, start)
+        assert alpha < 1.0
+        assert self._map_eigs(data, sigma)[-1] == pytest.approx(1.0, abs=1e-8)
+
+    def test_case_three_pins_smallest(self, data):
+        # a tiny start forces the all-above-one branch
+        start = 1e-6 * _problem(data, self.A, self.B).b_mat
+        alpha, sigma = self._one_step(data, start)
+        assert alpha > 1.0
+        assert self._map_eigs(data, sigma)[0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_case_one_returns_exact_unit(self, data):
         # an indefinite error around the fixed point makes the map
-        # eigenvalues bracket one, so no rescaling is applied
-        report = egd.fit_nonconcave(egd.Dataset(unit_b.y), 0.7, 2.0,
+        # eigenvalues at the candidate bracket one, so no rescaling is applied
+        report = egd.fit_nonconcave(data, self.A, self.B,
                                     egd.FixedPointConfig(tol=1e-13))
         vals, vecs = np.linalg.eigh(report.sigma_hat.entries)
         for eps in (1e-2, 1e-4):
             pert = vals * np.array([1 + eps, 1 - eps, 1.0, 1.0])
-            gamma = (vecs * pert) @ vecs.T
-            g_prime = self._candidate(unit_b, gamma)
-            alpha, case = egd.select_alpha(g_prime, unit_b.c, unit_b.y,
-                                           unit_b.weights)
-            assert case == 1
+            start = (vecs * pert) @ vecs.T
+            lam = self._map_eigs(data, self._candidate(data, start))
+            assert lam[0] < 1.0 < lam[-1]
+            alpha, _ = self._one_step(data, start)
             assert alpha == 1.0
 
-    def test_trace_rule_value(self, unit_b):
-        gamma = np.eye(4)
-        g_prime = self._candidate(unit_b, gamma)
-        alpha, case = egd.select_alpha(g_prime, unit_b.c, unit_b.y,
-                                       unit_b.weights, rule="trace")
-        assert case == 0
-        expect = np.trace(np.linalg.inv(g_prime)) / (2.0 * 0.7)
+    def test_trace_rule_value(self, data):
+        start = random_spd(4, np.random.default_rng(31))
+        alpha, _ = self._one_step(data, start, rule="trace")
+        g_prime = self._candidate(data, start)
+        b_mat = _problem(data, self.A, self.B).b_mat
+        expect = np.trace(np.linalg.solve(g_prime, b_mat)) / (2.0 * self.A)
         assert alpha == pytest.approx(expect, rel=1e-12)
 
 
@@ -509,7 +518,7 @@ class TestKentTyler:
         assert rel_frob(fitted, reference) < 1e-2
 
 
-class TestRecoverSigma:
+class TestStartPencilDefect:
     """How a fit's scatter relates to ``B``: start, reduction and defect."""
 
     def test_identity_gamma(self):
