@@ -3,7 +3,8 @@
 Subcommands: ``sample``, ``fit``, ``fit-mixture``, ``eval``, ``bench``,
 ``preprocess``.  Exit codes: 0 success, 2 usage error, 3 a fit did not
 converge: it hit its iteration cap or stopped near-singular (the model is
-still written), 4 bad data.
+still written), 4 bad data or a missing dependency (``fit-mixture`` needs
+scipy for its gamma shape fits).
 """
 
 from __future__ import annotations
@@ -395,6 +396,11 @@ def main(argv=None) -> int:
         return handler(args, parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ImportError as exc:
+        # scipy is imported on first use, by the gamma shape fits
+        package = (exc.name or "a missing module").split(".")[0]
+        print(f"error: {args.command} needs {package}: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -147,13 +147,17 @@ class Dataset:
         self._samples = x
         self._weights = w
 
-    def _reweighted(self, weights) -> "Dataset":
-        """The same samples under new weights; only the weights are checked."""
-        w = _checked_weights(weights, self.n)
-        w.setflags(write=False)
+    def _reweighted(self, weights: np.ndarray) -> "Dataset":
+        """The same samples under new weights, taken unchecked and frozen.
+
+        ``weights`` must be a float vector that :func:`_checked_weights`
+        accepts, such as the dataset's weights times one row of a
+        responsibility matrix with positive total.
+        """
+        weights.setflags(write=False)
         out = object.__new__(Dataset)
         out._samples = self._samples
-        out._weights = w
+        out._weights = weights
         return out
 
     @property
@@ -277,15 +281,6 @@ def log_density(params: EgdParams, x) -> float | np.ndarray:
     singular or zero at the origin.
     """
     t = squared_radius(params.scatter, x)
-    out = _log_density_from_radii(params, t)
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def _log_density_from_radii(params: EgdParams, t):
-    """Log density given the squared radii ``t`` under ``params.scatter``.
-
-    ``t`` is a float (one sample) or a vector (one entry per sample).
-    """
     q = params.dim
     a = params.shape_a
     b = params.scale_b
@@ -299,8 +294,9 @@ def _log_density_from_radii(params: EgdParams, t):
             prefix = "" if np.ndim(t) == 0 else f"sample {idx}: "
             raise ValueError(prefix + "density singular/zero at origin")
         elliptical = shift * np.log(t)
-    return (_log_norm_const(q, a, b) - 0.5 * params.scatter.log_det
-            + elliptical - t / b)
+    out = (_log_norm_const(q, a, b) - 0.5 * params.scatter.log_det
+           + elliptical - t / b)
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def gamma_log_density(v, a: float, b: float) -> float | np.ndarray:

@@ -122,8 +122,17 @@ def fit_gamma_weighted(data: WeightedSample, tol: float = 1e-10,
     v = data.values
     w = data.weights
     total = float(w.sum())
-    vbar = float(w @ v) / total
-    mlog = float(w @ np.log(v)) / total
+    return _fit_gamma_moments(float(w @ v) / total,
+                              float(w @ np.log(v)) / total, tol, max_iter)
+
+
+def _fit_gamma_moments(vbar: float, mlog: float, tol: float = 1e-10,
+                       max_iter: int = 100) -> GammaFit:
+    """:func:`fit_gamma_weighted` from the weighted mean ``vbar`` and the
+    weighted mean log ``mlog`` of the values; raises ``ValueError`` when
+    they are not finite or the shape is unbounded."""
+    if not (math.isfinite(vbar) and math.isfinite(mlog) and vbar > 0.0):
+        raise ValueError("moments must be finite with a positive mean")
     gap = math.log(vbar) - mlog
     # gap > 0 by Jensen unless every weighted value is identical
     if gap <= 0.0:

@@ -13,12 +13,17 @@ log-likelihood it is dropped and the start kept, so no scatter sweep lowers
 the EM objective and the per-sweep trace is nondecreasing by construction,
 not up to a solver tolerance.
 
-The squared radii ``x_i' Sigma_k^{-1} x_i`` depend on the scatters only, so
-:func:`fit_mixture` reuses each component's radii in every E-step and radial
-refit until the next scatter update (the conditional-maximization structure
-of ECM, Meng & Rubin 1993).  A scatter step starts from the radii at hand
-and leaves the radii of its refit behind; they agree to rounding with the
-radii :func:`e_step` computes from the refitted scatter.
+The squared radii ``t_ki = x_i' Sigma_k^{-1} x_i`` depend on the scatters
+only, so :func:`fit_mixture` keeps the K x n matrix of radii and of their
+logarithms and reuses both in every E-step and radial refit until the next
+scatter update (the conditional-maximization structure of ECM, Meng & Rubin
+1993).  A scatter step starts from the radii at hand and leaves the radii of
+its refit behind; they agree to rounding with the radii :func:`e_step`
+computes from the refitted scatter.  The E-step forms the K x n log-joint in
+one pass over the cached matrices, and the radial refit needs only each
+component's weighted mean radius and mean log radius.  The public
+:func:`e_step`, :func:`m_step_scatter` and :func:`m_step_shape` compute the
+radii afresh and run the same private kernels.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Dataset, EgdParams, MixtureModel, ScatterMatrix,
-                   _log_density_from_radii, sample, squared_radius)
-from .gammafit import WeightedSample, fit_gamma_weighted
+                   _log_norm_const, sample, squared_radius)
+from .gammafit import _fit_gamma_moments
 from . import scatter
 from .scatter import RankDeficiencyError
 
@@ -70,6 +75,14 @@ class Responsibilities:
             raise ValueError("responsibility columns must sum to one")
         m.setflags(write=False)
         self._matrix = m
+
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray) -> "Responsibilities":
+        # the E-step's own output, which is valid by construction
+        matrix.setflags(write=False)
+        out = object.__new__(cls)
+        out._matrix = matrix
+        return out
 
     @property
     def matrix(self) -> np.ndarray:
@@ -127,7 +140,8 @@ def e_step(model: MixtureModel, data: Dataset):
     """
     if data.dim != model.dim:
         raise ValueError("data dimension does not match model")
-    return _e_step(model, data, _squared_radii(model, data))
+    radii = _squared_radii(model, data)
+    return _e_step(model, data, radii, _log(radii))
 
 
 def _squared_radii(model, data):
@@ -136,21 +150,53 @@ def _squared_radii(model, data):
                      for comp in model.components])
 
 
-def _e_step(model, data, radii):
-    log_joint = np.empty(radii.shape)
+def _log(radii):
+    # a zero radius gives -inf, which the kernels reject where it matters
     with np.errstate(divide="ignore"):
+        return np.log(radii)
+
+
+def _e_step(model, data, radii, log_radii):
+    """:func:`e_step` from the K x n squared radii and their logarithms.
+
+    Row ``j`` of the log-joint is ``log p_j(x_i) + log pi_j``, evaluated as
+    ``((shift_j log t_ji + c_j) - t_ji / b_j) + log pi_j`` with
+    ``shift_j = a_j - q/2`` and ``c_j`` the log normalizing constant,
+    ``|Sigma_j|`` term included; a Gaussian row (``shift_j = 0``) is
+    ``c_j - t_ji / b_j`` whatever its radii.
+    """
+    comps = model.components
+    q = model.dim
+    shift = np.array([comp.shape_a for comp in comps]) - 0.5 * q
+    bad = np.flatnonzero((shift != 0.0) & (radii.min(axis=1) == 0.0))
+    if bad.size:
+        idx = int(np.flatnonzero(radii[bad[0]] == 0.0)[0])
+        raise ValueError(f"sample {idx}: density singular/zero at origin")
+    const = np.array([_log_norm_const(q, comp.shape_a, comp.scale_b)
+                      - 0.5 * comp.scatter.log_det for comp in comps])
+    scale = np.array([comp.scale_b for comp in comps])
+    # a zero mixing probability gives log 0; a zero radius on a Gaussian
+    # row gives 0 * log 0, and the row is reset to zero
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_probs = np.log(model.mix_probs)
-    for j, comp in enumerate(model.components):
-        log_joint[j] = _log_density_from_radii(comp, radii[j]) + log_probs[j]
-    shift = log_joint.max(axis=0)
-    finite = np.isfinite(shift)
+        log_joint = log_radii * shift[:, None]
+    log_joint[shift == 0.0] = 0.0
+    log_joint += const[:, None]
+    work = np.divide(radii, scale[:, None])
+    log_joint -= work
+    log_joint += log_probs[:, None]
+    peak = log_joint.max(axis=0)
+    finite = np.isfinite(peak)
     if not finite.all():
         idx = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"sample {idx} has zero density under every component")
-    log_norm = shift + np.log(np.exp(log_joint - shift).sum(axis=0))
-    resp = np.exp(log_joint - log_norm)
+    np.subtract(log_joint, peak, out=work)
+    np.exp(work, out=work)
+    log_norm = peak + np.log(work.sum(axis=0))
+    log_joint -= log_norm
+    resp = np.exp(log_joint, out=log_joint)
     total = float(data.weights @ log_norm)
-    return Responsibilities(resp), total
+    return Responsibilities._unchecked(resp), total
 
 
 def mixture_log_likelihood(model: MixtureModel, data: Dataset) -> float:
@@ -177,10 +223,11 @@ def m_step_scatter(data: Dataset, resp: Responsibilities,
 
 
 def _m_step_scatter(data, resp, model, radii):
-    # returns the model and its K x n radius matrix; a component that keeps
-    # its scatter keeps its row of ``radii``
+    # returns the model and the indices of the refitted components, whose
+    # rows of ``radii`` are overwritten in place with the refit's radii; a
+    # component that keeps its scatter keeps its row
     t = resp.matrix
-    radii = radii.copy()
+    refitted = []
     new_comps = []
     new_probs = np.empty(model.n_components)
     for k, comp in enumerate(model.components):
@@ -211,7 +258,8 @@ def _m_step_scatter(data, resp, model, radii):
         new_comps.append(EgdParams(ScatterMatrix(sigma), comp.shape_a,
                                    comp.scale_b))
         radii[k] = refit_radii
-    return MixtureModel(new_comps, new_probs / new_probs.sum()), radii
+        refitted.append(k)
+    return MixtureModel(new_comps, new_probs / new_probs.sum()), refitted
 
 
 def m_step_shape(data: Dataset, resp: Responsibilities,
@@ -219,10 +267,12 @@ def m_step_shape(data: Dataset, resp: Responsibilities,
     """Refit every component's gamma shape and scale from squared radii."""
     if resp.matrix.shape != (model.n_components, data.n):
         raise ValueError("responsibilities shape does not match model and data")
-    return _m_step_shape(data, resp, model, _squared_radii(model, data))
+    radii = _squared_radii(model, data)
+    return _m_step_shape(data, resp, model, radii, _log(radii))
 
 
-def _m_step_shape(data, resp, model, radii):
+def _m_step_shape(data, resp, model, radii, log_radii):
+    # the weighted mean radius and mean log radius are all a gamma fit reads
     t = resp.matrix
     new_comps = []
     new_probs = np.empty(model.n_components)
@@ -235,7 +285,8 @@ def _m_step_shape(data, resp, model, radii):
             new_comps.append(comp)
             continue
         try:
-            fit = fit_gamma_weighted(WeightedSample(radii[k], wk))
+            fit = _fit_gamma_moments(float(wk @ radii[k]) / swk,
+                                     float(wk @ log_radii[k]) / swk)
         except ValueError:
             warnings.warn(f"component {k} has degenerate radii; radial "
                           "parameters frozen for this sweep")
@@ -245,24 +296,25 @@ def _m_step_shape(data, resp, model, radii):
     return MixtureModel(new_comps, new_probs / new_probs.sum())
 
 
-def _prune_empty(model, radii, resp, data):
+def _prune_empty(model, radii, log_radii, resp, data):
     eff = resp.matrix @ data.weights
     if float(eff.min()) > 0.0 or model.n_components == 1:
-        return model, radii, False
+        return model, radii, log_radii, False
     keep = eff > 0.0
     warnings.warn(f"removing {int(np.count_nonzero(~keep))} empty component(s)")
     probs = model.mix_probs[keep]
     model = MixtureModel([c for c, k in zip(model.components, keep) if k],
                          probs / probs.sum())
-    return model, radii[keep], True
+    return model, radii[keep], log_radii[keep], True
 
 
-def _respond(model, radii, data):
+def _respond(model, radii, log_radii, data):
     while True:
-        resp, total = _e_step(model, data, radii)
-        model, radii, pruned = _prune_empty(model, radii, resp, data)
+        resp, total = _e_step(model, data, radii, log_radii)
+        model, radii, log_radii, pruned = _prune_empty(model, radii, log_radii,
+                                                       resp, data)
         if not pruned:
-            return model, radii, resp, total
+            return model, radii, log_radii, resp, total
 
 
 def _second_moment(x, w):
@@ -343,11 +395,14 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     start of every sweep plus a final evaluation of the returned model.
     Components that lose all responsibility are removed with a warning.
 
-    The squared radii are computed once for the initial model; each scatter
-    step returns those of its refit, and they are shared by every E-step and
-    radial refit until the next scatter refit.  The results are those of
-    calling :func:`e_step`, :func:`m_step_scatter` and :func:`m_step_shape`,
-    which recompute the radii, in the same schedule, to rounding.
+    The squared radii and their logarithms are computed once for the
+    initial model.  Each scatter refit overwrites its component's row of
+    radii with those of the refit and takes the logarithm of that row only;
+    the rows are shared by every E-step and radial refit until the next
+    scatter refit and dropped with a pruned component.  The results are
+    those of calling :func:`e_step`, :func:`m_step_scatter` and
+    :func:`m_step_shape`, which recompute the radii, in the same schedule,
+    to rounding.  The returned responsibility matrix is read-only.
     """
     k = config.n_components
     if data.n < k * data.dim:
@@ -355,6 +410,7 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     rng = np.random.default_rng(config.seed)
     model = _init_model(data, config, rng)
     radii = _squared_radii(model, data)
+    log_radii = _log(radii)
     n_eff = data.total_weight
     trace = []
     converged = False
@@ -362,15 +418,19 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     rounds = 0
     for _ in range(config.outer_rounds):
         rounds += 1
-        model, radii, resp, total = _respond(model, radii, data)
+        model, radii, log_radii, resp, total = _respond(model, radii,
+                                                        log_radii, data)
         trace.append(total / n_eff)
-        model, radii = _m_step_scatter(data, resp, model, radii)
+        model, refitted = _m_step_scatter(data, resp, model, radii)
+        for k in refitted:
+            log_radii[k] = np.log(radii[k])
         prev_stage = None
         for _ in range(_STAGE2_SWEEPS):
-            model, radii, resp, total = _respond(model, radii, data)
+            model, radii, log_radii, resp, total = _respond(model, radii,
+                                                            log_radii, data)
             avg = total / n_eff
             trace.append(avg)
-            model = _m_step_shape(data, resp, model, radii)
+            model = _m_step_shape(data, resp, model, radii, log_radii)
             if prev_stage is not None and abs(avg - prev_stage) < config.tol:
                 break
             prev_stage = avg
@@ -378,7 +438,7 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
             converged = True
             break
         prev_round = trace[-1]
-    model, _, resp, total = _respond(model, radii, data)
+    model, _, _, resp, total = _respond(model, radii, log_radii, data)
     trace.append(total / n_eff)
     return EmReport(model=model, loglik_trace=np.asarray(trace),
                     responsibilities=resp, converged=converged, rounds=rounds)

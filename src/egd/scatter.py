@@ -168,12 +168,18 @@ class _Problem:
     b_inv: np.ndarray
 
 
+def _b_matrix(x: np.ndarray, w: np.ndarray, d: float) -> np.ndarray:
+    """``B = d sum_i w_i x_i x_i'``, with one n x q temporary."""
+    rows = x * w[:, None]
+    rows *= d
+    return symmetrize(rows.T @ x)
+
+
 def _problem(data: Dataset, a: float, b: float) -> _Problem:
     """Raises :class:`RankDeficiencyError` when ``B`` is effectively singular."""
     q = data.dim
     c, d = compute_constants(a, b, q, data.total_weight)
-    b_mat = symmetrize(d * (data.samples * data.weights[:, None]).T
-                       @ data.samples)
+    b_mat = _b_matrix(data.samples, data.weights, d)
     try:
         vals, vecs = spd_eigh(b_mat)
     except ValueError as exc:
@@ -214,8 +220,7 @@ def stationarity_residual(sigma: ScatterMatrix, data: Dataset, c: float,
         raise ValueError("sigma dimension does not match data")
     x, w = data.samples, data.weights
     t = _radii(tril_inv(sigma.cholesky), x)
-    b_mat = symmetrize(d * (x * w[:, None]).T @ x)
-    return _residual(sigma.entries, _candidate(b_mat, c, x, w, t))
+    return _residual(sigma.entries, _candidate(_b_matrix(x, w, d), c, x, w, t))
 
 
 def _start(problem: _Problem, config: FixedPointConfig, identity=None):
@@ -405,7 +410,10 @@ def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
         yield sigma, t, ll, row, g_prime
         try:
             if rule is not None and lam_n is None:
-                lam_n = reduced_eigvalsh(g_prime, tril_inv(chol_lower(sigma)))
+                # the start's factor is cached; later iterates are factored
+                chol = (start.cholesky if sigma is start.entries
+                        else chol_lower(sigma))
+                lam_n = reduced_eigvalsh(g_prime, tril_inv(chol))
             chol = chol_lower(g_prime)
             linv = tril_inv(chol)
         except (ValueError, np.linalg.LinAlgError) as exc:

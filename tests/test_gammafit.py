@@ -148,6 +148,35 @@ class TestFitGamma:
             assert fit.shape_a == pytest.approx(true_a, rel=0.1)
 
 
+class TestMomentsKernel:
+    """The mixture's radial step fits from moments of cached radii."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_public_fit_bit_for_bit(self, seed):
+        # the moments as the mixture forms them: one row of a K x n matrix
+        # of values, its logarithm taken over the whole matrix
+        rng = np.random.default_rng(seed)
+        values = rng.gamma(rng.uniform(0.3, 8.0), 1.7, size=(3, 500))
+        logs = np.log(values)
+        weights = rng.uniform(0.0, 2.0, 500)
+        weights[rng.random(500) < 0.3] = 0.0
+        for k in range(3):
+            swk = float(weights.sum())
+            got = egd.gammafit._fit_gamma_moments(
+                float(weights @ values[k]) / swk,
+                float(weights @ logs[k]) / swk)
+            want = egd.fit_gamma_weighted(
+                egd.WeightedSample(values[k], weights))
+            assert got == want
+
+    @pytest.mark.parametrize("vbar, mlog", [
+        (np.inf, 0.0), (np.nan, 0.0), (2.0, -np.inf), (2.0, np.nan),
+        (0.0, -1.0)])
+    def test_rejects_nonfinite_moments(self, vbar, mlog):
+        with pytest.raises(ValueError, match="moments"):
+            egd.gammafit._fit_gamma_moments(vbar, mlog)
+
+
 class TestBisectionHandOff:
     """Newton hands an unfinished or broken fit to bisection on the score."""
 

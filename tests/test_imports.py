@@ -89,6 +89,29 @@ def test_cli_runs_with_scipy_absent(tmp_path):
     assert env["scipy"]
 
 
+def test_fit_mixture_without_scipy_exits_4(tmp_path):
+    # the gamma shape fits need scipy: the command reports it in one line
+    # and exits with the data/dependency code, not with a traceback
+    from egd.cli import main
+    data = tmp_path / "x.csv"
+    assert main(["sample", "--dim", "3", "--a", "1.2", "--b", "2.0",
+                 "--n", "200", "--seed", "5", "--out", str(data)]) == 0
+    child = ('import sys; sys.modules["scipy"] = None; '
+             'from egd.cli import run; run()')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "fit-mixture", "--data", str(data),
+         "--k", "2", "--out", str(tmp_path / "mix.json")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "scipy" in lines[0]
+    assert not (tmp_path / "mix.json").exists()
+
+
 def test_every_public_name_exists():
     # perfbench's public_functions skips names it cannot find, so a name
     # left in one list after a deletion would otherwise go unseen

@@ -106,6 +106,64 @@ class TestEStep:
         with pytest.raises(ValueError, match="dimension"):
             egd.e_step(model, data)
 
+    @staticmethod
+    def _from_log_density(model, data):
+        # the E-step written out on the public densities
+        with np.errstate(divide="ignore"):
+            log_joint = np.stack([egd.log_density(c, data.samples) + np.log(p)
+                                  for c, p in zip(model.components,
+                                                  model.mix_probs)])
+        peak = log_joint.max(axis=0)
+        log_norm = peak + np.log(np.exp(log_joint - peak).sum(axis=0))
+        return np.exp(log_joint - log_norm), float(data.weights @ log_norm)
+
+    def test_matches_log_density_bit_for_bit(self):
+        # both regimes and the Gaussian boundary a = q/2
+        q = 3
+        rng = np.random.default_rng(34)
+        comps = [egd.EgdParams(egd.ScatterMatrix(random_spd(q, rng)), a, b)
+                 for a, b in ((0.4, 3.0), (1.5, 2.0), (6.0, 0.7))]
+        model = egd.MixtureModel(comps, np.array([0.2, 0.5, 0.3]))
+        weights = rng.uniform(0.0, 2.0, 60)
+        weights[:10] = 0.0
+        data = egd.Dataset(rng.standard_normal((60, q)), weights)
+        resp, total = egd.e_step(model, data)
+        want_resp, want_total = self._from_log_density(model, data)
+        assert np.array_equal(resp.matrix, want_resp)
+        assert total == want_total
+
+    def test_gaussian_row_ignores_zero_radius(self):
+        # a row whose squared radius underflows to zero: the Gaussian
+        # log-density is c - t/b there, with no log t term
+        q = 3
+        comps = [egd.EgdParams(egd.ScatterMatrix(s * np.eye(q)), 0.5 * q, 2.0)
+                 for s in (1.0, 4.0)]
+        model = egd.MixtureModel(comps, np.array([0.5, 0.5]))
+        x = np.random.default_rng(35).standard_normal((20, q))
+        x[7] = 1e-170
+        data = egd.Dataset(x)
+        assert egd.squared_radius(comps[0].scatter, x[7]) == 0.0
+        resp, total = egd.e_step(model, data)
+        want_resp, want_total = self._from_log_density(model, data)
+        assert np.array_equal(resp.matrix, want_resp)
+        assert total == want_total
+
+    def test_zero_radius_raises_off_the_gaussian_boundary(self):
+        q = 3
+        comps = [egd.EgdParams(egd.ScatterMatrix.identity(q), 0.5 * q, 2.0),
+                 egd.EgdParams(egd.ScatterMatrix(4.0 * np.eye(q)), 2.5, 2.0)]
+        model = egd.MixtureModel(comps, np.array([0.5, 0.5]))
+        x = np.random.default_rng(36).standard_normal((40, q))
+        x[7] = 1e-170
+        data = egd.Dataset(x)
+        with pytest.raises(ValueError,
+                           match="sample 7: density singular/zero at origin"):
+            egd.e_step(model, data)
+        cfg = egd.EmConfig(n_components=2, init="user-model", user_model=model)
+        with pytest.raises(ValueError,
+                           match="sample 7: density singular/zero at origin"):
+            egd.fit_mixture(data, cfg)
+
 
 class TestMSteps:
     @pytest.fixture()
@@ -197,10 +255,13 @@ class TestMSteps:
 
         monkeypatch.setattr(egd.scatter, "_steps", broken)
         radii = egd.mixture._squared_radii(model, data)
-        stepped, kept = egd.mixture._m_step_scatter(data, resp, model, radii)
+        before = radii.copy()
+        stepped, refitted = egd.mixture._m_step_scatter(data, resp, model,
+                                                        radii)
         for new, old in zip(stepped.components, model.components):
             assert new.scatter is old.scatter
-        assert np.array_equal(kept, radii)
+        assert refitted == []
+        assert np.array_equal(radii, before)
 
     def test_shape_step_monotone_and_updates_radial(self, blob_data):
         model, data = blob_data
@@ -441,6 +502,21 @@ class TestFitMixture:
             assert got.shape_a == pytest.approx(want.shape_a, rel=1e-13)
             assert got.scale_b == pytest.approx(want.scale_b, rel=1e-13)
 
+    def _exact_schedule(self, data, start, outer_rounds):
+        """fit_mixture equals its public schedule bit for bit."""
+        cfg = egd.EmConfig(n_components=2, init="user-model",
+                           user_model=start, outer_rounds=outer_rounds,
+                           tol=1e-7)
+        report, model, trace, resp = self._public_schedule(data, cfg)
+        assert all(comp.shape_a > 1.5 for comp in report.model.components)
+        assert np.array_equal(report.loglik_trace, np.asarray(trace))
+        assert np.array_equal(report.model.mix_probs, model.mix_probs)
+        assert np.array_equal(report.responsibilities.matrix, resp.matrix)
+        for got, want in zip(report.model.components, model.components):
+            assert np.array_equal(got.scatter.entries, want.scatter.entries)
+            assert got.shape_a == want.shape_a
+            assert got.scale_b == want.scale_b
+
     def test_matches_public_step_schedule_exactly_when_unscaled(self):
         # with every shape above q/2 the scatter steps are concave, the kept
         # radii are those squared_radius computes, and the floats must agree
@@ -453,17 +529,32 @@ class TestFitMixture:
             [egd.EgdParams(egd.ScatterMatrix(2.0 * np.eye(3)), 4.0, 2.0),
              egd.EgdParams(egd.ScatterMatrix(30.0 * np.eye(3)), 5.0, 3.0)],
             np.array([0.4, 0.6]))
-        cfg = egd.EmConfig(n_components=2, init="user-model",
-                           user_model=start, outer_rounds=8, tol=1e-7)
-        report, model, trace, resp = self._public_schedule(data, cfg)
-        assert all(comp.shape_a > 1.5 for comp in report.model.components)
-        assert np.array_equal(report.loglik_trace, np.asarray(trace))
-        assert np.array_equal(report.model.mix_probs, model.mix_probs)
-        assert np.array_equal(report.responsibilities.matrix, resp.matrix)
-        for got, want in zip(report.model.components, model.components):
-            assert np.array_equal(got.scatter.entries, want.scatter.entries)
-            assert got.shape_a == want.shape_a
-            assert got.scale_b == want.scale_b
+        self._exact_schedule(data, start, 8)
+
+    def test_matches_public_step_schedule_exactly_from_gaussian_start(self):
+        # one component starts on the Gaussian boundary a = q/2, where the
+        # E-step has no log t term and the scatter step lands on B, and
+        # some weights are zero
+        comps = [egd.EgdParams(egd.ScatterMatrix(scale * np.eye(3)), 4.0, 2.0)
+                 for scale in (1.0, 60.0)]
+        a = egd.sample(comps[0], 400, seed=43)
+        b = egd.sample(comps[1], 400, seed=44)
+        weights = np.random.default_rng(45).uniform(0.0, 2.0, 800)
+        weights[::7] = 0.0
+        data = egd.Dataset(np.vstack([a.samples, b.samples]), weights)
+        start = egd.MixtureModel(
+            [egd.EgdParams(egd.ScatterMatrix(2.0 * np.eye(3)), 1.5, 2.0),
+             egd.EgdParams(egd.ScatterMatrix(30.0 * np.eye(3)), 5.0, 3.0)],
+            np.array([0.4, 0.6]))
+        self._exact_schedule(data, start, 20)
+
+    def test_responsibilities_read_only(self):
+        rng = np.random.default_rng(50)
+        data = egd.Dataset(rng.standard_normal((120, 2)) * [1.0, 3.0])
+        report = egd.fit_mixture(data, egd.EmConfig(n_components=2,
+                                                    outer_rounds=3))
+        with pytest.raises(ValueError):
+            report.responsibilities.matrix[0, 0] = 0.5
 
     def test_deterministic(self):
         rng = np.random.default_rng(49)
