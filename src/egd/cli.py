@@ -3,8 +3,7 @@
 Subcommands: ``sample``, ``fit``, ``fit-mixture``, ``eval``, ``bench``,
 ``preprocess``.  Exit codes: 0 success, 2 usage error, 3 a fit did not
 converge: it hit its iteration cap or stopped near-singular (the model is
-still written), 4 bad data or a missing dependency (``fit-mixture`` needs
-scipy for its gamma shape fits).
+still written), 4 bad data.
 """
 
 from __future__ import annotations
@@ -314,17 +313,8 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 def _bench_environment() -> dict:
-    import importlib.metadata
-
     env = {name: os.environ.get(name) for name in _THREAD_VARIABLES}
-    # the installed scipy version, read without importing scipy; null when
-    # scipy is absent
-    try:
-        scipy_version = importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:
-        scipy_version = None
-    env.update(cpu_count=os.cpu_count(), numpy=np.__version__,
-               scipy=scipy_version)
+    env.update(cpu_count=os.cpu_count(), numpy=np.__version__)
     return env
 
 
@@ -396,11 +386,6 @@ def main(argv=None) -> int:
         return handler(args, parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ImportError as exc:
-        # scipy is imported on first use, by the gamma shape fits
-        package = (exc.name or "a missing module").split(".")[0]
-        print(f"error: {args.command} needs {package}: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -1,4 +1,6 @@
-"""Weighted maximum likelihood for gamma shape and scale parameters."""
+"""Weighted maximum likelihood for gamma shape and scale parameters, and
+the digamma and trigamma functions its shape solver needs, in numpy and
+the standard library alone."""
 
 from __future__ import annotations
 
@@ -9,11 +11,45 @@ import numpy as np
 
 from .core import _checked_weights
 
-# scipy.special is imported inside the functions that use it, so that
-# importing egd does not load scipy
-
 __all__ = ["WeightedSample", "GammaFit", "digamma", "trigamma",
            "fit_gamma_weighted"]
+
+# Bernoulli-number coefficients of the asymptotic series, valid to double
+# precision for x >= 10: B_2n / (2n) for digamma (Abramowitz & Stegun
+# 6.3.18) and B_2n for trigamma (6.4.12), n = 1..7
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
+                   -691 / 32760, 1 / 12)
+_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+                    -691 / 2730, 7 / 6)
+
+
+def _series(coefficients, x: float) -> float:
+    """sum_n c_n x^(-2n) for n = 1..len(coefficients), by Horner's rule."""
+    r = 1.0 / (x * x)
+    total = 0.0
+    for c in reversed(coefficients):
+        total = r * (c + total)
+    return total
+
+
+def _digamma(x: float) -> float:
+    """Digamma of a float x > 0: psi(x) = psi(x + 1) - 1/x up to x >= 10,
+    then the asymptotic series."""
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    return math.log(x) - (0.5 / x + _series(_DIGAMMA_SERIES, x)) - shift
+
+
+def _trigamma(x: float) -> float:
+    """Trigamma of a float x > 0: psi'(x) = psi'(x + 1) + 1/x^2 up to
+    x >= 10, then the asymptotic series."""
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / (x * x)
+        x += 1.0
+    return (1.0 + 0.5 / x + _series(_TRIGAMMA_SERIES, x)) / x + shift
 
 
 def digamma(x):
@@ -21,8 +57,7 @@ def digamma(x):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0):
         raise ValueError("digamma requires x > 0")
-    import scipy.special
-    out = scipy.special.psi(x_arr)
+    out = np.vectorize(_digamma, otypes=[float])(x_arr)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -31,9 +66,7 @@ def trigamma(x):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0):
         raise ValueError("trigamma requires x > 0")
-    import scipy.special
-    # zeta(2, x) is what polygamma(1, x) evaluates, without its overhead
-    out = scipy.special.zeta(2.0, x_arr)
+    out = np.vectorize(_trigamma, otypes=[float])(x_arr)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -74,10 +107,8 @@ class GammaFit:
 
 def _bisect_shape(gap: float, start: float, tol: float, max_iter: int):
     """Bisection on the strictly decreasing score log(a) - digamma(a) - gap."""
-    import scipy.special
-
     def score(a):
-        return math.log(a) - float(scipy.special.psi(a)) - gap
+        return math.log(a) - _digamma(a) - gap
 
     lo = hi = start
     used = 0
@@ -138,8 +169,6 @@ def _fit_gamma_moments(vbar: float, mlog: float, tol: float = 1e-10,
     if gap <= 0.0:
         raise ValueError("degenerate sample: shape unbounded")
 
-    import scipy.special
-
     a = 0.5 / gap
     iterations = 0
     converged = False
@@ -147,8 +176,8 @@ def _fit_gamma_moments(vbar: float, mlog: float, tol: float = 1e-10,
     for _ in range(max_iter):
         iterations += 1
         # a > 0 throughout, so the validating wrappers are skipped
-        score = math.log(a) - float(scipy.special.psi(a)) - gap
-        denom = a * a * (1.0 / a - float(scipy.special.zeta(2.0, a)))
+        score = math.log(a) - _digamma(a) - gap
+        denom = a * a * (1.0 / a - _trigamma(a))
         if denom >= 0.0 or not math.isfinite(denom):
             fallback = True
             break

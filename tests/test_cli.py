@@ -7,7 +7,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy
 from numpy.testing import assert_allclose
 
 import egd
@@ -437,20 +436,7 @@ class TestBench:
         assert env == {"OPENBLAS_NUM_THREADS": "1",
                        "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None,
                        "cpu_count": os.cpu_count(),
-                       "numpy": np.__version__,
-                       "scipy": scipy.__version__}
-
-    def test_environment_without_scipy(self, tmp_path, monkeypatch):
-        import importlib.metadata
-
-        def version(name):
-            raise importlib.metadata.PackageNotFoundError(name)
-
-        monkeypatch.setattr(importlib.metadata, "version", version)
-        out = tmp_path / "r"
-        assert run_cli(*self.bench_args(out)) == 0
-        env = json.loads((out / "environment.json").read_text())
-        assert env["scipy"] is None
+                       "numpy": np.__version__}
 
     def test_unknown_algo_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as ex:

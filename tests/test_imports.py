@@ -1,8 +1,8 @@
-"""egd imports and runs its CLI on numpy alone; scipy is never loaded.
+"""egd imports and runs every CLI command on numpy alone; scipy is never
+loaded.
 
 Each scipy check runs in a fresh interpreter, since the test process itself
-has scipy loaded.  The gamma shape fits are the only code that needs scipy.
-Every name a module exports exists.
+has scipy loaded.  Every name a module exports exists.
 """
 
 import importlib
@@ -46,6 +46,7 @@ seen = {"import egd": scipy_loaded()}
 from egd.cli import main
 
 data, model, trace = work / "x.csv", work / "model.json", work / "trace.csv"
+(work / "raw.csv").write_text("1.5,2.5\n3.5,4.5\n5.5,6.5\n")
 commands = {
     "sample": ["sample", "--dim", "4", "--a", "1.2", "--b", "2.0",
                "--n", "300", "--seed", "5", "--out", data],
@@ -54,6 +55,10 @@ commands = {
     "eval": ["eval", "--data", data, "--model", model, "--mi-rate"],
     "bench": ["bench", "--dim", "4", "--a", "1.2", "--b", "2.0", "--n", "200",
               "--trials", "1", "--out-dir", work / "bench"],
+    "fit-mixture": ["fit-mixture", "--data", data, "--k", "2",
+                    "--out", work / "mixture.json"],
+    "preprocess": ["preprocess", "--data", work / "raw.csv",
+                   "--out", work / "log.csv"],
 }
 codes = {name: main([str(arg) for arg in argv])
          for name, argv in commands.items()}
@@ -73,43 +78,21 @@ def run_child(work, mode):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+COMMANDS = ("sample", "fit", "eval", "bench", "fit-mixture", "preprocess")
+
+
 def test_import_and_cli_leave_scipy_unloaded(tmp_path):
     result = run_child(tmp_path, "plain")
     assert result["seen"] == {"import egd": [], "cli": []}
-    assert result["codes"] == {"sample": 0, "fit": 0, "eval": 0, "bench": 0}
+    assert result["codes"] == dict.fromkeys(COMMANDS, 0)
 
 
 def test_cli_runs_with_scipy_absent(tmp_path):
     result = run_child(tmp_path, "block")
-    assert result["codes"] == {"sample": 0, "fit": 0, "eval": 0, "bench": 0}
-    for name in ("x.csv", "model.json", "trace.csv", "bench/environment.json"):
+    assert result["codes"] == dict.fromkeys(COMMANDS, 0)
+    for name in ("x.csv", "model.json", "trace.csv", "bench/environment.json",
+                 "mixture.json", "log.csv"):
         assert (tmp_path / name).stat().st_size > 0
-    # the installed version is read from package metadata, not by import
-    env = json.loads((tmp_path / "bench" / "environment.json").read_text())
-    assert env["scipy"]
-
-
-def test_fit_mixture_without_scipy_exits_4(tmp_path):
-    # the gamma shape fits need scipy: the command reports it in one line
-    # and exits with the data/dependency code, not with a traceback
-    from egd.cli import main
-    data = tmp_path / "x.csv"
-    assert main(["sample", "--dim", "3", "--a", "1.2", "--b", "2.0",
-                 "--n", "200", "--seed", "5", "--out", str(data)]) == 0
-    child = ('import sys; sys.modules["scipy"] = None; '
-             'from egd.cli import run; run()')
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "fit-mixture", "--data", str(data),
-         "--k", "2", "--out", str(tmp_path / "mix.json")],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 4, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-    assert "scipy" in lines[0]
-    assert not (tmp_path / "mix.json").exists()
 
 
 def test_every_public_name_exists():
