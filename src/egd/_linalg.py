@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Eigenvalues below EIG_FLOOR_REL times the largest are clamped before taking
-# matrix square roots; clamping that shifts log|M| by more than DET_SHIFT_TOL
-# means the matrix is too close to singular to use.
+# The sampler's square root clamps eigenvalues below EIG_FLOOR_REL times the
+# largest; a clamp that shifts log|M| by more than DET_SHIFT_TOL means the
+# matrix is too close to singular to use.  The fits use Cholesky factors.
 EIG_FLOOR_REL = 1e-14
 DET_SHIFT_TOL = 1e-8
 
@@ -16,8 +16,8 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def spd_eigh(mat: np.ndarray):
-    """Ascending eigenvalues (small ones clamped) and eigenvectors of SPD ``mat``.
+def spd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Symmetric square root of SPD ``mat``, small eigenvalues clamped.
 
     Raises
     ------
@@ -34,13 +34,7 @@ def spd_eigh(mat: np.ndarray):
     if abs(float(np.sum(np.log(clamped) - np.log(vals)))) > DET_SHIFT_TOL:
         raise ValueError("matrix is effectively singular: eigenvalue clamping "
                          "would alter the determinant")
-    return clamped, vecs
-
-
-def spd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric square root; raises ValueError as :func:`spd_eigh` does."""
-    vals, vecs = spd_eigh(mat)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return (vecs * np.sqrt(clamped)) @ vecs.T
 
 
 def chol_lower(mat: np.ndarray) -> np.ndarray:
@@ -49,6 +43,11 @@ def chol_lower(mat: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(symmetrize(np.asarray(mat, dtype=float)))
     except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not positive definite") from exc
+
+
+def chol_logdet(chol: np.ndarray) -> float:
+    """``log |L L'|`` of a lower Cholesky factor ``L``."""
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def tril_inv(chol: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_lower, quad_forms, spd_sqrt, symmetrize, tril_inv
+from ._linalg import (chol_logdet, chol_lower, quad_forms, spd_sqrt,
+                      symmetrize, tril_inv)
 
 __all__ = [
     "ScatterMatrix",
@@ -60,7 +61,7 @@ class ScatterMatrix:
             raise ValueError("scatter matrix must be symmetric")
         sym = np.ascontiguousarray(symmetrize(mat))
         self._chol = chol_lower(sym)
-        self._log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+        self._log_det = chol_logdet(self._chol)
         sym.setflags(write=False)
         self._entries = sym
 
@@ -259,6 +260,30 @@ def squared_radius(scatter: ScatterMatrix, x) -> float | np.ndarray:
     return quad_forms(tril_inv(scatter.cholesky), x)
 
 
+def _log(t):
+    # log 0 = -inf without a warning: a zero mixing probability, or a zero
+    # radius, which the radial kernel rejects where it matters
+    with np.errstate(divide="ignore"):
+        return np.log(t)
+
+
+def _radial_log_density(t, log_t, shift: float, const: float, scale: float,
+                        out=None):
+    """EGD log density ``(shift log t + const) - t / scale`` of squared radii
+    ``t`` with logarithms ``log_t`` (``shift = a - q/2``), into ``out`` if
+    given.  A Gaussian row (``shift = 0``) is ``const - t / scale``; any
+    other rejects a zero radius, where the density is singular or zero."""
+    if shift == 0.0:
+        return np.subtract(const, t / scale, out=out)
+    if np.any(t == 0.0):
+        prefix = "" if np.ndim(t) == 0 else f"sample {int(np.argmin(t))}: "
+        raise ValueError(prefix + "density singular/zero at origin")
+    out = np.multiply(log_t, shift, out=out)
+    out += const
+    out -= t / scale
+    return out
+
+
 def log_density(params: EgdParams, x) -> float | np.ndarray:
     """Log density of the elliptical gamma distribution.
 
@@ -281,21 +306,9 @@ def log_density(params: EgdParams, x) -> float | np.ndarray:
     singular or zero at the origin.
     """
     t = squared_radius(params.scatter, x)
-    q = params.dim
-    a = params.shape_a
-    b = params.scale_b
-    shift = a - 0.5 * q
-    if shift == 0.0:
-        elliptical = np.zeros_like(t)
-    else:
-        zero = t == 0.0
-        if np.any(zero):
-            idx = int(np.flatnonzero(zero)[0])
-            prefix = "" if np.ndim(t) == 0 else f"sample {idx}: "
-            raise ValueError(prefix + "density singular/zero at origin")
-        elliptical = shift * np.log(t)
-    out = (_log_norm_const(q, a, b) - 0.5 * params.scatter.log_det
-           + elliptical - t / b)
+    q, a, b = params.dim, params.shape_a, params.scale_b
+    const = _log_norm_const(q, a, b) - 0.5 * params.scatter.log_det
+    out = _radial_log_density(t, _log(t), a - 0.5 * q, const, b)
     return float(out) if np.ndim(t) == 0 else out
 
 

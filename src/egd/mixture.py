@@ -17,13 +17,13 @@ The squared radii ``t_ki = x_i' Sigma_k^{-1} x_i`` depend on the scatters
 only, so :func:`fit_mixture` keeps the K x n matrix of radii and of their
 logarithms and reuses both in every E-step and radial refit until the next
 scatter update (the conditional-maximization structure of ECM, Meng & Rubin
-1993).  A scatter step starts from the radii at hand and leaves the radii of
-its refit behind; they agree to rounding with the radii :func:`e_step`
-computes from the refitted scatter.  The E-step forms the K x n log-joint in
-one pass over the cached matrices, and the radial refit needs only each
-component's weighted mean radius and mean log radius.  The public
-:func:`e_step`, :func:`m_step_scatter` and :func:`m_step_shape` compute the
-radii afresh and run the same private kernels.
+1993).  A scatter step starts from the radii and their logs at hand and
+leaves those of its refit behind, which agree to rounding with the ones
+:func:`e_step` computes from the refitted scatter.  The E-step forms the
+K x n log-joint in one pass over the cached matrices, and the radial refit
+needs only each component's weighted mean radius and mean log radius.  The
+public :func:`e_step`, :func:`m_step_scatter` and :func:`m_step_shape`
+compute the radii afresh and run the same private kernels.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Dataset, EgdParams, MixtureModel, ScatterMatrix,
-                   _log_norm_const, sample, squared_radius)
+from .core import (Dataset, EgdParams, MixtureModel, ScatterMatrix, _log,
+                   _log_norm_const, _radial_log_density, sample,
+                   squared_radius)
 from .gammafit import _fit_gamma_moments
 from . import scatter
 from .scatter import RankDeficiencyError
@@ -140,57 +141,36 @@ def e_step(model: MixtureModel, data: Dataset):
     """
     if data.dim != model.dim:
         raise ValueError("data dimension does not match model")
-    radii = _squared_radii(model, data)
-    return _e_step(model, data, radii, _log(radii))
+    return _e_step(model, data, *_squared_radii(model, data))
 
 
 def _squared_radii(model, data):
-    """K x n matrix of every sample's squared radius under every scatter."""
-    return np.stack([squared_radius(comp.scatter, data.samples)
-                     for comp in model.components])
-
-
-def _log(radii):
-    # a zero radius gives -inf, which the kernels reject where it matters
-    with np.errstate(divide="ignore"):
-        return np.log(radii)
+    """K x n squared radii of each sample under each scatter, and their logs."""
+    radii = np.stack([squared_radius(comp.scatter, data.samples)
+                      for comp in model.components])
+    return radii, _log(radii)
 
 
 def _e_step(model, data, radii, log_radii):
     """:func:`e_step` from the K x n squared radii and their logarithms.
 
-    Row ``j`` of the log-joint is ``log p_j(x_i) + log pi_j``, evaluated as
-    ``((shift_j log t_ji + c_j) - t_ji / b_j) + log pi_j`` with
-    ``shift_j = a_j - q/2`` and ``c_j`` the log normalizing constant,
-    ``|Sigma_j|`` term included; a Gaussian row (``shift_j = 0``) is
-    ``c_j - t_ji / b_j`` whatever its radii.
+    Row ``j`` of the log-joint is ``log p_j(x_i) + log pi_j``: the radial
+    kernel's row, constant ``|Sigma_j|`` term included, plus ``log pi_j``.
     """
-    comps = model.components
     q = model.dim
-    shift = np.array([comp.shape_a for comp in comps]) - 0.5 * q
-    bad = np.flatnonzero((shift != 0.0) & (radii.min(axis=1) == 0.0))
-    if bad.size:
-        idx = int(np.flatnonzero(radii[bad[0]] == 0.0)[0])
-        raise ValueError(f"sample {idx}: density singular/zero at origin")
-    const = np.array([_log_norm_const(q, comp.shape_a, comp.scale_b)
-                      - 0.5 * comp.scatter.log_det for comp in comps])
-    scale = np.array([comp.scale_b for comp in comps])
-    # a zero mixing probability gives log 0; a zero radius on a Gaussian
-    # row gives 0 * log 0, and the row is reset to zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_probs = np.log(model.mix_probs)
-        log_joint = log_radii * shift[:, None]
-    log_joint[shift == 0.0] = 0.0
-    log_joint += const[:, None]
-    work = np.divide(radii, scale[:, None])
-    log_joint -= work
-    log_joint += log_probs[:, None]
+    log_joint = np.empty_like(radii)
+    for k, comp in enumerate(model.components):
+        const = (_log_norm_const(q, comp.shape_a, comp.scale_b)
+                 - 0.5 * comp.scatter.log_det)
+        _radial_log_density(radii[k], log_radii[k], comp.shape_a - 0.5 * q,
+                            const, comp.scale_b, out=log_joint[k])
+    log_joint += _log(model.mix_probs)[:, None]
     peak = log_joint.max(axis=0)
     finite = np.isfinite(peak)
     if not finite.all():
         idx = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"sample {idx} has zero density under every component")
-    np.subtract(log_joint, peak, out=work)
+    work = np.subtract(log_joint, peak)
     np.exp(work, out=work)
     log_norm = peak + np.log(work.sum(axis=0))
     log_joint -= log_norm
@@ -219,15 +199,14 @@ def m_step_scatter(data: Dataset, resp: Responsibilities,
     """
     if resp.matrix.shape != (model.n_components, data.n):
         raise ValueError("responsibilities shape does not match model and data")
-    return _m_step_scatter(data, resp, model, _squared_radii(model, data))[0]
+    return _m_step_scatter(data, resp, model, *_squared_radii(model, data))
 
 
-def _m_step_scatter(data, resp, model, radii):
-    # returns the model and the indices of the refitted components, whose
-    # rows of ``radii`` are overwritten in place with the refit's radii; a
-    # component that keeps its scatter keeps its row
+def _m_step_scatter(data, resp, model, radii, log_radii):
+    # the rows of ``radii`` and ``log_radii`` of a refitted component are
+    # overwritten in place with the refit's; a component that keeps its
+    # scatter keeps its rows
     t = resp.matrix
-    refitted = []
     new_comps = []
     new_probs = np.empty(model.n_components)
     for k, comp in enumerate(model.components):
@@ -241,9 +220,10 @@ def _m_step_scatter(data, resp, model, radii):
             continue
         try:
             steps = scatter._steps(data._reweighted(wk), comp.shape_a,
-                                   comp.scale_b, comp.scatter, radii[k])
-            ll_start = next(steps)[2]
-            sigma, refit_radii, ll, _, _ = next(steps)
+                                   comp.scale_b, comp.scatter, radii[k],
+                                   log_radii[k])
+            ll_start = next(steps)[3]
+            sigma, refit_radii, refit_log_radii, ll, _, _ = next(steps)
         except RankDeficiencyError:
             warnings.warn(f"component {k} weights concentrate on a rank-deficient "
                           "subset; scatter frozen for this sweep")
@@ -258,8 +238,8 @@ def _m_step_scatter(data, resp, model, radii):
         new_comps.append(EgdParams(ScatterMatrix(sigma), comp.shape_a,
                                    comp.scale_b))
         radii[k] = refit_radii
-        refitted.append(k)
-    return MixtureModel(new_comps, new_probs / new_probs.sum()), refitted
+        log_radii[k] = refit_log_radii
+    return MixtureModel(new_comps, new_probs / new_probs.sum())
 
 
 def m_step_shape(data: Dataset, resp: Responsibilities,
@@ -267,8 +247,7 @@ def m_step_shape(data: Dataset, resp: Responsibilities,
     """Refit every component's gamma shape and scale from squared radii."""
     if resp.matrix.shape != (model.n_components, data.n):
         raise ValueError("responsibilities shape does not match model and data")
-    radii = _squared_radii(model, data)
-    return _m_step_shape(data, resp, model, radii, _log(radii))
+    return _m_step_shape(data, resp, model, *_squared_radii(model, data))
 
 
 def _m_step_shape(data, resp, model, radii, log_radii):
@@ -396,21 +375,20 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     Components that lose all responsibility are removed with a warning.
 
     The squared radii and their logarithms are computed once for the
-    initial model.  Each scatter refit overwrites its component's row of
-    radii with those of the refit and takes the logarithm of that row only;
-    the rows are shared by every E-step and radial refit until the next
-    scatter refit and dropped with a pruned component.  The results are
-    those of calling :func:`e_step`, :func:`m_step_scatter` and
-    :func:`m_step_shape`, which recompute the radii, in the same schedule,
-    to rounding.  The returned responsibility matrix is read-only.
+    initial model.  Each scatter refit overwrites its component's rows of
+    both with those the refit leaves behind; the rows are shared by every
+    E-step and radial refit until the next scatter refit and dropped with a
+    pruned component.  The results are those of calling :func:`e_step`,
+    :func:`m_step_scatter` and :func:`m_step_shape`, which recompute the
+    radii, in the same schedule, to rounding.  The returned responsibility
+    matrix is read-only.
     """
     k = config.n_components
     if data.n < k * data.dim:
         raise ValueError("need at least n_components * dim samples")
     rng = np.random.default_rng(config.seed)
     model = _init_model(data, config, rng)
-    radii = _squared_radii(model, data)
-    log_radii = _log(radii)
+    radii, log_radii = _squared_radii(model, data)
     n_eff = data.total_weight
     trace = []
     converged = False
@@ -421,9 +399,7 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
         model, radii, log_radii, resp, total = _respond(model, radii,
                                                         log_radii, data)
         trace.append(total / n_eff)
-        model, refitted = _m_step_scatter(data, resp, model, radii)
-        for k in refitted:
-            log_radii[k] = np.log(radii[k])
+        model = _m_step_scatter(data, resp, model, radii, log_radii)
         prev_stage = None
         for _ in range(_STAGE2_SWEEPS):
             model, radii, log_radii, resp, total = _respond(model, radii,

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (chol_lower, quad_forms, reduced_eigvalsh, spd_eigh,
+from ._linalg import (chol_logdet, chol_lower, quad_forms, reduced_eigvalsh,
                       symmetrize, tril_inv)
-from .core import Dataset, ScatterMatrix, _log_norm_const
+from .core import Dataset, ScatterMatrix, _log_norm_const, _radial_log_density
 
 __all__ = [
     "RankDeficiencyError",
@@ -70,7 +70,8 @@ _ALPHA_RULES = ("eigen", "trace")
 
 
 class RankDeficiencyError(ValueError):
-    """Raised when the weighted data fail to span R^q."""
+    """Raised when the weighted data fail to span R^q: ``B`` has no Cholesky
+    factor ``L``, or ``tr(B) ||L^{-1}||_F^2 >= 1e14`` (at least cond(B))."""
 
 
 class _Breakdown(ValueError):
@@ -153,8 +154,9 @@ def compute_constants(a: float, b: float, q: int, n_eff: float):
 
 @dataclass(frozen=True, eq=False)
 class _Problem:
-    """Weighted data and constants of a fit, ``B = b_factor b_factor'`` and
-    the factor's inverse ``b_inv``, which reduces pencils ``(M, B)``."""
+    """Weighted data and constants of a fit, ``B``, its Cholesky factor
+    ``b_factor`` and the factor's inverse ``b_inv``, which reduces pencils
+    ``(M, B)``; ``B`` has a factor and ``tr(B) ||b_inv||_F^2 < 1e14``."""
 
     x: np.ndarray
     w: np.ndarray
@@ -181,14 +183,17 @@ def _problem(data: Dataset, a: float, b: float) -> _Problem:
     c, d = compute_constants(a, b, q, data.total_weight)
     b_mat = _b_matrix(data.samples, data.weights, d)
     try:
-        vals, vecs = spd_eigh(b_mat)
+        fac = chol_lower(b_mat)
+        fac_inv = tril_inv(fac)
     except ValueError as exc:
         raise RankDeficiencyError("data does not span R^q") from exc
-    root = np.sqrt(vals)
+    # tr(B) ||L^{-1}||_F^2 = tr(B) tr(B^{-1}) is cond(B) to within q^2
+    if _near_singular(1.0, np.trace(b_mat) * np.sum(fac_inv * fac_inv)):
+        raise RankDeficiencyError("data does not span R^q")
     return _Problem(x=data.samples, w=data.weights, c=c,
                     n_eff=data.total_weight, shape_a=a, scale_b=b,
                     log_const=_log_norm_const(q, a, b), b_mat=b_mat,
-                    b_factor=vecs * root, b_inv=(vecs / root).T)
+                    b_factor=fac, b_inv=fac_inv)
 
 
 def _radii(linv: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -224,7 +229,7 @@ def stationarity_residual(sigma: ScatterMatrix, data: Dataset, c: float,
 
 
 def _start(problem: _Problem, config: FixedPointConfig, identity=None):
-    """Initial scatter and its squared radii; ``identity`` defaults to ``B``."""
+    """Start, its squared radii and logs; ``identity`` defaults to ``B``."""
     if config.init == "identity":
         mat = problem.b_mat if identity is None else identity
     elif config.init == "sample-cov":
@@ -235,12 +240,15 @@ def _start(problem: _Problem, config: FixedPointConfig, identity=None):
         if mat.shape != problem.b_mat.shape:
             raise ValueError("user_matrix has wrong shape")
     start = ScatterMatrix(mat)
-    return start, _radii(tril_inv(start.cholesky), problem.x)
+    t = _radii(tril_inv(start.cholesky), problem.x)
+    return start, t, np.log(t)
 
 
-def _avg_loglik(problem: _Problem, t: np.ndarray, logdet: float) -> float:
-    q = problem.b_mat.shape[0]
-    radial = (problem.shape_a - 0.5 * q) * np.log(t) - t / problem.scale_b
+def _avg_loglik(problem: _Problem, t: np.ndarray, log_t: np.ndarray,
+                logdet: float) -> float:
+    # the constants stay outside the weighted sum
+    shift = problem.shape_a - 0.5 * problem.b_mat.shape[0]
+    radial = _radial_log_density(t, log_t, shift, 0.0, problem.scale_b)
     return (problem.log_const - 0.5 * logdet
             + float(problem.w @ radial) / problem.n_eff)
 
@@ -258,23 +266,24 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
     :class:`FixedPointConfig`.
 
     ``steps`` yields the start and then every accepted iterate as
-    ``(sigma, t, avg_loglik, trace_row, candidate)``, where ``t`` holds the
-    squared radii at ``sigma`` and ``candidate`` is the candidate at
-    ``sigma`` or None when the step does not form it (the concave fit), and
-    raises :class:`_Breakdown` when a step leaves the usable SPD cone; the
-    last accepted iterate is then reported with ``near_singular`` set.
+    ``(sigma, t, log_t, avg_loglik, trace_row, candidate)``, where ``t``
+    holds the squared radii at ``sigma``, ``log_t`` their logs, ``candidate``
+    the candidate at ``sigma`` or None when the step does not form it (the
+    concave fit), and raises :class:`_Breakdown` when a step leaves the
+    usable SPD cone; the last accepted iterate is then reported with
+    ``near_singular`` set.
     ``fields`` names the report traces filled, in order, from the entries of
     each trace row.
     """
     start = time.perf_counter()
-    sigma, t, ll_prev, _, g = next(steps)
+    sigma, t, _, ll_prev, _, g = next(steps)
     lls, rows, elapsed = [], [], []
     converged = False
     near_singular = False
     step_prev = math.inf
     try:
         for item in itertools.islice(steps, config.max_iter):
-            sigma_prev, (sigma, t, ll, row, g) = sigma, item
+            sigma_prev, (sigma, t, _, ll, row, g) = sigma, item
             lls.append(ll)
             rows.append(row)
             elapsed.append(1000.0 * (time.perf_counter() - start))
@@ -313,7 +322,8 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
     )
 
 
-def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray):
+def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
+                   log_t: np.ndarray):
     # With B = F F', C = F^{-1} Sigma F^{-T} and K = F C^{1/2} (so that
     # Sigma = K K' and P = K F'), the step P (Sigma + c' M)^{-1} P is
     # F (I + c' K^{-1} M K^{-T})^{-1} F', whose inverse is well conditioned
@@ -321,13 +331,12 @@ def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray):
     x, w = problem.x, problem.w
     fac, fac_inv = problem.b_factor, problem.b_inv
     eye = np.eye(fac.shape[0])
-    t = np.maximum(t, _DENOM_FLOOR)
     logdet = start.log_det
     sigma = start.entries
     while True:
         vals, vecs = np.linalg.eigh(symmetrize(fac_inv @ sigma @ fac_inv.T))
-        ll = _avg_loglik(problem, t, logdet)
-        yield sigma, t, ll, (float(vals[0]), float(vals[-1])), None
+        ll = _avg_loglik(problem, t, log_t, logdet)
+        yield sigma, t, log_t, ll, (float(vals[0]), float(vals[-1])), None
         # a pencil eigenvalue that rounds to zero or below stops here, so a
         # start that collapses is still reported
         if _near_singular(float(vals[0]), float(vals[-1])):
@@ -341,7 +350,8 @@ def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray):
             t = _radii(tril_inv(chol), x)
         except ValueError as exc:
             raise _Breakdown("iterate is not factorizable") from exc
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        log_t = np.log(t)
+        logdet = chol_logdet(chol)
 
 
 def fit_concave(data: Dataset, a: float, b: float,
@@ -395,19 +405,18 @@ def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
 
 
 def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
-                  rule: str | None):
+                  log_t: np.ndarray, rule: str | None):
     # rule None: every step is accepted unscaled and the map spectrum is
     # not traced (Kent-Tyler)
     c, x, w, b_mat = problem.c, problem.x, problem.w, problem.b_mat
     q = b_mat.shape[0]
-    t = np.maximum(t, _DENOM_FLOOR)
-    ll = _avg_loglik(problem, t, start.log_det)
+    ll = _avg_loglik(problem, t, log_t, start.log_det)
     sigma = start.entries
     row = None
     # the candidate at sigma, and the map spectrum if the last step carried it
     g_prime, lam_n = _candidate(b_mat, c, x, w, t), None
     while True:
-        yield sigma, t, ll, row, g_prime
+        yield sigma, t, log_t, ll, row, g_prime
         try:
             if rule is not None and lam_n is None:
                 # the start's factor is cached; later iterates are factored
@@ -434,8 +443,9 @@ def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
                    alpha * float(mu[0]), alpha * float(mu[-1]))
         sigma = alpha * g_prime
         t = t_prime / alpha
-        ll = _avg_loglik(problem, t, q * math.log(alpha)
-                         + 2.0 * float(np.sum(np.log(np.diag(chol)))))
+        log_t = np.log(t)
+        ll = _avg_loglik(problem, t, log_t,
+                         q * math.log(alpha) + chol_logdet(chol))
         # With t = t'/alpha the next candidate is B + alpha (G2 - B).  At
         # alpha = 1 it is G2 bit for bit, and G2's spectrum relative to
         # Sigma' = sigma, if the rule computed it, is the next map spectrum.
@@ -505,10 +515,11 @@ def fit_scatter(data: Dataset, a: float, b: float,
 
 
 def _steps(data: Dataset, a: float, b: float, start: ScatterMatrix,
-           t: np.ndarray):
+           t: np.ndarray, log_t: np.ndarray):
     """Step generator (see :func:`_run`) of :func:`fit_scatter`'s default
-    iteration from ``start``, whose squared radii are ``t``."""
+    iteration from ``start``, whose squared radii are ``t``, logs ``log_t``."""
     problem = _problem(data, a, b)
+    t = np.maximum(t, _DENOM_FLOOR)
     if problem.c <= 0.0:
-        return _concave_steps(problem, start, t)
-    return _scaled_steps(problem, start, t, FixedPointConfig.alpha_rule)
+        return _concave_steps(problem, start, t, log_t)
+    return _scaled_steps(problem, start, t, log_t, FixedPointConfig.alpha_rule)

@@ -66,10 +66,9 @@ def nonconcave_reference_step(data, a, b, sigma, t):
     ``t`` holds the squared radii ``x_i' sigma^{-1} x_i``.  The candidate
     ``Sigma' = B + c sum_i w_i x_i x_i' / t_i`` is built from the data, and
     so is the map matrix ``G2`` at ``Sigma'``.  The arithmetic of each, of
-    the radii and of the pencil eigenvalues (reduction by an inverse factor
-    of the pencil's second matrix: the Cholesky factor, or ``V D^{1/2}``
-    from the eigendecomposition ``B = V D V'``) is the library's, so that a
-    step from the same state can be compared bit for bit.  Returns
+    the radii and of the pencil eigenvalues (reduction by the inverse
+    Cholesky factor of the pencil's second matrix) is the library's, so that
+    a step from the same state can be compared bit for bit.  Returns
     ``(row, case, sigma_next, t_next, logdet_next)`` with
     ``row = (alpha, lam_min, lam_max, eig_min, eig_max)`` as in the
     report's traces.
@@ -80,15 +79,14 @@ def nonconcave_reference_step(data, a, b, sigma, t):
     def sym(mat):
         return 0.5 * (mat + mat.T)
 
+    def chol_inv(spd):
+        return np.tril(np.linalg.inv(np.linalg.cholesky(spd)))
+
     b_mat = sym(d * (x * w[:, None]).T @ x)
-    vals, vecs = np.linalg.eigh(b_mat)
-    b_inv = (vecs / np.sqrt(vals)).T
+    b_inv = chol_inv(b_mat)
 
     def candidate(forms):
         return sym(b_mat + (x * (c * w / forms)[:, None]).T @ x)
-
-    def chol_inv(spd):
-        return np.tril(np.linalg.inv(np.linalg.cholesky(spd)))
 
     def pencil_eigvals(mat, linv):
         return np.linalg.eigvalsh(sym(linv @ mat @ linv.T))

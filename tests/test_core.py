@@ -211,6 +211,12 @@ class TestLogDensity:
         with pytest.raises(ValueError, match="sample 1"):
             egd.log_density(p, x)
 
+    @pytest.mark.parametrize("shape_a", [0.5, 1.0])
+    def test_no_rows(self, shape_a):
+        # off and on the Gaussian boundary a = q/2
+        p = egd.EgdParams(egd.ScatterMatrix.identity(2), shape_a, 2.0)
+        assert egd.log_density(p, np.empty((0, 2))).shape == (0,)
+
     def test_affine_equivariance(self):
         rng = np.random.default_rng(RNG_SEED + 2)
         sigma = random_spd(3, rng)

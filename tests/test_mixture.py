@@ -18,10 +18,10 @@ def scatter_steps(monkeypatch):
     calls = []
     steps = egd.scatter._steps
 
-    def spy(data, a, b, start, radii):
+    def spy(*args):
         drawn = []
         calls.append(drawn)
-        for item in steps(data, a, b, start, radii):
+        for item in steps(*args):
             drawn.append(item)
             yield item
 
@@ -226,15 +226,15 @@ class TestMSteps:
         resp, before = egd.e_step(model, data)
         steps = egd.scatter._steps
 
-        def inflated(data, a, b, start, radii):
+        def inflated(data, a, b, *start):
             # an honest start, then three times the honest refit, with the
             # log-likelihood and radii that go with it
-            gen = steps(data, a, b, start, radii)
+            gen = steps(data, a, b, *start)
             yield next(gen)
-            sigma, t, _, row, g = next(gen)
+            sigma, t, _, _, row, g = next(gen)
             worse = egd.EgdParams(egd.ScatterMatrix(3.0 * sigma), a, b)
             ll = egd.log_likelihood(worse, data) / data.total_weight
-            yield 3.0 * sigma, t / 3.0, ll, row, g
+            yield 3.0 * sigma, t / 3.0, np.log(t / 3.0), ll, row, g
 
         monkeypatch.setattr(egd.scatter, "_steps", inflated)
         stepped = egd.m_step_scatter(data, resp, model)
@@ -249,19 +249,19 @@ class TestMSteps:
         resp, _ = egd.e_step(model, data)
         steps = egd.scatter._steps
 
-        def broken(data, a, b, start, radii):
-            yield next(steps(data, a, b, start, radii))
+        def broken(*args):
+            yield next(steps(*args))
             raise egd.scatter._Breakdown("candidate is near singular")
 
         monkeypatch.setattr(egd.scatter, "_steps", broken)
-        radii = egd.mixture._squared_radii(model, data)
-        before = radii.copy()
-        stepped, refitted = egd.mixture._m_step_scatter(data, resp, model,
-                                                        radii)
+        radii, log_radii = egd.mixture._squared_radii(model, data)
+        before = radii.copy(), log_radii.copy()
+        stepped = egd.mixture._m_step_scatter(data, resp, model, radii,
+                                              log_radii)
         for new, old in zip(stepped.components, model.components):
             assert new.scatter is old.scatter
-        assert refitted == []
-        assert np.array_equal(radii, before)
+        assert np.array_equal(radii, before[0])
+        assert np.array_equal(log_radii, before[1])
 
     def test_shape_step_monotone_and_updates_radial(self, blob_data):
         model, data = blob_data

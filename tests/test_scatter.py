@@ -8,8 +8,8 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 import egd
-from egd._linalg import reduced_eigvalsh
-from egd.scatter import _problem, _start
+from egd._linalg import chol_lower, reduced_eigvalsh
+from egd.scatter import _b_matrix, _problem, _start
 from helpers import (ascent_oracle_avg_loglik, kent_tyler_reference,
                      make_egd_data, nonconcave_reference,
                      nonconcave_reference_step, random_spd, rel_frob,
@@ -56,6 +56,22 @@ class TestBMatrix:
         w[:2] = 1.0
         with pytest.raises(egd.RankDeficiencyError):
             _problem(egd.Dataset(x, w), 0.1, 2.0)
+
+    @pytest.mark.parametrize("spread, spans", [(1e-7, False), (1e-6, True)])
+    def test_factorable_but_ill_conditioned(self, spread, spans):
+        # cond(B) is about 3e14 at spread 1e-7 and 3e12 at 1e-6; the
+        # Cholesky factorization succeeds at both, so the condition bound
+        # alone decides
+        x = np.random.default_rng(7).standard_normal((50, 4))
+        x[:, 3] = x[:, 0] + spread * x[:, 3]
+        # d = 2 / (b n_eff) = 0.02
+        chol_lower(_b_matrix(x, np.ones(50), 0.02))
+        if spans:
+            _problem(egd.Dataset(x), 0.1, 2.0)
+        else:
+            with pytest.raises(egd.RankDeficiencyError,
+                               match="does not span R\\^q"):
+                _problem(egd.Dataset(x), 0.1, 2.0)
 
     def test_factor_reconstruction(self):
         rng = np.random.default_rng(2)
@@ -397,13 +413,13 @@ class TestCarriedCandidate:
             cfg = self._config(user)
             steps = egd.scatter._scaled_steps(
                 problem, *_start(problem, cfg), "eigen")
-            sigma, t, _, _, _ = next(steps)
+            sigma, t, _, _, _, _ = next(steps)
             prev_case = None  # the first candidate is built from the data
             fit = egd.fit_nonconcave(data, self.A, self.B, cfg)
             for _ in range(fit.iterations):
                 ref_row, case, *_ = nonconcave_reference_step(
                     data, self.A, self.B, sigma, t)
-                sigma, t, _, row, _ = next(steps)
+                sigma, t, _, _, row, _ = next(steps)
                 if prev_case in (None, 1):
                     assert row == ref_row
                 else:
@@ -440,13 +456,14 @@ class TestAscentGuard:
         yield from steps
 
     @staticmethod
-    def stretched(problem, sigma, t, ll, row, g):
+    def stretched(problem, sigma, t, log_t, ll, row, g):
         # a real iterate, three times the honest one and far worse; its
         # candidate B + c sum_i w_i x_i x_i' / (t_i / 3) is B + 3 (G - B)
         logdet = float(np.linalg.slogdet(3.0 * sigma)[1])
         b_mat = problem.b_mat
-        return (3.0 * sigma, t / 3.0,
-                egd.scatter._avg_loglik(problem, t / 3.0, logdet), row,
+        t, log_t = t / 3.0, np.log(t / 3.0)
+        return (3.0 * sigma, t, log_t,
+                egd.scatter._avg_loglik(problem, t, log_t, logdet), row,
                 b_mat + 3.0 * (g - b_mat))
 
     def test_public_fits_have_no_guard(self, problem):
@@ -526,7 +543,7 @@ class TestStartPencilDefect:
         rng = np.random.default_rng(24)
         x = rng.standard_normal((100, 3))
         problem = _problem(egd.Dataset(x), 0.1, 2.0)
-        start, _ = _start(problem, egd.FixedPointConfig(init="identity"))
+        start = _start(problem, egd.FixedPointConfig(init="identity"))[0]
         assert rel_frob(start.entries, problem.b_mat) < 1e-12
 
     def test_identity_b(self):
@@ -581,6 +598,24 @@ class TestStartPencilDefect:
         report = fit(egd.Dataset(x), a, 2.0)
         assert report.converged and not report.near_singular
         assert 0.0 < report.sigma_hat.entries[0, 0] < 1e-190
+
+
+class TestReportedLoglik:
+    @pytest.mark.parametrize("fit, a, rule", [
+        (egd.fit_concave, 4.0, "eigen"), (egd.fit_nonconcave, 1.0, "eigen"),
+        (egd.fit_nonconcave, 1.0, "trace"), (egd.fit_kent_tyler, 1.0, "eigen")],
+        ids=["concave", "eigen", "trace", "kent-tyler"])
+    def test_final_value_is_public_density(self, fit, a, rule):
+        # the traced average log-likelihood of the returned scatter is the
+        # one the public density gives on the same weighted data
+        b = 1.5
+        sample, _ = make_egd_data(5, a, b, 400, seed=29)
+        w = np.random.default_rng(30).uniform(0.0, 2.0, sample.n)
+        data = egd.Dataset(sample.samples, w)
+        report = fit(data, a, b, egd.FixedPointConfig(alpha_rule=rule))
+        expect = egd.log_likelihood(egd.EgdParams(report.sigma_hat, a, b),
+                                    data) / data.total_weight
+        assert report.loglik_trace[-1] == pytest.approx(expect, rel=1e-12)
 
 
 class TestConfigValidation:
