@@ -65,6 +65,16 @@ class ScatterMatrix:
         sym.setflags(write=False)
         self._entries = sym
 
+    @classmethod
+    def _unchecked(cls, entries: np.ndarray, chol: np.ndarray,
+                   log_det: float) -> "ScatterMatrix":
+        # a fit's iterate: exactly symmetric, with a Cholesky factor and
+        # log-determinant the fit already computed
+        entries.setflags(write=False)
+        out = object.__new__(cls)
+        out._entries, out._chol, out._log_det = entries, chol, log_det
+        return out
+
     @property
     def dim(self) -> int:
         return self._entries.shape[0]

@@ -7,7 +7,10 @@ shape and scale from the squared radii under the current scatters.
 
 The scatter block is a generalized-EM step (Dempster, Laird & Rubin 1977):
 each component takes one fixed-point step from its current scatter per
-sweep instead of solving its subproblem.  The M-step then compares the
+sweep instead of solving its subproblem.  A nonconcave component's step
+uses the trace rule for its scaling, so it forms two n x q^2 products, the
+weighted second moment and the candidate at the start, and the refit keeps
+the Cholesky factor the step computed.  The M-step then compares the
 refit with its start: when the refit lowers the component's weighted
 log-likelihood it is dropped and the start kept, so no scatter sweep lowers
 the EM objective and the per-sweep trace is nondecreasing by construction,
@@ -188,14 +191,16 @@ def m_step_scatter(data: Dataset, resp: Responsibilities,
                    model: MixtureModel) -> MixtureModel:
     """Refit every component scatter with radial parameters held fixed.
 
-    Component ``k`` takes one step of the default (eigen-rule) fixed point
-    (a generalized-EM update) with weights ``w_i t_ki`` from its current
-    scatter.  The refit is then compared with its start, and a refit that
-    lowers the component's weighted log-likelihood is dropped in favour of
-    the start, so the M-step never lowers the EM objective.  A component
-    whose effective weight falls below the dimension is left unchanged for
-    the sweep and flagged with a warning.  Mixing probabilities are
-    refreshed from the responsibilities.
+    Component ``k`` takes one step of its regime's fixed point (a
+    generalized-EM update) with weights ``w_i t_ki`` from its current
+    scatter; a nonconcave step is scaled by the trace rule
+    (``alpha_rule='trace'``), which forms two n x q^2 products.  The refit
+    is then compared with its start, and a refit that lowers the component's
+    weighted log-likelihood (or whose log-likelihood is not a number) is
+    dropped in favour of the start, so the M-step never lowers the EM
+    objective.  A component whose effective weight falls below the dimension
+    is left unchanged for the sweep and flagged with a warning.  Mixing
+    probabilities are refreshed from the responsibilities.
     """
     if resp.matrix.shape != (model.n_components, data.n):
         raise ValueError("responsibilities shape does not match model and data")
@@ -207,12 +212,13 @@ def _m_step_scatter(data, resp, model, radii, log_radii):
     # overwritten in place with the refit's; a component that keeps its
     # scatter keeps its rows
     t = resp.matrix
+    total = data.total_weight
     new_comps = []
     new_probs = np.empty(model.n_components)
     for k, comp in enumerate(model.components):
         wk = data.weights * t[k]
         swk = float(wk.sum())
-        new_probs[k] = swk / data.total_weight
+        new_probs[k] = swk / total
         if swk < data.dim:
             warnings.warn(f"component {k} is degenerate (effective weight "
                           f"{swk:.3g} < dim); scatter frozen for this sweep")
@@ -232,11 +238,10 @@ def _m_step_scatter(data, resp, model, radii, log_radii):
         except scatter._Breakdown:
             new_comps.append(comp)
             continue
-        if ll < ll_start:
+        if not ll >= ll_start:
             new_comps.append(comp)
             continue
-        new_comps.append(EgdParams(ScatterMatrix(sigma), comp.shape_a,
-                                   comp.scale_b))
+        new_comps.append(EgdParams(sigma, comp.shape_a, comp.scale_b))
         radii[k] = refit_radii
         log_radii[k] = refit_log_radii
     return MixtureModel(new_comps, new_probs / new_probs.sum())
@@ -253,12 +258,13 @@ def m_step_shape(data: Dataset, resp: Responsibilities,
 def _m_step_shape(data, resp, model, radii, log_radii):
     # the weighted mean radius and mean log radius are all a gamma fit reads
     t = resp.matrix
+    total = data.total_weight
     new_comps = []
     new_probs = np.empty(model.n_components)
     for k, comp in enumerate(model.components):
         wk = data.weights * t[k]
         swk = float(wk.sum())
-        new_probs[k] = swk / data.total_weight
+        new_probs[k] = swk / total
         if swk <= 0.0:
             warnings.warn(f"component {k} is empty; radial parameters frozen")
             new_comps.append(comp)
@@ -305,19 +311,26 @@ def _labels_to_model(data, labels, k):
     x = data.samples
     w = data.weights
     q = data.dim
-    pooled = _second_moment(x, w)
+    total = data.total_weight
+    # an empty cluster, or one whose moment is not SPD, takes the pooled one
+    pooled = None
     comps = []
     probs = np.empty(k)
     for j in range(k):
         mask = labels == j
         wj = w * mask
         swj = float(wj.sum())
-        probs[j] = swj / data.total_weight
-        mat = _second_moment(x, wj) if swj > 0.0 else pooled
-        try:
-            sigma = ScatterMatrix(mat)
-        except ValueError:
-            sigma = ScatterMatrix(pooled)
+        probs[j] = swj / total
+        sigma = None
+        if swj > 0.0:
+            try:
+                sigma = ScatterMatrix(_second_moment(x, wj))
+            except ValueError:
+                pass
+        if sigma is None:
+            if pooled is None:
+                pooled = ScatterMatrix(_second_moment(x, w))
+            sigma = pooled
         comps.append(EgdParams(sigma, 0.5 * q, 2.0))
     probs = np.maximum(probs, 1.0 / (k * max(data.n, 1)))
     return MixtureModel(comps, probs / probs.sum())

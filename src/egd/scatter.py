@@ -20,16 +20,20 @@ the weighted second moment.  The sign of ``c`` selects the regime:
   ``(Sigma, B)`` stay inside a fixed box, and ``c = 0`` lands on ``B``.
 * ``c > 0`` (``a < q/2``) accepts ``alpha Sigma'`` with a per-step scalar
   ``alpha`` chosen either by an eigenvalue case analysis or by a trace
-  normalization.  Every step evaluates the map matrix ``G2``, the candidate
-  at ``Sigma'``, and the next candidate is ``B + alpha (G2 - B)``: only the
-  start's candidate is built from the data, and the last one gives the
-  stationarity residual.  The data-augmentation baseline of Kent and Tyler
+  normalization.  A step's next candidate is ``B + alpha (G2 - B)``, with
+  ``G2`` the map matrix, the candidate at ``Sigma'``: only the start's
+  candidate is built from the data.  The eigen rule reads ``G2`` and forms
+  it with every step; the trace rule does not, and forms it only when a
+  further step is drawn.  The data-augmentation baseline of Kent and Tyler
   is the unscaled (``alpha = 1``) iteration ``Sigma <- Sigma'``.
 
 One driver runs all three iterations and stops when the average
 log-likelihood changes by less than ``tol`` (for a ``tol`` below the
-rounding of the log-likelihood, once the steps also stop shrinking); the EM
-scatter M-step takes single steps of the same step generators.
+rounding of the log-likelihood, once the steps also stop shrinking); the
+last candidate gives the stationarity residual.  The EM scatter M-step
+takes single steps of the same step generators, with the trace rule for
+``c > 0``: one such step forms two n x q^2 products, ``B`` and the start's
+candidate.
 """
 
 from __future__ import annotations
@@ -180,7 +184,8 @@ def _b_matrix(x: np.ndarray, w: np.ndarray, d: float) -> np.ndarray:
 def _problem(data: Dataset, a: float, b: float) -> _Problem:
     """Raises :class:`RankDeficiencyError` when ``B`` is effectively singular."""
     q = data.dim
-    c, d = compute_constants(a, b, q, data.total_weight)
+    n_eff = data.total_weight
+    c, d = compute_constants(a, b, q, n_eff)
     b_mat = _b_matrix(data.samples, data.weights, d)
     try:
         fac = chol_lower(b_mat)
@@ -191,7 +196,7 @@ def _problem(data: Dataset, a: float, b: float) -> _Problem:
     if _near_singular(1.0, np.trace(b_mat) * np.sum(fac_inv * fac_inv)):
         raise RankDeficiencyError("data does not span R^q")
     return _Problem(x=data.samples, w=data.weights, c=c,
-                    n_eff=data.total_weight, shape_a=a, scale_b=b,
+                    n_eff=n_eff, shape_a=a, scale_b=b,
                     log_const=_log_norm_const(q, a, b), b_mat=b_mat,
                     b_factor=fac, b_inv=fac_inv)
 
@@ -266,12 +271,13 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
     :class:`FixedPointConfig`.
 
     ``steps`` yields the start and then every accepted iterate as
-    ``(sigma, t, log_t, avg_loglik, trace_row, candidate)``, where ``t``
+    ``(sigma, t, log_t, avg_loglik, trace_row, candidate)``, where ``sigma``
+    is a :class:`ScatterMatrix` with the factor the step computed, ``t``
     holds the squared radii at ``sigma``, ``log_t`` their logs, ``candidate``
     the candidate at ``sigma`` or None when the step does not form it (the
-    concave fit), and raises :class:`_Breakdown` when a step leaves the
-    usable SPD cone; the last accepted iterate is then reported with
-    ``near_singular`` set.
+    concave fit and the trace rule), and raises :class:`_Breakdown` when a
+    step leaves the usable SPD cone; the last accepted iterate is then
+    reported with ``near_singular`` set.
     ``fields`` names the report traces filled, in order, from the entries of
     each trace row.
     """
@@ -291,7 +297,7 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
             if config.tol <= _LL_ROUNDING_ULPS * np.spacing(abs(ll)):
                 # rounded log-likelihoods tie long before the iteration
                 # settles; such a tol waits for the step to stop shrinking
-                step = _residual(sigma_prev, sigma)
+                step = _residual(sigma_prev.entries, sigma.entries)
                 settled, step_prev = settled and step >= step_prev, step
             if settled:
                 converged = True
@@ -305,13 +311,14 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
             if g is None:
                 g = _candidate(problem.b_mat, problem.c, problem.x,
                                problem.w, t)
-            residual = _residual(sigma, g)
+            residual = _residual(sigma.entries, g)
         except ValueError:
             near_singular = True
     traces = {name: np.asarray([row[i] for row in rows])
               for i, name in enumerate(fields)}
     return FitReport(
-        sigma_hat=ScatterMatrix(sigma),
+        # factored afresh, so a scaled fit reports the factor of its entries
+        sigma_hat=ScatterMatrix(sigma.entries),
         iterations=len(lls),
         converged=converged,
         final_residual=residual,
@@ -331,11 +338,11 @@ def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
     x, w = problem.x, problem.w
     fac, fac_inv = problem.b_factor, problem.b_inv
     eye = np.eye(fac.shape[0])
-    logdet = start.log_det
-    sigma = start.entries
+    sigma = start
     while True:
-        vals, vecs = np.linalg.eigh(symmetrize(fac_inv @ sigma @ fac_inv.T))
-        ll = _avg_loglik(problem, t, log_t, logdet)
+        vals, vecs = np.linalg.eigh(
+            symmetrize(fac_inv @ sigma.entries @ fac_inv.T))
+        ll = _avg_loglik(problem, t, log_t, sigma.log_det)
         yield sigma, t, log_t, ll, (float(vals[0]), float(vals[-1])), None
         # a pencil eigenvalue that rounds to zero or below stops here, so a
         # start that collapses is still reported
@@ -343,15 +350,15 @@ def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
             raise _Breakdown("iterate is near singular")
         k_inv = ((vecs / np.sqrt(vals)) @ vecs.T) @ fac_inv
         m = (x * (w / t)[:, None]).T @ x
-        sigma = symmetrize(fac @ np.linalg.inv(
+        entries = symmetrize(fac @ np.linalg.inv(
             eye + c_prime * symmetrize(k_inv @ m @ k_inv.T)) @ fac.T)
         try:
-            chol = chol_lower(sigma)
+            chol = chol_lower(entries)
             t = _radii(tril_inv(chol), x)
         except ValueError as exc:
             raise _Breakdown("iterate is not factorizable") from exc
         log_t = np.log(t)
-        logdet = chol_logdet(chol)
+        sigma = ScatterMatrix._unchecked(entries, chol, chol_logdet(chol))
 
 
 def fit_concave(data: Dataset, a: float, b: float,
@@ -375,9 +382,10 @@ def fit_concave(data: Dataset, a: float, b: float,
 
 
 def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
-           linv: np.ndarray, g2: np.ndarray):
+           linv: np.ndarray, g2: np.ndarray | None):
     """Step scaling at the candidate ``sigma_prime`` (inverse Cholesky
-    factor ``linv``) and its map matrix ``g2``.
+    factor ``linv``) and its map matrix ``g2``, which the trace rule does not
+    read.
 
     The eigen rule leaves the step unscaled when the map spectrum ``lam``,
     that of the pencil ``(g2, sigma_prime)``, brackets one; otherwise it
@@ -404,24 +412,35 @@ def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
     return alpha, lam
 
 
+def _carried(b_mat: np.ndarray, g2: np.ndarray, alpha: float) -> np.ndarray:
+    # With t = t'/alpha the candidate at alpha Sigma' is B + alpha (G2 - B);
+    # at alpha = 1 it is G2 bit for bit
+    return g2 if alpha == 1.0 else b_mat + alpha * (g2 - b_mat)
+
+
 def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
-                  log_t: np.ndarray, rule: str | None):
-    # rule None: every step is accepted unscaled and the map spectrum is
-    # not traced (Kent-Tyler)
+                  log_t: np.ndarray, rule: str | None, rows: bool = True):
+    # rule None: every step is accepted unscaled (Kent-Tyler); rows False:
+    # no trace rows, so no map spectrum, which only fills them
     c, x, w, b_mat = problem.c, problem.x, problem.w, problem.b_mat
     q = b_mat.shape[0]
     ll = _avg_loglik(problem, t, log_t, start.log_det)
-    sigma = start.entries
-    row = None
+    sigma, row = start, None
     # the candidate at sigma, and the map spectrum if the last step carried it
     g_prime, lam_n = _candidate(b_mat, c, x, w, t), None
     while True:
         yield sigma, t, log_t, ll, row, g_prime
+        if g_prime is None:
+            # the trace rule's G2, formed now that a further step is drawn
+            g_prime = _carried(b_mat, _candidate(b_mat, c, x, w, t_prime),
+                               alpha)
         try:
-            if rule is not None and lam_n is None:
+            if rows and lam_n is None:
                 # the start's factor is cached; later iterates are factored
-                chol = (start.cholesky if sigma is start.entries
-                        else chol_lower(sigma))
+                # from their entries, since the step's sqrt(alpha) chol(Sigma')
+                # would move the traced spectrum by rounding
+                chol = (start.cholesky if sigma is start
+                        else chol_lower(sigma.entries))
                 lam_n = reduced_eigvalsh(g_prime, tril_inv(chol))
             chol = chol_lower(g_prime)
             linv = tril_inv(chol)
@@ -435,24 +454,23 @@ def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
                 or _near_singular(float(mu[0]), float(mu[-1]))):
             raise _Breakdown("candidate is near singular")
         t_prime = _radii(linv, x)
-        g2 = _candidate(b_mat, c, x, w, t_prime)
+        g2 = None if rule == "trace" else _candidate(b_mat, c, x, w, t_prime)
         alpha, lam = 1.0, None
         if rule is not None:
             alpha, lam = _alpha(rule, problem, g_prime, linv, g2)
+        if rows:
             row = (alpha, float(lam_n[0]), float(lam_n[-1]),
                    alpha * float(mu[0]), alpha * float(mu[-1]))
-        sigma = alpha * g_prime
+        sigma = ScatterMatrix._unchecked(
+            alpha * g_prime, math.sqrt(alpha) * chol,
+            q * math.log(alpha) + chol_logdet(chol))
         t = t_prime / alpha
         log_t = np.log(t)
-        ll = _avg_loglik(problem, t, log_t,
-                         q * math.log(alpha) + chol_logdet(chol))
-        # With t = t'/alpha the next candidate is B + alpha (G2 - B).  At
-        # alpha = 1 it is G2 bit for bit, and G2's spectrum relative to
-        # Sigma' = sigma, if the rule computed it, is the next map spectrum.
-        if alpha == 1.0:
-            g_prime, lam_n = g2, lam
-        else:
-            g_prime, lam_n = b_mat + alpha * (g2 - b_mat), None
+        ll = _avg_loglik(problem, t, log_t, sigma.log_det)
+        # at alpha = 1 G2's spectrum relative to Sigma' = sigma, if the rule
+        # computed it, is the next map spectrum
+        g_prime = None if g2 is None else _carried(b_mat, g2, alpha)
+        lam_n = lam if alpha == 1.0 else None
 
 
 def fit_nonconcave(data: Dataset, a: float, b: float,
@@ -469,7 +487,10 @@ def fit_nonconcave(data: Dataset, a: float, b: float,
     either rule the map matrix ``G2``, built from the candidate's squared
     radii ``t'``, is carried forward: the next candidate is
     ``B + alpha (G2 - B)``, which is ``G2`` itself (with the eigen rule's map
-    spectrum) when ``alpha = 1``.
+    spectrum) when ``alpha = 1``.  The eigen rule forms ``G2`` with its step;
+    the trace rule, whose ``alpha`` does not read it, forms it lazily when
+    the next step is drawn, and the last candidate is built from the data
+    for the stationarity residual.
     ``a = q/2`` (``c = 0``) is accepted and lands on ``B`` in a single step.
     """
     config = config or FixedPointConfig()
@@ -500,7 +521,7 @@ def fit_kent_tyler(data: Dataset, a: float, b: float,
     problem = _problem(data, a, b)
     return _run(problem, config,
                 _scaled_steps(problem, *_start(problem, config, np.eye(q)),
-                              None),
+                              None, rows=False),
                 ())
 
 
@@ -516,10 +537,12 @@ def fit_scatter(data: Dataset, a: float, b: float,
 
 def _steps(data: Dataset, a: float, b: float, start: ScatterMatrix,
            t: np.ndarray, log_t: np.ndarray):
-    """Step generator (see :func:`_run`) of :func:`fit_scatter`'s default
-    iteration from ``start``, whose squared radii are ``t``, logs ``log_t``."""
+    """Step generator (see :func:`_run`) of the EM scatter M-step from
+    ``start``, whose squared radii are ``t``, logs ``log_t``: concave steps,
+    or trace-rule steps without trace rows, whose start and first step form
+    two n x q^2 products (``B`` and the start's candidate) and no ``G2``."""
     problem = _problem(data, a, b)
     t = np.maximum(t, _DENOM_FLOOR)
     if problem.c <= 0.0:
         return _concave_steps(problem, start, t, log_t)
-    return _scaled_steps(problem, start, t, log_t, FixedPointConfig.alpha_rule)
+    return _scaled_steps(problem, start, t, log_t, "trace", rows=False)

@@ -60,18 +60,20 @@ def quad_forms_longdouble(chol, rows):
     return np.sum(z * z, axis=1)
 
 
-def nonconcave_reference_step(data, a, b, sigma, t):
-    """One eigen-rule step of the nonconcave fixed point from ``sigma``.
+def nonconcave_reference_step(data, a, b, sigma, t, alpha_rule="eigen"):
+    """One step of the nonconcave fixed point from ``sigma``.
 
     ``t`` holds the squared radii ``x_i' sigma^{-1} x_i``.  The candidate
     ``Sigma' = B + c sum_i w_i x_i x_i' / t_i`` is built from the data, and
-    so is the map matrix ``G2`` at ``Sigma'``.  The arithmetic of each, of
-    the radii and of the pencil eigenvalues (reduction by the inverse
-    Cholesky factor of the pencil's second matrix) is the library's, so that
-    a step from the same state can be compared bit for bit.  Returns
-    ``(row, case, sigma_next, t_next, logdet_next)`` with
+    so is, under the eigen rule, the map matrix ``G2`` at ``Sigma'``.  The
+    arithmetic of each, of the radii, of the trace rule's
+    ``alpha = tr(Sigma'^{-1} B) / (2a)`` and of the pencil eigenvalues
+    (reduction by the inverse Cholesky factor of the pencil's second matrix)
+    is the library's, so that a step from the same state can be compared bit
+    for bit.  Returns ``(row, case, sigma_next, t_next, logdet_next)`` with
     ``row = (alpha, lam_min, lam_max, eig_min, eig_max)`` as in the
-    report's traces.
+    report's traces and ``case`` the eigen rule's case (None under the
+    trace rule).
     """
     x, w = data.samples, data.weights
     c, d = egd.compute_constants(a, b, data.dim, data.total_weight)
@@ -97,15 +99,18 @@ def nonconcave_reference_step(data, a, b, sigma, t):
     linv = np.tril(np.linalg.inv(chol))
     z = x @ linv.T
     t_prime = np.maximum(np.einsum("ij,ij->i", z, z), 1e-300)
-    g2 = candidate(t_prime)
-    lam2 = pencil_eigvals(g2, linv)
     mu = pencil_eigvals(g_prime, b_inv)
-    if lam2[-1] >= 1.0 >= lam2[0]:
-        alpha, case = 1.0, 1
+    if alpha_rule == "trace":
+        alpha, case = float(np.sum((linv.T @ linv) * b_mat)) / (2.0 * a), None
     else:
-        case = 2 if lam2[-1] < 1.0 else 3
-        avals = pencil_eigvals(g_prime + b_mat - g2, b_inv)
-        alpha = 1.0 / float(avals[0] if case == 2 else avals[-1])
+        g2 = candidate(t_prime)
+        lam2 = pencil_eigvals(g2, linv)
+        if lam2[-1] >= 1.0 >= lam2[0]:
+            alpha, case = 1.0, 1
+        else:
+            case = 2 if lam2[-1] < 1.0 else 3
+            avals = pencil_eigvals(g_prime + b_mat - g2, b_inv)
+            alpha = 1.0 / float(avals[0] if case == 2 else avals[-1])
     row = (alpha, float(lam[0]), float(lam[-1]),
            alpha * float(mu[0]), alpha * float(mu[-1]))
     logdet = (data.dim * np.log(alpha)
@@ -113,8 +118,9 @@ def nonconcave_reference_step(data, a, b, sigma, t):
     return row, case, alpha * g_prime, t_prime / alpha, logdet
 
 
-def nonconcave_reference(data, a, b, sigma0, tol, max_iter=1000):
-    """Eigen-rule nonconcave fixed point that rebuilds ``Sigma'`` every step.
+def nonconcave_reference(data, a, b, sigma0, tol, max_iter=1000,
+                         alpha_rule="eigen"):
+    """Nonconcave fixed point that rebuilds ``Sigma'`` every step.
 
     Starts from ``sigma0`` and stops, like the library fits, once the
     average log-likelihood changes by less than ``tol``.  Returns a dict
@@ -137,7 +143,7 @@ def nonconcave_reference(data, a, b, sigma0, tol, max_iter=1000):
     converged = False
     for _ in range(max_iter):
         row, case, sigma, t, logdet = nonconcave_reference_step(
-            data, a, b, sigma, t)
+            data, a, b, sigma, t, alpha_rule)
         rows.append(row)
         cases.append(case)
         ll = avg_loglik(t, logdet)

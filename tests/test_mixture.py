@@ -1,5 +1,6 @@
 """EM driver, responsibility bookkeeping, and evaluation utilities."""
 
+import collections
 import warnings
 
 import numpy as np
@@ -181,13 +182,59 @@ class TestMSteps:
         model = egd.MixtureModel([comp], np.ones(1))
         resp = egd.Responsibilities(np.ones((1, 200)))
         stepped = egd.m_step_scatter(data, resp, model)
-        # same warm start and one step: the iterates coincide exactly
+        # same warm start and one trace-rule step: the iterates coincide
+        # exactly
         direct = egd.fit_scatter(
             data, 0.7, 2.0,
             egd.FixedPointConfig(init="user", user_matrix=np.eye(3),
-                                 tol=1e-10, max_iter=1))
+                                 tol=1e-10, max_iter=1, alpha_rule="trace"))
         assert np.array_equal(stepped.components[0].scatter.entries,
                               direct.sigma_hat.entries)
+
+    @staticmethod
+    def _one_component(shape_a):
+        rng = np.random.default_rng(36)
+        data = egd.Dataset(rng.standard_normal((200, 3)) * 2.0)
+        comp = egd.EgdParams(egd.ScatterMatrix.identity(3), shape_a, 2.0)
+        resp = egd.Responsibilities(np.ones((1, 200)))
+        return data, resp, egd.MixtureModel([comp], np.ones(1))
+
+    def test_nonconcave_step_forms_two_products(self, monkeypatch):
+        # one EM step forms B and the start's candidate, and no map matrix
+        # G2; an eigen-rule fit still carries each step's G2 forward as the
+        # next candidate
+        counts = collections.Counter()
+        for name in ("_b_matrix", "_candidate"):
+            def counted(*args, _name=name, _fn=getattr(egd.scatter, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(egd.scatter, name, counted)
+        data, resp, model = self._one_component(0.7)
+        stepped = egd.m_step_scatter(data, resp, model)
+        assert stepped.components[0].scatter is not model.components[0].scatter
+        assert counts == {"_b_matrix": 1, "_candidate": 1}
+        counts.clear()
+        report = egd.fit_nonconcave(data, 0.7, 2.0,
+                                    egd.FixedPointConfig(tol=1e-10))
+        assert report.iterations > 2
+        assert counts == {"_b_matrix": 1,
+                          "_candidate": report.iterations + 1}
+
+    @pytest.mark.parametrize("shape_a", [0.7, 2.5])
+    def test_refit_keeps_step_factor(self, shape_a):
+        # the refit's factor is the step's, sqrt(alpha) chol(Sigma') for a
+        # scaled step and chol(Sigma) for a concave one
+        data, resp, model = self._one_component(shape_a)
+        sigma = egd.m_step_scatter(data, resp, model).components[0].scatter
+        assert sigma is not model.components[0].scatter
+        assert rel_frob(sigma.cholesky @ sigma.cholesky.T,
+                        sigma.entries) <= 1e-14
+        assert sigma.log_det == pytest.approx(
+            np.linalg.slogdet(sigma.entries)[1], rel=0.0, abs=1e-12)
+        if shape_a >= 1.5:
+            fresh = egd.ScatterMatrix(sigma.entries)
+            assert np.array_equal(sigma.cholesky, fresh.cholesky)
+            assert sigma.log_det == fresh.log_det
 
     def test_hard_labels_match_subset_fits(self, blob_data):
         model, data = blob_data
@@ -232,9 +279,9 @@ class TestMSteps:
             gen = steps(data, a, b, *start)
             yield next(gen)
             sigma, t, _, _, row, g = next(gen)
-            worse = egd.EgdParams(egd.ScatterMatrix(3.0 * sigma), a, b)
+            worse = egd.EgdParams(egd.ScatterMatrix(3.0 * sigma.entries), a, b)
             ll = egd.log_likelihood(worse, data) / data.total_weight
-            yield 3.0 * sigma, t / 3.0, np.log(t / 3.0), ll, row, g
+            yield worse.scatter, t / 3.0, np.log(t / 3.0), ll, row, g
 
         monkeypatch.setattr(egd.scatter, "_steps", inflated)
         stepped = egd.m_step_scatter(data, resp, model)

@@ -1,5 +1,6 @@
 """The matrix B, the two fixed-point iterations, step scaling, and the baseline."""
 
+import itertools
 import sys
 
 import numpy as np
@@ -381,27 +382,33 @@ class TestCarriedCandidate:
         return data, problem, starts
 
     @staticmethod
-    def _config(user):
-        return egd.FixedPointConfig(init="user", user_matrix=user, tol=1e-12)
+    def _config(user, rule="eigen"):
+        return egd.FixedPointConfig(init="user", user_matrix=user, tol=1e-12,
+                                    alpha_rule=rule)
 
     def test_matches_rebuilding_reference(self, setting):
+        # the trace rule too, which forms G2 only when a further step is
+        # drawn
         data, _, starts = setting
         cases = set()
-        for user in starts:
-            cfg = self._config(user)
+        for user, rule in itertools.product(starts, ("eigen", "trace")):
+            cfg = self._config(user, rule)
             report = egd.fit_nonconcave(data, self.A, self.B, cfg)
             ref = nonconcave_reference(data, self.A, self.B,
-                                       0.5 * (user + user.T), cfg.tol)
+                                       0.5 * (user + user.T), cfg.tol,
+                                       alpha_rule=rule)
             cases.update(ref["cases"])
             assert report.iterations == ref["iterations"]
             assert report.converged == ref["converged"]
             rows = ref["rows"]
             for col, trace in enumerate((report.alpha_trace,
                                          report.lambda_min_trace,
-                                         report.lambda_max_trace)):
+                                         report.lambda_max_trace,
+                                         report.iterate_eig_min_trace,
+                                         report.iterate_eig_max_trace)):
                 assert_allclose(trace, rows[:, col], rtol=1e-12, atol=0.0)
             assert rel_frob(report.sigma_hat.entries, ref["sigma"]) <= 1e-12
-        assert cases == {1, 2, 3}
+        assert cases == {1, 2, 3, None}
 
     def test_carried_steps_bit_equal(self, setting):
         # every step is replayed by the reference from the library's own
@@ -418,7 +425,7 @@ class TestCarriedCandidate:
             fit = egd.fit_nonconcave(data, self.A, self.B, cfg)
             for _ in range(fit.iterations):
                 ref_row, case, *_ = nonconcave_reference_step(
-                    data, self.A, self.B, sigma, t)
+                    data, self.A, self.B, sigma.entries, t)
                 sigma, t, _, _, row, _ = next(steps)
                 if prev_case in (None, 1):
                     assert row == ref_row
@@ -459,12 +466,12 @@ class TestAscentGuard:
     def stretched(problem, sigma, t, log_t, ll, row, g):
         # a real iterate, three times the honest one and far worse; its
         # candidate B + c sum_i w_i x_i x_i' / (t_i / 3) is B + 3 (G - B)
-        logdet = float(np.linalg.slogdet(3.0 * sigma)[1])
+        worse = egd.ScatterMatrix(3.0 * sigma.entries)
         b_mat = problem.b_mat
         t, log_t = t / 3.0, np.log(t / 3.0)
-        return (3.0 * sigma, t, log_t,
-                egd.scatter._avg_loglik(problem, t, log_t, logdet), row,
-                b_mat + 3.0 * (g - b_mat))
+        return (worse, t, log_t,
+                egd.scatter._avg_loglik(problem, t, log_t, worse.log_det),
+                row, b_mat + 3.0 * (g - b_mat))
 
     def test_public_fits_have_no_guard(self, problem):
         # the driver accepts the worse step and runs on past it
