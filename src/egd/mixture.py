@@ -16,6 +16,15 @@ log-likelihood it is dropped and the start kept, so no scatter sweep lowers
 the EM objective and the per-sweep trace is nondecreasing by construction,
 not up to a solver tolerance.
 
+The radial stage converges linearly, so it runs as SQUAREM cycles (Varadhan
+& Roland 2008) over ``theta = (log a_k, log b_k, log pi_k)`` with the
+scatters fixed: two plain sweeps ``theta0 -> theta1 -> theta2``, then, unless
+the step length is capped at -1 (where the point is ``theta2``), one E-step
+at the extrapolated point.  The point is kept, and refitted, only when its
+average log-likelihood is at least the last one recorded and no component
+loses all responsibility there; otherwise the cycle goes on from ``theta2``.
+So this stage, too, never lowers the trace.
+
 The squared radii ``t_ki = x_i' Sigma_k^{-1} x_i`` depend on the scatters
 only, so :func:`fit_mixture` keeps the K x n matrix of radii and of their
 logarithms and reuses both in every E-step and radial refit until the next
@@ -60,8 +69,9 @@ __all__ = [
 
 _EM_INITS = ("random-assignment", "kmeans-on-radii", "user-model")
 
-# most radial sweeps per outer round; stage 2 stops early when it stalls
-_STAGE2_SWEEPS = 20
+# most E-steps of a radial stage, rejected extrapolations included; stage 2
+# stops early when it stalls
+_STAGE2_E_STEPS = 20
 
 
 class Responsibilities:
@@ -101,8 +111,9 @@ class Responsibilities:
 class EmConfig:
     """Options for :func:`fit_mixture`.
 
-    Each outer round runs one scatter sweep followed by up to 20 radial
-    sweeps (stage 2 stops early once its own improvement falls below
+    Each outer round runs one scatter sweep followed by a radial stage of
+    SQUAREM cycles with at most 20 E-steps, rejected extrapolations
+    included (stage 2 stops early once its own improvement falls below
     ``tol``).  The run converges when the average log-likelihood changes by
     less than ``tol`` over a full round.
     """
@@ -302,6 +313,88 @@ def _respond(model, radii, log_radii, data):
             return model, radii, log_radii, resp, total
 
 
+def _radial_theta(model):
+    """``(log a_k, log b_k, log pi_k)``, the point SQUAREM extrapolates."""
+    comps = model.components
+    return np.log([c.shape_a for c in comps] + [c.scale_b for c in comps]
+                  + list(model.mix_probs))
+
+
+def _extrapolated(model0, model1, model2):
+    """SQUAREM point of two radial sweeps ``theta0 -> theta1 -> theta2``.
+
+    With ``r = theta1 - theta0``, ``v = theta2 - theta1 - r`` and the step
+    length ``alpha = -|r| / |v|`` (Varadhan & Roland 2008, scheme S3), the
+    point is ``theta0 - 2 alpha r + alpha^2 v``, a model with the shared
+    scatters of the three.  Returns None when ``alpha`` is capped at -1,
+    where the point is ``theta2`` itself, or when the point has no model
+    (a shape or scale that overflows or underflows).
+    """
+    theta0, theta1, theta2 = (_radial_theta(m) for m in (model0, model1,
+                                                          model2))
+    r = theta1 - theta0
+    v = theta2 - theta1 - r
+    norm_r, norm_v = math.sqrt(r @ r), math.sqrt(v @ v)
+    if not 0.0 < norm_v < norm_r:
+        return None
+    alpha = -norm_r / norm_v
+    theta = theta0 - 2.0 * alpha * r + (alpha * alpha) * v
+    k = model2.n_components
+    try:
+        comps = [EgdParams(comp.scatter, math.exp(theta[j]),
+                           math.exp(theta[k + j]))
+                 for j, comp in enumerate(model2.components)]
+    except (OverflowError, ValueError):
+        return None
+    probs = np.exp(theta[2 * k:] - theta[2 * k:].max())
+    return MixtureModel(comps, probs / probs.sum())
+
+
+def _radial_stage(data, model, radii, log_radii, tol, trace):
+    """Stage 2 of a round as SQUAREM cycles; see :func:`fit_mixture`."""
+    n_eff = data.total_weight
+    cycle = [model]
+    e_steps = 0
+    prev = None
+    while e_steps < _STAGE2_E_STEPS:
+        k = model.n_components
+        model, radii, log_radii, resp, total = _respond(model, radii,
+                                                        log_radii, data)
+        e_steps += 1
+        avg = total / n_eff
+        trace.append(avg)
+        model = _m_step_shape(data, resp, model, radii, log_radii)
+        if prev is not None and abs(avg - prev) < tol:
+            break
+        prev = avg
+        # a pruned component restarts the cycle
+        cycle = cycle + [model] if model.n_components == k else [model]
+        if len(cycle) < 3 or e_steps == _STAGE2_E_STEPS:
+            continue
+        trial = _extrapolated(*cycle)
+        cycle = [model]
+        if trial is None:
+            continue
+        e_steps += 1
+        # a rejected point leaves no trace: no record and no warning
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                resp, total = _e_step(trial, data, radii, log_radii)
+        except ValueError:
+            continue
+        avg = total / n_eff
+        if not (avg >= prev
+                and float((resp.matrix @ data.weights).min()) > 0.0):
+            continue
+        trace.append(avg)
+        model = _m_step_shape(data, resp, trial, radii, log_radii)
+        cycle = [model]
+        if abs(avg - prev) < tol:
+            break
+        prev = avg
+    return model, radii, log_radii
+
+
 def _second_moment(x, w):
     total = float(w.sum())
     return (x * w[:, None]).T @ x / total
@@ -336,7 +429,7 @@ def _labels_to_model(data, labels, k):
     return MixtureModel(comps, probs / probs.sum())
 
 
-def _kmeans_radii_labels(radii, k, max_iter=100):
+def _lloyd_labels(radii, k, max_iter):
     # one-dimensional Lloyd iteration seeded at interior quantiles
     centers = np.quantile(radii, (np.arange(k) + 0.5) / k)
     labels = np.zeros(radii.shape[0], dtype=int)
@@ -346,12 +439,52 @@ def _kmeans_radii_labels(radii, k, max_iter=100):
         for j in range(k):
             mask = new_labels == j
             if mask.any():
-                centers[j] = radii[mask].mean()
+                # summed in ascending order, as a slice of the sorted radii
+                # is, so both paths move a center alike
+                centers[j] = np.sort(radii[mask]).mean()
             else:
                 centers[j] = radii[np.argmax(dist.min(axis=1))]
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
+    return labels
+
+
+def _kmeans_radii_labels(radii, k, max_iter=100):
+    """:func:`_lloyd_labels` on the radii sorted once.
+
+    With strictly increasing centers each pass cuts the sorted radii at the
+    first index closer to center ``j + 1`` than to center ``j``, the
+    comparison ``argmin`` makes (a tie goes to the lower index), and each
+    new center is its slice's mean.  Centers that are not strictly
+    increasing, an empty slice, or a comparison that is not monotone over
+    the sorted radii fall back to the plain loop.
+    """
+    order = np.argsort(radii)
+    s = radii[order]
+    n = s.size
+    centers = np.quantile(s, (np.arange(k) + 0.5) / k)
+    edges = np.zeros(k + 1, dtype=int)
+    edges[1:] = n
+    for _ in range(max_iter):
+        if not np.all(centers[1:] > centers[:-1]):
+            return _lloyd_labels(radii, k, max_iter)
+        new_edges = edges.copy()
+        for j in range(k - 1):
+            upper = np.abs(s - centers[j + 1]) < np.abs(s - centers[j])
+            cut = n - np.count_nonzero(upper)
+            if not upper[cut:].all():
+                return _lloyd_labels(radii, k, max_iter)
+            new_edges[j + 1] = cut
+        if not np.all(new_edges[1:] > new_edges[:-1]):
+            return _lloyd_labels(radii, k, max_iter)
+        centers = np.array([s[lo:hi].mean() for lo, hi
+                            in zip(new_edges[:-1], new_edges[1:])])
+        if np.array_equal(new_edges, edges):
+            break
+        edges = new_edges
+    labels = np.empty(n, dtype=int)
+    labels[order] = np.repeat(np.arange(k), np.diff(edges))
     return labels
 
 
@@ -381,11 +514,16 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     """Two-stage EM for an elliptical gamma mixture.
 
     Each round's stage 1 is one E-step followed by one scatter sweep (see
-    :func:`m_step_scatter`); its stage 2 is up to 20 sweeps that alternate
-    an E-step with radial refits and stop early once their own improvement
-    stalls.  ``loglik_trace`` records the average log-likelihood at the
-    start of every sweep plus a final evaluation of the returned model.
-    Components that lose all responsibility are removed with a warning.
+    :func:`m_step_scatter`).  Its stage 2 alternates E-steps with radial
+    refits in SQUAREM cycles: after every two refits the radial parameters
+    are extrapolated, and the extrapolated point is kept and refitted only
+    if its E-step does not lower the average log-likelihood and leaves no
+    component empty.  Stage 2 takes at most 20 E-steps and stops early once
+    the change between two recorded ones falls below ``tol``.
+    ``loglik_trace`` records the average log-likelihood of every accepted
+    E-step, plus a final evaluation of the returned model; a rejected
+    extrapolation is neither recorded nor warned about.  Components that
+    lose all responsibility are removed with a warning.
 
     The squared radii and their logarithms are computed once for the
     initial model.  Each scatter refit overwrites its component's rows of
@@ -413,16 +551,8 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
                                                         log_radii, data)
         trace.append(total / n_eff)
         model = _m_step_scatter(data, resp, model, radii, log_radii)
-        prev_stage = None
-        for _ in range(_STAGE2_SWEEPS):
-            model, radii, log_radii, resp, total = _respond(model, radii,
-                                                            log_radii, data)
-            avg = total / n_eff
-            trace.append(avg)
-            model = _m_step_shape(data, resp, model, radii, log_radii)
-            if prev_stage is not None and abs(avg - prev_stage) < config.tol:
-                break
-            prev_stage = avg
+        model, radii, log_radii = _radial_stage(data, model, radii, log_radii,
+                                                config.tol, trace)
         if prev_round is not None and abs(trace[-1] - prev_round) < config.tol:
             converged = True
             break

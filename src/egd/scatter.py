@@ -348,15 +348,20 @@ def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
         # start that collapses is still reported
         if _near_singular(float(vals[0]), float(vals[-1])):
             raise _Breakdown("iterate is near singular")
-        k_inv = ((vecs / np.sqrt(vals)) @ vecs.T) @ fac_inv
-        m = (x * (w / t)[:, None]).T @ x
-        entries = symmetrize(fac @ np.linalg.inv(
-            eye + c_prime * symmetrize(k_inv @ m @ k_inv.T)) @ fac.T)
-        try:
-            chol = chol_lower(entries)
-            t = _radii(tril_inv(chol), x)
-        except ValueError as exc:
-            raise _Breakdown("iterate is not factorizable") from exc
+        if c_prime == 0.0:
+            # the step is F F' = B, whose factors the problem holds
+            entries, chol = problem.b_mat, fac
+            t = _radii(fac_inv, x)
+        else:
+            k_inv = ((vecs / np.sqrt(vals)) @ vecs.T) @ fac_inv
+            m = (x * (w / t)[:, None]).T @ x
+            entries = symmetrize(fac @ np.linalg.inv(
+                eye + c_prime * symmetrize(k_inv @ m @ k_inv.T)) @ fac.T)
+            try:
+                chol = chol_lower(entries)
+                t = _radii(tril_inv(chol), x)
+            except ValueError as exc:
+                raise _Breakdown("iterate is not factorizable") from exc
         log_t = np.log(t)
         sigma = ScatterMatrix._unchecked(entries, chol, chol_logdet(chol))
 
@@ -368,9 +373,10 @@ def fit_concave(data: Dataset, a: float, b: float,
     Iterates ``Sigma <- P (Sigma + c' M)^{-1} P`` with ``c' = -c``,
     ``M = sum_i w_i x_i x_i' / t_i`` and ``P`` the geometric mean of ``B``
     and ``Sigma`` (``P Sigma^{-1} P = B``).  Every iterate's pencil
-    ``(Sigma, B)`` has its spectrum in ``[(1 + c' n_eff)^{-1}, 1]``; with
-    ``c = 0`` the first step lands exactly on ``B``, the weighted sample
-    second moment when ``b = 2``.
+    ``(Sigma, B)`` has its spectrum in ``[(1 + c' n_eff)^{-1}, 1]``.  With
+    ``c = 0`` every step returns ``B`` itself, the weighted sample second
+    moment when ``b = 2``, with the Cholesky factor the fit computed for
+    it, and forms no product of the data beyond ``B`` and the radii.
     """
     config = config or FixedPointConfig()
     problem = _problem(data, a, b)

@@ -248,6 +248,33 @@ def ascent_oracle_avg_loglik(samples, weights, a, b, x0_cov):
     return -float(result.fun)
 
 
+def kmeans_radii_reference(radii, k, max_iter=100):
+    """One-dimensional Lloyd iteration on the full K-column distance matrix.
+
+    Seeded at the interior quantiles ``(j + 1/2) / k``; each pass labels a
+    radius by ``argmin`` of its distances to the centers (a tie goes to the
+    lower index) and moves each center to its cluster's mean, summed in
+    ascending order so that it does not depend on the order of the radii,
+    or an empty cluster's to the radius farthest from every center.  Stops
+    when the labels repeat.
+    """
+    centers = np.quantile(radii, (np.arange(k) + 0.5) / k)
+    labels = np.zeros(radii.shape[0], dtype=int)
+    for _ in range(max_iter):
+        dist = np.abs(radii[:, None] - centers[None, :])
+        new_labels = dist.argmin(axis=1)
+        for j in range(k):
+            mask = new_labels == j
+            if mask.any():
+                centers[j] = np.sort(radii[mask]).mean()
+            else:
+                centers[j] = radii[np.argmax(dist.min(axis=1))]
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels
+
+
 def align_scatters(fitted, truth):
     """Match fitted components to true ones by scatter Frobenius distance."""
     cost = np.array([[np.linalg.norm(f - t) for t in truth] for f in fitted])

@@ -1,6 +1,7 @@
 """EM driver, responsibility bookkeeping, and evaluation utilities."""
 
 import collections
+import math
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import egd
-from helpers import align_scatters, random_spd, rel_frob
+from helpers import (align_scatters, kmeans_radii_reference, random_spd,
+                     rel_frob)
 
 
 @pytest.fixture()
@@ -388,6 +390,19 @@ def test_scatter_step_never_lowers_likelihood(case):
     assert after >= before - 1e-12 * abs(before)
 
 
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=60),
+       st.integers(1, 4))
+def test_kmeans_labels_match_lloyd_reference(tenths, k):
+    # radii on a grid of tenths: repeated values, exact midpoint ties, where
+    # the cut comparison must send a tie to the lower center as argmin does,
+    # and cluster sums whose rounding depends on the order of the terms
+    radii = np.asarray(tenths) * 0.1
+    labels = egd.mixture._kmeans_radii_labels(radii, k)
+    assert labels.dtype == np.intp
+    assert np.array_equal(labels, kmeans_radii_reference(radii, k))
+
+
 class TestFitMixture:
     def test_requires_enough_samples(self):
         data = egd.Dataset(np.random.default_rng(38).standard_normal((5, 3)))
@@ -488,38 +503,62 @@ class TestFitMixture:
 
     @staticmethod
     def _public_schedule(data, cfg):
-        """fit_mixture and the same schedule run on the public steps."""
+        """fit_mixture and the same schedule run on the public steps: per
+        round one scatter sweep, then SQUAREM cycles of radial sweeps."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = egd.fit_mixture(data, cfg)
 
             model, trace, prev_round = cfg.user_model, [], None
-            rounds = 0
+            rounds = accepted = 0
+            n_eff = data.total_weight
             for _ in range(cfg.outer_rounds):
                 rounds += 1
                 resp, total = egd.e_step(model, data)
-                trace.append(total / data.total_weight)
+                trace.append(total / n_eff)
                 model = egd.m_step_scatter(data, resp, model)
-                prev_stage = None
-                for _ in range(20):
+                cycle, e_steps, prev = [model], 0, None
+                while e_steps < 20:
                     resp, total = egd.e_step(model, data)
-                    avg = total / data.total_weight
+                    e_steps += 1
+                    avg = total / n_eff
                     trace.append(avg)
                     model = egd.m_step_shape(data, resp, model)
-                    if prev_stage is not None and \
-                            abs(avg - prev_stage) < cfg.tol:
+                    if prev is not None and abs(avg - prev) < cfg.tol:
                         break
-                    prev_stage = avg
+                    prev = avg
+                    cycle.append(model)
+                    if len(cycle) < 3 or e_steps == 20:
+                        continue
+                    trial = egd.mixture._extrapolated(*cycle)
+                    cycle = [model]
+                    if trial is None:
+                        continue
+                    e_steps += 1
+                    resp, total = egd.e_step(trial, data)
+                    avg = total / n_eff
+                    if not (avg >= prev
+                            and (resp.matrix @ data.weights).min() > 0.0):
+                        continue
+                    accepted += 1
+                    trace.append(avg)
+                    model = egd.m_step_shape(data, resp, trial)
+                    cycle = [model]
+                    if abs(avg - prev) < cfg.tol:
+                        break
+                    prev = avg
                 if prev_round is not None and \
                         abs(trace[-1] - prev_round) < cfg.tol:
                     break
                 prev_round = trace[-1]
             resp, total = egd.e_step(model, data)
-            trace.append(total / data.total_weight)
-        # no pruning, and both the stage-2 and the round stop were taken
+            trace.append(total / n_eff)
+        # no pruning, both the stage-2 and the round stop were taken, and
+        # some extrapolated point was accepted
         assert report.model.n_components == 2
         assert report.converged
         assert report.rounds == rounds
+        assert accepted > 0
         assert len(trace) < report.rounds * (1 + 20) + 1
         assert len(report.loglik_trace) == len(trace)
         return report, model, trace, resp
@@ -612,6 +651,112 @@ class TestFitMixture:
         assert np.array_equal(r1.loglik_trace, r2.loglik_trace)
         assert_allclose(r1.model.components[0].scatter.entries,
                         r2.model.components[0].scatter.entries, rtol=0.0)
+
+
+class TestRadialExtrapolation:
+    """The SQUAREM cycles of the radial stage."""
+
+    @staticmethod
+    def radial_models(log_shapes, log_scales=(0.0, 0.0, 0.0)):
+        # one-component models that differ in their radial parameters only
+        sigma = egd.ScatterMatrix.identity(2)
+        return [egd.MixtureModel([egd.EgdParams(sigma, math.exp(la),
+                                                math.exp(lb))], [1.0])
+                for la, lb in zip(log_shapes, log_scales)]
+
+    def test_point_is_squarem_step(self):
+        # r = 1, v = -1/2, alpha = -2: theta0 - 2 alpha r + alpha^2 v = 2
+        trial = egd.mixture._extrapolated(*self.radial_models((0.0, 1.0, 1.5)))
+        assert trial.components[0].shape_a == pytest.approx(math.exp(2.0),
+                                                            rel=1e-15)
+        assert trial.components[0].scale_b == 1.0
+
+    def test_capped_or_overflowing_point_is_not_taken(self):
+        # |v| >= |r| caps alpha at -1, where the point is theta2 itself
+        assert egd.mixture._extrapolated(
+            *self.radial_models((0.0, 1.0, 3.0))) is None
+        # alpha = -100 sends log a to 1000 and log b to -1000, which
+        # overflow and underflow; neither raises nor warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert egd.mixture._extrapolated(
+                *self.radial_models((0.0, 10.0, 19.9))) is None
+            assert egd.mixture._extrapolated(*self.radial_models(
+                (0.0, 0.0, 0.0), (0.0, -10.0, -19.9))) is None
+
+    @staticmethod
+    def _fit(monkeypatch, extrapolated):
+        """A fit with ``extrapolated`` as the SQUAREM point, and the models
+        of its E-steps."""
+        model = two_scale_model(3, lo=1.0, hi=60.0)
+        a = egd.sample(model.components[0], 400, seed=41)
+        b = egd.sample(model.components[1], 400, seed=42)
+        data = egd.Dataset(np.vstack([a.samples, b.samples]))
+        e_step = egd.mixture._e_step
+        evaluated = []
+
+        def counted(model, *args):
+            evaluated.append(model)
+            return e_step(model, *args)
+
+        monkeypatch.setattr(egd.mixture, "_e_step", counted)
+        monkeypatch.setattr(egd.mixture, "_extrapolated", extrapolated)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = egd.fit_mixture(data, egd.EmConfig(
+                n_components=2, seed=5, outer_rounds=40))
+        return report, evaluated
+
+    @pytest.mark.parametrize("spoil", ["lower", "empty", "overflow"])
+    def test_rejected_point_is_neither_recorded_nor_warned(self, monkeypatch,
+                                                           spoil):
+        trials = []
+
+        def spoiled(model0, model1, model2):
+            comps = model2.components
+            if spoil == "empty":
+                # the E-step gives component 1 no responsibility
+                trial = egd.MixtureModel(comps, [1.0, 0.0])
+            else:
+                # a far worse shape, or a scale whose t / b overflows
+                trial = egd.MixtureModel(
+                    [egd.EgdParams(c.scatter, 40.0 * c.shape_a, c.scale_b)
+                     if spoil == "lower" else
+                     egd.EgdParams(c.scatter, c.shape_a, 1e-306)
+                     for c in comps], model2.mix_probs)
+            trials.append(trial)
+            return trial
+
+        report, evaluated = self._fit(monkeypatch, spoiled)
+        assert trials
+        # every trial point took an E-step, and none reached the trace
+        assert all(any(m is t for m in evaluated) for t in trials)
+        assert len(evaluated) == len(report.loglik_trace) + len(trials)
+        assert report.model.n_components == 2
+        assert np.all(np.diff(report.loglik_trace) >= -1e-9)
+
+    def test_capped_step_costs_no_e_step(self, monkeypatch):
+        # a point that is not taken, as at alpha = -1, is not evaluated:
+        # every E-step is recorded
+        report, evaluated = self._fit(monkeypatch, lambda *models: None)
+        assert len(evaluated) == len(report.loglik_trace)
+
+    def test_accepted_points_record_their_e_steps(self, monkeypatch):
+        taken = []
+
+        def recorded(*models):
+            trial = extrapolated(*models)
+            if trial is not None:
+                taken.append(trial)
+            return trial
+
+        extrapolated = egd.mixture._extrapolated
+        report, evaluated = self._fit(monkeypatch, recorded)
+        assert taken
+        # each E-step is recorded unless its point was rejected
+        rejected = len(evaluated) - len(report.loglik_trace)
+        assert 0 <= rejected < len(taken)
+        assert np.all(np.diff(report.loglik_trace) >= -1e-9)
 
 
 class TestSampleMixture:

@@ -151,6 +151,10 @@ class TestFitConcaveRegime:
                                  egd.FixedPointConfig())
         assert report.converged and report.iterations == 1
         assert rel_frob(report.sigma_hat.entries, x.T @ x / 300) < 1e-8
+        # the step returns B itself, bit for bit
+        _, d = egd.compute_constants(2.0, 2.0, 4, 300.0)
+        assert np.array_equal(report.sigma_hat.entries,
+                              egd.scatter._b_matrix(x, np.ones(300), d))
 
     def test_eigenvalue_box(self):
         data, _ = make_egd_data(5, 8.0, 1.3, 800, seed=8)
