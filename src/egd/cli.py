@@ -107,7 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=_positive_int, default=100)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--init", default="random-assignment",
-                   choices=("random-assignment", "kmeans-on-radii"))
+                   choices=("random-assignment", "kmeans-on-radii"),
+                   help="kmeans-on-radii is recommended: the default can "
+                        "need hundreds of rounds")
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
 

@@ -170,29 +170,20 @@ def _fit_gamma_moments(vbar: float, mlog: float, tol: float = 1e-10,
         raise ValueError("degenerate sample: shape unbounded")
 
     a = 0.5 / gap
-    iterations = 0
-    converged = False
-    fallback = False
-    for _ in range(max_iter):
-        iterations += 1
+    for iterations in range(1, max_iter + 1):
         # a > 0 throughout, so the validating wrappers are skipped
         score = math.log(a) - _digamma(a) - gap
         denom = a * a * (1.0 / a - _trigamma(a))
         if denom >= 0.0 or not math.isfinite(denom):
-            fallback = True
             break
         inv_new = 1.0 / a + score / denom
         if inv_new <= 0.0 or not math.isfinite(inv_new):
-            fallback = True
             break
         a_new = 1.0 / inv_new
-        done = abs(a_new - a) <= tol * a
+        if abs(a_new - a) <= tol * a:
+            return GammaFit(shape_a=a_new, scale_b=vbar / a_new,
+                            iterations=iterations, converged=True)
         a = a_new
-        if done:
-            converged = True
-            break
-    if fallback or not converged:
-        a, extra, converged = _bisect_shape(gap, a, tol, max(max_iter, 200))
-        iterations += extra
-    return GammaFit(shape_a=a, scale_b=vbar / a, iterations=iterations,
-                    converged=converged)
+    a, extra, converged = _bisect_shape(gap, a, tol, max(max_iter, 200))
+    return GammaFit(shape_a=a, scale_b=vbar / a,
+                    iterations=iterations + extra, converged=converged)

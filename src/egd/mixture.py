@@ -35,7 +35,8 @@ leaves those of its refit behind, which agree to rounding with the ones
 K x n log-joint in one pass over the cached matrices, and the radial refit
 needs only each component's weighted mean radius and mean log radius.  The
 public :func:`e_step`, :func:`m_step_scatter` and :func:`m_step_shape`
-compute the radii afresh and run the same private kernels.
+compute the radii afresh and run the same private kernels.  The
+``kmeans-on-radii`` start is one Lloyd loop on the sample norms, sorted once.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ _EM_INITS = ("random-assignment", "kmeans-on-radii", "user-model")
 # most E-steps of a radial stage, rejected extrapolations included; stage 2
 # stops early when it stalls
 _STAGE2_E_STEPS = 20
+
+# most Lloyd passes of the k-means-on-radii start
+_KMEANS_PASSES = 100
 
 
 class Responsibilities:
@@ -116,6 +120,10 @@ class EmConfig:
     included (stage 2 stops early once its own improvement falls below
     ``tol``).  The run converges when the average log-likelihood changes by
     less than ``tol`` over a full round.
+
+    The default ``init="random-assignment"`` starts the components nearly
+    alike and can leave a fit hundreds of rounds from convergence, even on
+    an easy mixture; ``init="kmeans-on-radii"`` is recommended.
     """
 
     n_components: int
@@ -292,25 +300,21 @@ def _m_step_shape(data, resp, model, radii, log_radii):
     return MixtureModel(new_comps, new_probs / new_probs.sum())
 
 
-def _prune_empty(model, radii, log_radii, resp, data):
-    eff = resp.matrix @ data.weights
-    if float(eff.min()) > 0.0 or model.n_components == 1:
-        return model, radii, log_radii, False
-    keep = eff > 0.0
-    warnings.warn(f"removing {int(np.count_nonzero(~keep))} empty component(s)")
-    probs = model.mix_probs[keep]
-    model = MixtureModel([c for c, k in zip(model.components, keep) if k],
-                         probs / probs.sum())
-    return model, radii[keep], log_radii[keep], True
-
-
 def _respond(model, radii, log_radii, data):
+    """E-step that removes, with a warning, the components it leaves empty
+    (and their rows of the radii), then repeats."""
     while True:
         resp, total = _e_step(model, data, radii, log_radii)
-        model, radii, log_radii, pruned = _prune_empty(model, radii, log_radii,
-                                                       resp, data)
-        if not pruned:
+        eff = resp.matrix @ data.weights
+        if float(eff.min()) > 0.0 or model.n_components == 1:
             return model, radii, log_radii, resp, total
+        keep = eff > 0.0
+        warnings.warn(f"removing {int(np.count_nonzero(~keep))} "
+                      "empty component(s)")
+        probs = model.mix_probs[keep]
+        model = MixtureModel([c for c, k in zip(model.components, keep) if k],
+                             probs / probs.sum())
+        radii, log_radii = radii[keep], log_radii[keep]
 
 
 def _radial_theta(model):
@@ -354,44 +358,39 @@ def _radial_stage(data, model, radii, log_radii, tol, trace):
     """Stage 2 of a round as SQUAREM cycles; see :func:`fit_mixture`."""
     n_eff = data.total_weight
     cycle = [model]
+    trial = None
     e_steps = 0
     prev = None
     while e_steps < _STAGE2_E_STEPS:
-        k = model.n_components
-        model, radii, log_radii, resp, total = _respond(model, radii,
-                                                        log_radii, data)
         e_steps += 1
+        if trial is None:
+            k = model.n_components
+            model, radii, log_radii, resp, total = _respond(model, radii,
+                                                            log_radii, data)
+            restart = model.n_components != k
+        else:
+            point, trial = trial, None
+            # a rejected point leaves no trace: no record and no warning
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    resp, total = _e_step(point, data, radii, log_radii)
+            except ValueError:
+                continue
+            if not (total / n_eff >= prev
+                    and float((resp.matrix @ data.weights).min()) > 0.0):
+                continue
+            model, restart = point, True
         avg = total / n_eff
         trace.append(avg)
         model = _m_step_shape(data, resp, model, radii, log_radii)
         if prev is not None and abs(avg - prev) < tol:
             break
         prev = avg
-        # a pruned component restarts the cycle
-        cycle = cycle + [model] if model.n_components == k else [model]
-        if len(cycle) < 3 or e_steps == _STAGE2_E_STEPS:
-            continue
-        trial = _extrapolated(*cycle)
-        cycle = [model]
-        if trial is None:
-            continue
-        e_steps += 1
-        # a rejected point leaves no trace: no record and no warning
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                resp, total = _e_step(trial, data, radii, log_radii)
-        except ValueError:
-            continue
-        avg = total / n_eff
-        if not (avg >= prev
-                and float((resp.matrix @ data.weights).min()) > 0.0):
-            continue
-        trace.append(avg)
-        model = _m_step_shape(data, resp, trial, radii, log_radii)
-        cycle = [model]
-        if abs(avg - prev) < tol:
-            break
-        prev = avg
+        # an extrapolated point or a pruned component restarts the cycle
+        cycle = [model] if restart else cycle + [model]
+        if len(cycle) == 3 and e_steps < _STAGE2_E_STEPS:
+            trial = _extrapolated(*cycle)
+            cycle = [model]
     return model, radii, log_radii
 
 
@@ -429,63 +428,35 @@ def _labels_to_model(data, labels, k):
     return MixtureModel(comps, probs / probs.sum())
 
 
-def _lloyd_labels(radii, k, max_iter):
-    # one-dimensional Lloyd iteration seeded at interior quantiles
-    centers = np.quantile(radii, (np.arange(k) + 0.5) / k)
-    labels = np.zeros(radii.shape[0], dtype=int)
-    for _ in range(max_iter):
-        dist = np.abs(radii[:, None] - centers[None, :])
+def _kmeans_radii_labels(radii, k):
+    """One-dimensional Lloyd iteration on the radii, sorted once.
+
+    Seeded at the interior quantiles ``(j + 1/2) / k``; each pass labels a
+    radius by ``argmin`` of its distances to the centers (a tie goes to the
+    lower index) and moves each center to its cluster's mean, which the
+    sorted radii sum in ascending order, or an empty cluster's to the
+    radius farthest from every center (of equally far ones, the first in
+    the input).  Stops when the labels repeat.
+    """
+    order = np.argsort(radii)
+    s = radii[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(s.size)
+    centers = np.quantile(s, (np.arange(k) + 0.5) / k)
+    labels = np.zeros(s.size, dtype=int)
+    for _ in range(_KMEANS_PASSES):
+        dist = np.abs(s[:, None] - centers[None, :])
         new_labels = dist.argmin(axis=1)
         for j in range(k):
             mask = new_labels == j
             if mask.any():
-                # summed in ascending order, as a slice of the sorted radii
-                # is, so both paths move a center alike
-                centers[j] = np.sort(radii[mask]).mean()
+                centers[j] = s[mask].mean()
             else:
-                centers[j] = radii[np.argmax(dist.min(axis=1))]
+                centers[j] = radii[np.argmax(dist.min(axis=1)[rank])]
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return labels
-
-
-def _kmeans_radii_labels(radii, k, max_iter=100):
-    """:func:`_lloyd_labels` on the radii sorted once.
-
-    With strictly increasing centers each pass cuts the sorted radii at the
-    first index closer to center ``j + 1`` than to center ``j``, the
-    comparison ``argmin`` makes (a tie goes to the lower index), and each
-    new center is its slice's mean.  Centers that are not strictly
-    increasing, an empty slice, or a comparison that is not monotone over
-    the sorted radii fall back to the plain loop.
-    """
-    order = np.argsort(radii)
-    s = radii[order]
-    n = s.size
-    centers = np.quantile(s, (np.arange(k) + 0.5) / k)
-    edges = np.zeros(k + 1, dtype=int)
-    edges[1:] = n
-    for _ in range(max_iter):
-        if not np.all(centers[1:] > centers[:-1]):
-            return _lloyd_labels(radii, k, max_iter)
-        new_edges = edges.copy()
-        for j in range(k - 1):
-            upper = np.abs(s - centers[j + 1]) < np.abs(s - centers[j])
-            cut = n - np.count_nonzero(upper)
-            if not upper[cut:].all():
-                return _lloyd_labels(radii, k, max_iter)
-            new_edges[j + 1] = cut
-        if not np.all(new_edges[1:] > new_edges[:-1]):
-            return _lloyd_labels(radii, k, max_iter)
-        centers = np.array([s[lo:hi].mean() for lo, hi
-                            in zip(new_edges[:-1], new_edges[1:])])
-        if np.array_equal(new_edges, edges):
-            break
-        edges = new_edges
-    labels = np.empty(n, dtype=int)
-    labels[order] = np.repeat(np.arange(k), np.diff(edges))
-    return labels
+    return labels[rank]
 
 
 def _init_model(data, config, rng):
@@ -544,9 +515,7 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     trace = []
     converged = False
     prev_round = None
-    rounds = 0
-    for _ in range(config.outer_rounds):
-        rounds += 1
+    for rounds in range(1, config.outer_rounds + 1):
         model, radii, log_radii, resp, total = _respond(model, radii,
                                                         log_radii, data)
         trace.append(total / n_eff)

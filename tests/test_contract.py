@@ -1,9 +1,13 @@
-"""Property-based checks of the error contract of the scatter fits.
+"""Property-based checks of the error contract of the scatter and mixture
+fits.
 
-A library fit either raises a ``ValueError`` subclass or returns a report
-whose trace length is its iteration count and whose stop is explained:
-converged, near-singular, or the iteration cap.  ``egd fit`` on the same
-inputs exits with one of the documented codes and never with a traceback.
+A library scatter fit either raises a ``ValueError`` subclass or returns a
+report whose trace length is its iteration count and whose stop is
+explained: converged, near-singular, or the iteration cap.  A mixture fit
+either raises a ``ValueError`` subclass or returns a report with a finite
+trace, responsibility columns that sum to one and no more rounds than it
+was allowed.  ``egd fit`` and ``egd fit-mixture`` on the same inputs exit
+with one of the documented codes and never with a traceback.
 The fits are also scale equivariant: scaling the samples by ``s`` scales
 the fitted scatter by ``s**2`` and leaves the iteration count unchanged,
 and scaling every weight by the same power of two changes no bit of the
@@ -117,6 +121,60 @@ def test_fits_report_or_raise_value_error(spec):
                             "--alpha-rule", spec["alpha_rule"],
                             "--tol", 1e-8, "--max-iter", spec["max_iter"],
                             "--out", root / "m.json"])
+    assert code in EXIT_CODES
+
+
+@st.composite
+def mixture_specs(draw):
+    q = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    return {
+        "q": q,
+        "k": k,
+        "n": draw(st.integers(k * q, 25)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        # spread of the per-sample log scale: one radial law up to many
+        "spread": draw(st.floats(0.0, 3.0)),
+        "init": draw(st.sampled_from(["random-assignment",
+                                      "kmeans-on-radii"])),
+        "rounds": draw(st.integers(1, 40)),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mixture_specs())
+def test_mixture_fits_report_or_raise_value_error(spec):
+    rng = np.random.default_rng(spec["seed"])
+    n, q, k = spec["n"], spec["q"], spec["k"]
+    x = (rng.standard_normal((n, q))
+         * np.exp(spec["spread"] * rng.standard_normal((n, 1))))
+    # about 30% zero weights, all of them now and then
+    w = rng.random(n) * (rng.random(n) >= 0.3)
+    config = egd.EmConfig(n_components=k, outer_rounds=spec["rounds"],
+                          seed=spec["seed"], init=spec["init"])
+    with warnings.catch_warnings():
+        # frozen and removed components are announced as UserWarnings;
+        # a RuntimeWarning from egd stays an error
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            report = egd.fit_mixture(egd.Dataset(x, w), config)
+        except ValueError:
+            pass
+        else:
+            assert np.all(np.isfinite(report.loglik_trace))
+            sums = report.responsibilities.matrix.sum(axis=0)
+            assert np.max(np.abs(sums - 1.0)) <= 1e-12
+            assert report.rounds <= spec["rounds"]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            eio.write_matrix_csv(root / "x.csv", x)
+            eio.write_matrix_csv(root / "w.csv", w[:, None])
+            code = run_cli(["fit-mixture", "--data", root / "x.csv",
+                            "--weights", root / "w.csv", "--k", k,
+                            "--init", spec["init"], "--seed", spec["seed"],
+                            "--rounds", spec["rounds"],
+                            "--out", root / "m.json",
+                            "--trace", root / "t.csv"])
     assert code in EXIT_CODES
 
 

@@ -394,12 +394,26 @@ def test_scatter_step_never_lowers_likelihood(case):
 @given(st.lists(st.integers(1, 20), min_size=1, max_size=60),
        st.integers(1, 4))
 def test_kmeans_labels_match_lloyd_reference(tenths, k):
-    # radii on a grid of tenths: repeated values, exact midpoint ties, where
-    # the cut comparison must send a tie to the lower center as argmin does,
-    # and cluster sums whose rounding depends on the order of the terms
+    # radii on a grid of tenths: repeated values, exact midpoint ties that
+    # argmin sends to the lower center, empty clusters whose farthest radius
+    # is tied, and cluster sums whose rounding depends on the order of the
+    # terms
     radii = np.asarray(tenths) * 0.1
     labels = egd.mixture._kmeans_radii_labels(radii, k)
     assert labels.dtype == np.intp
+    assert np.array_equal(labels, kmeans_radii_reference(radii, k))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kmeans_labels_match_reference_on_continuous_radii(seed, k):
+    # the scale of a K = 3, q = 16, n = 4000 fit: radii from three radial
+    # laws with means 1, 16 and 100, in random order
+    rng = np.random.default_rng(seed)
+    laws = np.array([(0.5, 2.0), (4.0, 4.0), (10.0, 10.0)])
+    which = rng.choice(3, size=4000, p=[0.3, 0.4, 0.3])
+    radii = np.sqrt(rng.gamma(laws[which, 0], laws[which, 1]))
+    labels = egd.mixture._kmeans_radii_labels(radii, k)
     assert np.array_equal(labels, kmeans_radii_reference(radii, k))
 
 
