@@ -33,18 +33,24 @@ EXIT_DATA = 4
 _FITS = {"fp": fit_scatter, "kent-tyler": fit_kent_tyler}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _number(convert, positive: bool):
+    """An argparse type: ``convert`` the text, then require a finite value
+    above zero (``positive``) or at least zero."""
+    kind = ("positive " if positive else "nonnegative ") + (
+        "integer" if convert is int else "number")
+
+    def parse(text: str):
+        value = convert(text)
+        if not (value > 0 if positive else value >= 0) or value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be a {kind}")
+        return value
+
+    parse.__name__ = kind  # argparse names the type when convert fails
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError("must be a positive number")
-    return value
+_positive_int, _positive_float = _number(int, True), _number(float, True)
+_nonnegative_int, _nonnegative_float = _number(int, False), _number(float, False)
 
 
 def _load_dataset(path, weights_path=None) -> Dataset:
@@ -78,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_positive_float)
     p.add_argument("--scatter", help="scatter matrix file (default identity)")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "binary"), default="csv")
 
@@ -103,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--weights")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--rounds", type=_positive_int, default=100)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--init", default="random-assignment",
@@ -127,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_positive_float, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--trials", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--algos", default="fp,kent-tyler",
                    help="comma-separated subset of: fp, kent-tyler")
     p.add_argument("--alpha-rule", choices=("eigen", "trace"), default="eigen")
@@ -137,8 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="log-transform positive intensities")
     p.add_argument("--data", required=True)
-    p.add_argument("--noise-fraction", type=float, default=0.002)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise-fraction", type=_nonnegative_float,
+                   default=0.002)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "binary"), default="csv")
 

@@ -421,7 +421,10 @@ def _labels_to_model(data, labels, k):
                 pass
         if sigma is None:
             if pooled is None:
-                pooled = ScatterMatrix(_second_moment(x, w))
+                try:
+                    pooled = ScatterMatrix(_second_moment(x, w))
+                except ValueError as exc:
+                    raise RankDeficiencyError("data does not span R^q") from exc
             sigma = pooled
         comps.append(EgdParams(sigma, 0.5 * q, 2.0))
     probs = np.maximum(probs, 1.0 / (k * max(data.n, 1)))
@@ -503,7 +506,8 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     pruned component.  The results are those of calling :func:`e_step`,
     :func:`m_step_scatter` and :func:`m_step_shape`, which recompute the
     radii, in the same schedule, to rounding.  The returned responsibility
-    matrix is read-only.
+    matrix is read-only.  Positive-weight rows that do not span R^q raise
+    :class:`RankDeficiencyError` at a data-driven start.
     """
     k = config.n_components
     if data.n < k * data.dim:

@@ -20,20 +20,19 @@ the weighted second moment.  The sign of ``c`` selects the regime:
   ``(Sigma, B)`` stay inside a fixed box, and ``c = 0`` lands on ``B``.
 * ``c > 0`` (``a < q/2``) accepts ``alpha Sigma'`` with a per-step scalar
   ``alpha`` chosen either by an eigenvalue case analysis or by a trace
-  normalization.  A step's next candidate is ``B + alpha (G2 - B)``, with
-  ``G2`` the map matrix, the candidate at ``Sigma'``: only the start's
-  candidate is built from the data.  The eigen rule reads ``G2`` and forms
-  it with every step; the trace rule does not, and forms it only when a
-  further step is drawn.  The data-augmentation baseline of Kent and Tyler
-  is the unscaled (``alpha = 1``) iteration ``Sigma <- Sigma'``.
+  normalization.  Only the eigen rule reads the map matrix ``G2``, the
+  candidate at ``Sigma'``; it carries ``B + alpha (G2 - B)`` forward as the
+  next candidate, and any other candidate is built from the data.  The
+  data-augmentation baseline of Kent and Tyler is the unscaled
+  (``alpha = 1``) iteration ``Sigma <- Sigma'``.
 
-One driver runs all three iterations and stops when the average
-log-likelihood changes by less than ``tol`` (for a ``tol`` below the
-rounding of the log-likelihood, once the steps also stop shrinking); the
-last candidate gives the stationarity residual.  The EM scatter M-step
-takes single steps of the same step generators, with the trace rule for
-``c > 0``: one such step forms two n x q^2 products, ``B`` and the start's
-candidate.
+Every use of an iterate reads the Cholesky factor its step computed.  One
+driver runs all three iterations and stops when the average log-likelihood
+changes by less than ``tol`` (for a ``tol`` below its rounding, once the
+steps also stop shrinking); the last candidate gives the stationarity
+residual.  The EM scatter M-step takes single steps of the same step
+generators, with the trace rule for ``c > 0``: one such step forms two
+n x q^2 products, ``B`` and the start's candidate.
 """
 
 from __future__ import annotations
@@ -211,12 +210,12 @@ def _candidate(b_mat: np.ndarray, c: float, x: np.ndarray, w: np.ndarray,
     return symmetrize(b_mat + (x * (c * w / t)[:, None]).T @ x)
 
 
-def _residual(sigma: np.ndarray, g: np.ndarray) -> float:
+def _residual(sigma: ScatterMatrix, g: np.ndarray) -> float:
     # ||L^{-1} (G - Sigma) L^{-T}||_F with Sigma = L L' and G the candidate
     # at sigma: the defect of the stationarity condition in coordinates
     # where the iterate is the identity
-    linv = tril_inv(chol_lower(sigma))
-    return float(np.linalg.norm(linv @ (g - sigma) @ linv.T, "fro"))
+    linv = tril_inv(sigma.cholesky)
+    return float(np.linalg.norm(linv @ (g - sigma.entries) @ linv.T, "fro"))
 
 
 def stationarity_residual(sigma: ScatterMatrix, data: Dataset, c: float,
@@ -230,7 +229,7 @@ def stationarity_residual(sigma: ScatterMatrix, data: Dataset, c: float,
         raise ValueError("sigma dimension does not match data")
     x, w = data.samples, data.weights
     t = _radii(tril_inv(sigma.cholesky), x)
-    return _residual(sigma.entries, _candidate(_b_matrix(x, w, d), c, x, w, t))
+    return _residual(sigma, _candidate(_b_matrix(x, w, d), c, x, w, t))
 
 
 def _start(problem: _Problem, config: FixedPointConfig, identity=None):
@@ -274,10 +273,11 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
     ``(sigma, t, log_t, avg_loglik, trace_row, candidate)``, where ``sigma``
     is a :class:`ScatterMatrix` with the factor the step computed, ``t``
     holds the squared radii at ``sigma``, ``log_t`` their logs, ``candidate``
-    the candidate at ``sigma`` or None when the step does not form it (the
-    concave fit and the trace rule), and raises :class:`_Breakdown` when a
-    step leaves the usable SPD cone; the last accepted iterate is then
-    reported with ``near_singular`` set.
+    the candidate at ``sigma`` or None when the step does not form it (all
+    but the eigen rule's carried candidates), and raises :class:`_Breakdown`
+    when a step leaves the usable SPD cone; the last accepted iterate is
+    then reported with ``near_singular`` set.  The step test and residual
+    read each iterate's own factor, and the last iterate is reported as is.
     ``fields`` names the report traces filled, in order, from the entries of
     each trace row.
     """
@@ -297,7 +297,7 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
             if config.tol <= _LL_ROUNDING_ULPS * np.spacing(abs(ll)):
                 # rounded log-likelihoods tie long before the iteration
                 # settles; such a tol waits for the step to stop shrinking
-                step = _residual(sigma_prev.entries, sigma.entries)
+                step = _residual(sigma_prev, sigma.entries)
                 settled, step_prev = settled and step >= step_prev, step
             if settled:
                 converged = True
@@ -311,14 +311,13 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
             if g is None:
                 g = _candidate(problem.b_mat, problem.c, problem.x,
                                problem.w, t)
-            residual = _residual(sigma.entries, g)
+            residual = _residual(sigma, g)
         except ValueError:
             near_singular = True
     traces = {name: np.asarray([row[i] for row in rows])
               for i, name in enumerate(fields)}
     return FitReport(
-        # factored afresh, so a scaled fit reports the factor of its entries
-        sigma_hat=ScatterMatrix(sigma.entries),
+        sigma_hat=sigma,
         iterations=len(lls),
         converged=converged,
         final_residual=residual,
@@ -418,12 +417,6 @@ def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
     return alpha, lam
 
 
-def _carried(b_mat: np.ndarray, g2: np.ndarray, alpha: float) -> np.ndarray:
-    # With t = t'/alpha the candidate at alpha Sigma' is B + alpha (G2 - B);
-    # at alpha = 1 it is G2 bit for bit
-    return g2 if alpha == 1.0 else b_mat + alpha * (g2 - b_mat)
-
-
 def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
                   log_t: np.ndarray, rule: str | None, rows: bool = True):
     # rule None: every step is accepted unscaled (Kent-Tyler); rows False:
@@ -432,22 +425,15 @@ def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
     q = b_mat.shape[0]
     ll = _avg_loglik(problem, t, log_t, start.log_det)
     sigma, row = start, None
-    # the candidate at sigma, and the map spectrum if the last step carried it
-    g_prime, lam_n = _candidate(b_mat, c, x, w, t), None
+    # the eigen rule's carried candidate, and map spectrum after alpha = 1
+    g_prime = lam_n = None
     while True:
         yield sigma, t, log_t, ll, row, g_prime
         if g_prime is None:
-            # the trace rule's G2, formed now that a further step is drawn
-            g_prime = _carried(b_mat, _candidate(b_mat, c, x, w, t_prime),
-                               alpha)
+            g_prime = _candidate(b_mat, c, x, w, t)
         try:
             if rows and lam_n is None:
-                # the start's factor is cached; later iterates are factored
-                # from their entries, since the step's sqrt(alpha) chol(Sigma')
-                # would move the traced spectrum by rounding
-                chol = (start.cholesky if sigma is start
-                        else chol_lower(sigma.entries))
-                lam_n = reduced_eigvalsh(g_prime, tril_inv(chol))
+                lam_n = reduced_eigvalsh(g_prime, tril_inv(sigma.cholesky))
             chol = chol_lower(g_prime)
             linv = tril_inv(chol)
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -460,7 +446,7 @@ def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
                 or _near_singular(float(mu[0]), float(mu[-1]))):
             raise _Breakdown("candidate is near singular")
         t_prime = _radii(linv, x)
-        g2 = None if rule == "trace" else _candidate(b_mat, c, x, w, t_prime)
+        g2 = _candidate(b_mat, c, x, w, t_prime) if rule == "eigen" else None
         alpha, lam = 1.0, None
         if rule is not None:
             alpha, lam = _alpha(rule, problem, g_prime, linv, g2)
@@ -473,10 +459,12 @@ def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
         t = t_prime / alpha
         log_t = np.log(t)
         ll = _avg_loglik(problem, t, log_t, sigma.log_det)
-        # at alpha = 1 G2's spectrum relative to Sigma' = sigma, if the rule
-        # computed it, is the next map spectrum
-        g_prime = None if g2 is None else _carried(b_mat, g2, alpha)
-        lam_n = lam if alpha == 1.0 else None
+        if g2 is not None and alpha != 1.0:
+            # with t = t'/alpha the candidate at alpha Sigma' is
+            # B + alpha (G2 - B); at alpha = 1 it is G2, whose spectrum
+            # relative to Sigma' = sigma is the next map spectrum
+            g2, lam = b_mat + alpha * (g2 - b_mat), None
+        g_prime, lam_n = g2, lam
 
 
 def fit_nonconcave(data: Dataset, a: float, b: float,
@@ -489,14 +477,13 @@ def fit_nonconcave(data: Dataset, a: float, b: float,
     the spectrum of the map at ``Sigma'``: once its extreme eigenvalues
     bracket one the step is unscaled, and the scaling tends to one as the
     iteration converges.  Under ``alpha_rule='trace'`` ``alpha Sigma'`` gets
-    the inverse trace ``tr(Sigma^{-1} B) = 2a`` of every fixed point.  Under
-    either rule the map matrix ``G2``, built from the candidate's squared
-    radii ``t'``, is carried forward: the next candidate is
-    ``B + alpha (G2 - B)``, which is ``G2`` itself (with the eigen rule's map
-    spectrum) when ``alpha = 1``.  The eigen rule forms ``G2`` with its step;
-    the trace rule, whose ``alpha`` does not read it, forms it lazily when
-    the next step is drawn, and the last candidate is built from the data
-    for the stationarity residual.
+    the inverse trace ``tr(Sigma^{-1} B) = 2a`` of every fixed point.  Only
+    the eigen rule reads the map matrix ``G2``, built from the candidate's
+    squared radii ``t'``; it carries ``G2`` forward, so its next candidate
+    is ``B + alpha (G2 - B)``, which is ``G2`` itself (with its map
+    spectrum) when ``alpha = 1``.  The trace rule forms no ``G2``: each of
+    its candidates is built from the data at the iterate when a step is
+    drawn, as is the last one for the stationarity residual.
     ``a = q/2`` (``c = 0``) is accepted and lands on ``B`` in a single step.
     """
     config = config or FixedPointConfig()
@@ -545,8 +532,9 @@ def _steps(data: Dataset, a: float, b: float, start: ScatterMatrix,
            t: np.ndarray, log_t: np.ndarray):
     """Step generator (see :func:`_run`) of the EM scatter M-step from
     ``start``, whose squared radii are ``t``, logs ``log_t``: concave steps,
-    or trace-rule steps without trace rows, whose start and first step form
-    two n x q^2 products (``B`` and the start's candidate) and no ``G2``."""
+    or trace-rule steps without trace rows, whose first step forms two
+    n x q^2 products (``B`` and the start's candidate, built from the data
+    as every trace-rule candidate is) and no ``G2``."""
     problem = _problem(data, a, b)
     t = np.maximum(t, _DENOM_FLOOR)
     if problem.c <= 0.0:

@@ -104,6 +104,23 @@ class TestSample:
         assert ex.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("sample", "--dim", 2, "--a", 1.0, "--b", 2.0, "--n", 5, "--seed", -1),
+    ("fit-mixture", "--data", "x.csv", "--k", 1, "--seed", -1),
+    ("bench", "--dim", 2, "--a", 0.5, "--b", 2.0, "--n", 50, "--seed", -1),
+    ("preprocess", "--data", "raw.csv", "--seed", -1),
+    ("preprocess", "--data", "raw.csv", "--noise-fraction", -0.5)],
+    ids=["sample-seed", "fit-mixture-seed", "bench-seed", "preprocess-seed",
+         "preprocess-noise-fraction"])
+def test_negative_seed_or_noise_is_usage_error(argv, tmp_path, capsys):
+    # rejected while parsing, before any file is read
+    out = "--out-dir" if argv[0] == "bench" else "--out"
+    with pytest.raises(SystemExit) as ex:
+        run_cli(*argv, out, tmp_path / "out")
+    assert ex.value.code == 2
+    assert "must be a nonnegative" in capsys.readouterr().err
+
+
 class TestFit:
     def test_gaussian_matches_second_moment(self, work):
         model, info = eio.read_model(work["model"])
@@ -285,6 +302,18 @@ class TestFitMixture:
                        "--out", tmp_path / "m.json")
         assert code == 4
         assert "error:" in capsys.readouterr().err
+
+    def test_rank_deficient_weights_name_cause(self, tmp_path, capsys):
+        # one positive weight: the pooled start moment has rank one
+        data, weights = tmp_path / "d.csv", tmp_path / "w.csv"
+        eio.write_matrix_csv(data, np.random.default_rng(0)
+                             .standard_normal((3, 3)))
+        eio.write_matrix_csv(weights, np.array([[1.0], [0.0], [0.0]]))
+        code = run_cli("fit-mixture", "--data", data, "--weights", weights,
+                       "--k", 1, "--init", "kmeans-on-radii",
+                       "--out", tmp_path / "m.json")
+        assert code == 4
+        assert "data does not span R^q" in capsys.readouterr().err
 
 
 class TestEval:

@@ -423,6 +423,15 @@ class TestFitMixture:
         with pytest.raises(ValueError, match="n_components"):
             egd.fit_mixture(data, egd.EmConfig(n_components=2))
 
+    @pytest.mark.parametrize("init", ["kmeans-on-radii", "random-assignment"])
+    def test_rank_deficient_start_names_cause(self, init):
+        # one positive weight: the pooled start moment has rank one
+        x = np.random.default_rng(0).standard_normal((3, 3))
+        data = egd.Dataset(x, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(egd.RankDeficiencyError,
+                           match="data does not span R"):
+            egd.fit_mixture(data, egd.EmConfig(n_components=1, init=init))
+
     def test_single_component_reduction(self):
         params = egd.EgdParams(egd.ScatterMatrix(random_spd(
             3, np.random.default_rng(39))), 1.1, 1.8)

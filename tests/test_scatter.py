@@ -391,8 +391,8 @@ class TestCarriedCandidate:
                                     alpha_rule=rule)
 
     def test_matches_rebuilding_reference(self, setting):
-        # the trace rule too, which forms G2 only when a further step is
-        # drawn
+        # the trace rule too, which forms no G2 and builds every candidate
+        # from the data
         data, _, starts = setting
         cases = set()
         for user, rule in itertools.product(starts, ("eigen", "trace")):
@@ -611,11 +611,14 @@ class TestStartPencilDefect:
         assert 0.0 < report.sigma_hat.entries[0, 0] < 1e-190
 
 
+# one fit of each kind at q = 5: (fit, a, alpha_rule)
+FITS = [(egd.fit_concave, 4.0, "eigen"), (egd.fit_nonconcave, 1.0, "eigen"),
+        (egd.fit_nonconcave, 1.0, "trace"), (egd.fit_kent_tyler, 1.0, "eigen")]
+FIT_IDS = ["concave", "eigen", "trace", "kent-tyler"]
+
+
 class TestReportedLoglik:
-    @pytest.mark.parametrize("fit, a, rule", [
-        (egd.fit_concave, 4.0, "eigen"), (egd.fit_nonconcave, 1.0, "eigen"),
-        (egd.fit_nonconcave, 1.0, "trace"), (egd.fit_kent_tyler, 1.0, "eigen")],
-        ids=["concave", "eigen", "trace", "kent-tyler"])
+    @pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
     def test_final_value_is_public_density(self, fit, a, rule):
         # the traced average log-likelihood of the returned scatter is the
         # one the public density gives on the same weighted data
@@ -627,6 +630,48 @@ class TestReportedLoglik:
         expect = egd.log_likelihood(egd.EgdParams(report.sigma_hat, a, b),
                                     data) / data.total_weight
         assert report.loglik_trace[-1] == pytest.approx(expect, rel=1e-12)
+
+
+class TestFactorPerIterate:
+    """Each iterate is factored once, by the step that makes it; the step
+    test, the residual and the report read that factor."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return make_egd_data(5, 1.0, 2.0, 500, seed=41)[0]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-16])
+    @pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
+    def test_one_factorization_per_iteration(self, data, monkeypatch, fit,
+                                             a, rule, tol):
+        # B and the start are factored once each, and every step factors
+        # its candidate (a concave step, its iterate)
+        calls = []
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return chol_lower(mat)
+
+        monkeypatch.setattr(egd.core, "chol_lower", counted)
+        monkeypatch.setattr(egd.scatter, "chol_lower", counted)
+        report = fit(data, a, 2.0, egd.FixedPointConfig(
+            tol=tol, max_iter=5000, alpha_rule=rule))
+        assert report.converged
+        assert len(calls) == report.iterations + 2
+
+    @pytest.mark.parametrize("max_iter", [2, 1000])
+    @pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
+    def test_reported_factor(self, data, fit, a, rule, max_iter):
+        # a scaled step's factor is sqrt(alpha) chol(Sigma'), not the factor
+        # of its entries, but reproduces them to rounding
+        sigma = fit(data, a, 2.0, egd.FixedPointConfig(
+            tol=1e-9, max_iter=max_iter, alpha_rule=rule)).sigma_hat
+        fac = sigma.cholesky
+        assert np.array_equal(fac, np.tril(fac))
+        assert np.all(np.diag(fac) > 0.0)
+        assert rel_frob(fac @ fac.T, sigma.entries) <= 1e-14
+        assert sigma.log_det == pytest.approx(
+            np.linalg.slogdet(sigma.entries)[1], rel=0.0, abs=1e-12)
 
 
 class TestConfigValidation:
