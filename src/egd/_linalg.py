@@ -4,37 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# The sampler's square root clamps eigenvalues below EIG_FLOOR_REL times the
-# largest; a clamp that shifts log|M| by more than DET_SHIFT_TOL means the
-# matrix is too close to singular to use.  The fits use Cholesky factors.
-EIG_FLOOR_REL = 1e-14
-DET_SHIFT_TOL = 1e-8
-
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
     """Average a matrix with its transpose."""
     return 0.5 * (mat + mat.T)
-
-
-def spd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric square root of SPD ``mat``, small eigenvalues clamped.
-
-    Raises
-    ------
-    ValueError
-        If the matrix has a nonpositive eigenvalue, or if clamping small
-        eigenvalues would change the determinant noticeably (the matrix is
-        then effectively singular).
-    """
-    vals, vecs = np.linalg.eigh(symmetrize(np.asarray(mat, dtype=float)))
-    largest = float(vals[-1])
-    if largest <= 0.0 or vals[0] <= 0.0:
-        raise ValueError("matrix is not positive definite")
-    clamped = np.maximum(vals, EIG_FLOOR_REL * largest)
-    if abs(float(np.sum(np.log(clamped) - np.log(vals)))) > DET_SHIFT_TOL:
-        raise ValueError("matrix is effectively singular: eigenvalue clamping "
-                         "would alter the determinant")
-    return (vecs * np.sqrt(clamped)) @ vecs.T
 
 
 def chol_lower(mat: np.ndarray) -> np.ndarray:

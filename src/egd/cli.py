@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_positive_float, required=True)
     p.add_argument("--weights")
     p.add_argument("--init", default="sample-cov",
-                   help="'identity', 'sample-cov', or a matrix file; for "
-                        "fp, 'identity' is B = (2/b) times the weighted "
+                   help="'identity', 'sample-cov', or an SPD matrix file; "
+                        "for fp, 'identity' is B = (2/b) times the weighted "
                         "second moment (the sample-cov start when b = 2); "
                         "for kent-tyler it is I")
     p.add_argument("--alpha-rule", choices=("eigen", "trace"), default="eigen")
@@ -181,7 +181,7 @@ def cmd_sample(args, parser) -> int:
 def _resolve_init(init_arg):
     if init_arg in ("identity", "sample-cov"):
         return init_arg, None
-    return "user", ScatterMatrix(eio.read_matrix(init_arg)).entries
+    return "user", eio.read_matrix(init_arg)
 
 
 def cmd_fit(args, parser) -> int:

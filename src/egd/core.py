@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (chol_logdet, chol_lower, quad_forms, spd_sqrt,
-                      symmetrize, tril_inv)
+from ._linalg import (chol_logdet, chol_lower, quad_forms, symmetrize,
+                      tril_inv)
 
 __all__ = [
     "ScatterMatrix",
@@ -41,7 +41,8 @@ class ScatterMatrix:
     Construction verifies symmetry to 1e-12 relative Frobenius error,
     symmetrizes exactly, and rejects any matrix whose Cholesky factorization
     fails (i.e. whose eigenvalues are not all strictly positive).  The
-    Cholesky factor and log-determinant are cached for density evaluation.
+    Cholesky factor and log-determinant are cached; the factor is the only
+    square root of the scatter that densities, sampling and the fits use.
     """
 
     __slots__ = ("_entries", "_chol", "_log_det")
@@ -74,6 +75,12 @@ class ScatterMatrix:
         out = object.__new__(cls)
         out._entries, out._chol, out._log_det = entries, chol, log_det
         return out
+
+    def _scaled(self, s: float) -> "ScatterMatrix":
+        # s Sigma: factor sqrt(s) L, log-determinant q log s + log|Sigma|
+        return ScatterMatrix._unchecked(
+            s * self._entries, math.sqrt(s) * self._chol,
+            self.dim * math.log(s) + self._log_det)
 
     @property
     def dim(self) -> int:
@@ -346,11 +353,13 @@ def log_likelihood(params: EgdParams, data: Dataset) -> float:
 def sample(params: EgdParams, n: int, seed: int) -> Dataset:
     """Draw ``n`` exact samples.
 
-    A draw is ``sqrt(v) * Sigma^{1/2} u`` where ``v`` is gamma with shape
-    ``a`` and scale ``b``, ``u`` is uniform on the unit sphere (a normalized
-    standard normal vector), and ``Sigma^{1/2}`` is the symmetric square
-    root.  Directions are drawn before radii, so the stream layout is fixed;
-    the same seed always yields bit-identical output.
+    A draw is ``sqrt(v) * L u`` where ``v`` is gamma with shape ``a`` and
+    scale ``b``, ``u`` is uniform on the unit sphere (a normalized standard
+    normal vector) and ``Sigma = L L'`` the cached Cholesky factorization;
+    as ``Sigma^{-1/2} L`` is orthogonal, this is the law of
+    ``sqrt(v) * Sigma^{1/2} u``.  Directions are drawn before radii, so the
+    stream layout is fixed; the same seed always yields bit-identical output
+    (within a version: earlier versions drew ``Sigma^{1/2} u``).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -359,8 +368,8 @@ def sample(params: EgdParams, n: int, seed: int) -> Dataset:
     g = rng.standard_normal((n, q))
     u = g / np.linalg.norm(g, axis=1, keepdims=True)
     radii_sq = rng.gamma(shape=params.shape_a, scale=params.scale_b, size=n)
-    root = spd_sqrt(params.scatter.entries)
-    return Dataset((np.sqrt(radii_sq)[:, None] * u) @ root)
+    root = params.scatter.cholesky
+    return Dataset((np.sqrt(radii_sq)[:, None] * u) @ root.T)
 
 
 def gsm_density_mc(scatter: ScatterMatrix, a: float, x, num_mc: int,

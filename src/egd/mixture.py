@@ -124,6 +124,8 @@ class EmConfig:
     The default ``init="random-assignment"`` starts the components nearly
     alike and can leave a fit hundreds of rounds from convergence, even on
     an easy mixture; ``init="kmeans-on-radii"`` is recommended.
+    ``init="user-model"`` starts from ``user_model``, which must have
+    ``n_components`` components.
     """
 
     n_components: int
@@ -144,6 +146,9 @@ class EmConfig:
             raise ValueError(f"init must be one of {_EM_INITS}")
         if (self.init == "user-model") != (self.user_model is not None):
             raise ValueError("user_model required exactly when init='user-model'")
+        if (self.user_model is not None
+                and self.user_model.n_components != self.n_components):
+            raise ValueError("user_model must have n_components components")
 
 
 @dataclass(frozen=True, eq=False)

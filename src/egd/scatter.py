@@ -26,7 +26,10 @@ the weighted second moment.  The sign of ``c`` selects the regime:
   data-augmentation baseline of Kent and Tyler is the unscaled
   (``alpha = 1``) iteration ``Sigma <- Sigma'``.
 
-Every use of an iterate reads the Cholesky factor its step computed.  One
+Every use of an iterate reads the Cholesky factor its step computed.  ``B``
+is factored once per fit, and the data starts ``B`` and ``(b/2) B`` reuse
+its factor, so a converged fit from a data start makes ``iterations + 1``
+Cholesky factorizations, and from a user start one more.  One
 driver runs all three iterations and stops when the average log-likelihood
 changes by less than ``tol`` (for a ``tol`` below its rounding, once the
 steps also stop shrinking); the last candidate gives the stationarity
@@ -89,7 +92,10 @@ class FixedPointConfig:
     second moment, or a user matrix supplied via ``user_matrix``.  For the
     fixed points ``'identity'`` is ``Sigma_0 = B = (2/b)`` times the
     weighted second moment, the same start as ``'sample-cov'`` when
-    ``b = 2``; for Kent-Tyler it is ``Sigma_0 = I``.  ``alpha_rule`` only
+    ``b = 2``; for Kent-Tyler it is ``Sigma_0 = I``.  ``user_matrix`` is
+    checked when the fit starts, as every :class:`ScatterMatrix` is: it
+    must be symmetric to 1e-12 relative Frobenius error and positive
+    definite, or the fit raises ``ValueError``.  ``alpha_rule`` only
     affects the nonconcave iteration.  A fit stops once the average
     log-likelihood changes by less than ``tol``; a ``tol`` within its
     rounding also waits until the step ``||L^{-1} (Sigma_k - Sigma_{k-1})
@@ -157,9 +163,10 @@ def compute_constants(a: float, b: float, q: int, n_eff: float):
 
 @dataclass(frozen=True, eq=False)
 class _Problem:
-    """Weighted data and constants of a fit, ``B``, its Cholesky factor
-    ``b_factor`` and the factor's inverse ``b_inv``, which reduces pencils
-    ``(M, B)``; ``B`` has a factor and ``tr(B) ||b_inv||_F^2 < 1e14``."""
+    """Weighted data and constants of a fit, ``B`` as a
+    :class:`ScatterMatrix` ``b_scatter`` (entries, Cholesky factor,
+    log-determinant) and the factor's inverse ``b_inv``, which reduces
+    pencils ``(M, B)``; ``tr(B) ||b_inv||_F^2 < 1e14``."""
 
     x: np.ndarray
     w: np.ndarray
@@ -168,8 +175,7 @@ class _Problem:
     shape_a: float
     scale_b: float
     log_const: float
-    b_mat: np.ndarray
-    b_factor: np.ndarray
+    b_scatter: ScatterMatrix
     b_inv: np.ndarray
 
 
@@ -196,8 +202,10 @@ def _problem(data: Dataset, a: float, b: float) -> _Problem:
         raise RankDeficiencyError("data does not span R^q")
     return _Problem(x=data.samples, w=data.weights, c=c,
                     n_eff=n_eff, shape_a=a, scale_b=b,
-                    log_const=_log_norm_const(q, a, b), b_mat=b_mat,
-                    b_factor=fac, b_inv=fac_inv)
+                    log_const=_log_norm_const(q, a, b),
+                    b_scatter=ScatterMatrix._unchecked(b_mat, fac,
+                                                       chol_logdet(fac)),
+                    b_inv=fac_inv)
 
 
 def _radii(linv: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -233,25 +241,27 @@ def stationarity_residual(sigma: ScatterMatrix, data: Dataset, c: float,
 
 
 def _start(problem: _Problem, config: FixedPointConfig, identity=None):
-    """Start, its squared radii and logs; ``identity`` defaults to ``B``."""
-    if config.init == "identity":
-        mat = problem.b_mat if identity is None else identity
+    """Start, its squared radii and logs; ``identity`` defaults to ``B``.
+    ``B`` and its multiples reuse the problem's factor."""
+    linv = None
+    if config.init == "identity" and identity is None:
+        start, linv = problem.b_scatter, problem.b_inv
     elif config.init == "sample-cov":
         # the weighted second moment is (b/2) B
-        mat = (0.5 * problem.scale_b) * problem.b_mat
+        start = problem.b_scatter._scaled(0.5 * problem.scale_b)
     else:
-        mat = symmetrize(np.asarray(config.user_matrix, dtype=float))
-        if mat.shape != problem.b_mat.shape:
+        start = ScatterMatrix(config.user_matrix if config.init == "user"
+                              else identity)
+        if start.dim != problem.b_scatter.dim:
             raise ValueError("user_matrix has wrong shape")
-    start = ScatterMatrix(mat)
-    t = _radii(tril_inv(start.cholesky), problem.x)
+    t = _radii(tril_inv(start.cholesky) if linv is None else linv, problem.x)
     return start, t, np.log(t)
 
 
 def _avg_loglik(problem: _Problem, t: np.ndarray, log_t: np.ndarray,
                 logdet: float) -> float:
     # the constants stay outside the weighted sum
-    shift = problem.shape_a - 0.5 * problem.b_mat.shape[0]
+    shift = problem.shape_a - 0.5 * problem.b_scatter.dim
     radial = _radial_log_density(t, log_t, shift, 0.0, problem.scale_b)
     return (problem.log_const - 0.5 * logdet
             + float(problem.w @ radial) / problem.n_eff)
@@ -309,8 +319,8 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
     if not near_singular:
         try:
             if g is None:
-                g = _candidate(problem.b_mat, problem.c, problem.x,
-                               problem.w, t)
+                g = _candidate(problem.b_scatter.entries, problem.c,
+                               problem.x, problem.w, t)
             residual = _residual(sigma, g)
         except ValueError:
             near_singular = True
@@ -335,7 +345,7 @@ def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
     # F (I + c' K^{-1} M K^{-T})^{-1} F', whose inverse is well conditioned
     c_prime = -problem.c
     x, w = problem.x, problem.w
-    fac, fac_inv = problem.b_factor, problem.b_inv
+    fac, fac_inv = problem.b_scatter.cholesky, problem.b_inv
     eye = np.eye(fac.shape[0])
     sigma = start
     while True:
@@ -348,8 +358,8 @@ def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
         if _near_singular(float(vals[0]), float(vals[-1])):
             raise _Breakdown("iterate is near singular")
         if c_prime == 0.0:
-            # the step is F F' = B, whose factors the problem holds
-            entries, chol = problem.b_mat, fac
+            # the step is F F' = B, which the problem holds
+            sigma = problem.b_scatter
             t = _radii(fac_inv, x)
         else:
             k_inv = ((vecs / np.sqrt(vals)) @ vecs.T) @ fac_inv
@@ -361,8 +371,8 @@ def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
                 t = _radii(tril_inv(chol), x)
             except ValueError as exc:
                 raise _Breakdown("iterate is not factorizable") from exc
+            sigma = ScatterMatrix._unchecked(entries, chol, chol_logdet(chol))
         log_t = np.log(t)
-        sigma = ScatterMatrix._unchecked(entries, chol, chol_logdet(chol))
 
 
 def fit_concave(data: Dataset, a: float, b: float,
@@ -401,14 +411,14 @@ def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
     if rule == "trace":
         # at a fixed point tr(Sigma^{-1} Sigma') = q, so tr(Sigma^{-1} B) =
         # q - c n_eff = 2a whatever the weights
-        alpha = (float(np.sum((linv.T @ linv) * problem.b_mat))
+        alpha = (float(np.sum((linv.T @ linv) * problem.b_scatter.entries))
                  / (2.0 * problem.shape_a))
         lam = None
     else:
         lam = reduced_eigvalsh(g2, linv)
         if lam[-1] >= 1.0 >= lam[0]:
             return 1.0, lam
-        avals = reduced_eigvalsh(sigma_prime + problem.b_mat - g2,
+        avals = reduced_eigvalsh(sigma_prime + problem.b_scatter.entries - g2,
                                  problem.b_inv)
         inv_alpha = float(avals[0] if lam[-1] < 1.0 else avals[-1])
         alpha = 1.0 / inv_alpha if inv_alpha != 0.0 else math.inf
@@ -421,8 +431,7 @@ def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
                   log_t: np.ndarray, rule: str | None, rows: bool = True):
     # rule None: every step is accepted unscaled (Kent-Tyler); rows False:
     # no trace rows, so no map spectrum, which only fills them
-    c, x, w, b_mat = problem.c, problem.x, problem.w, problem.b_mat
-    q = b_mat.shape[0]
+    c, x, w, b_mat = problem.c, problem.x, problem.w, problem.b_scatter.entries
     ll = _avg_loglik(problem, t, log_t, start.log_det)
     sigma, row = start, None
     # the eigen rule's carried candidate, and map spectrum after alpha = 1
@@ -454,8 +463,7 @@ def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
             row = (alpha, float(lam_n[0]), float(lam_n[-1]),
                    alpha * float(mu[0]), alpha * float(mu[-1]))
         sigma = ScatterMatrix._unchecked(
-            alpha * g_prime, math.sqrt(alpha) * chol,
-            q * math.log(alpha) + chol_logdet(chol))
+            g_prime, chol, chol_logdet(chol))._scaled(alpha)
         t = t_prime / alpha
         log_t = np.log(t)
         ll = _avg_loglik(problem, t, log_t, sigma.log_det)

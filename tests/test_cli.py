@@ -210,6 +210,16 @@ class TestFit:
         assert eio.read_model(out)[0].dim == x.shape[1]
         assert eio.read_trace(trace) == []
 
+    def test_asymmetric_init_file_is_data_error(self, tmp_path, capsys):
+        data, init = tmp_path / "d.csv", tmp_path / "asym.csv"
+        eio.write_matrix_csv(data, np.random.default_rng(30)
+                             .standard_normal((50, 2)))
+        eio.write_matrix_csv(init, np.array([[1.0, 0.5], [0.4, 1.0]]))
+        code = run_cli("fit", "--data", data, "--a", 0.6, "--b", 2,
+                       "--init", init, "--out", tmp_path / "m.json")
+        assert code == 4
+        assert "symmetric" in capsys.readouterr().err
+
     def test_rank_deficient_data_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         line = np.outer(np.arange(1.0, 9.0), [1.0, 2.0])

@@ -347,6 +347,39 @@ class TestSample:
         _, pvalue = stats.kstest(radii, stats.gamma(a, scale=b).cdf)
         assert pvalue > 0.01
 
+    @staticmethod
+    def _stream(seed, n, q, a, b):
+        # the sampler's draws: directions first, then squared radii
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, q))
+        u = g / np.linalg.norm(g, axis=1, keepdims=True)
+        return u, rng.gamma(shape=a, scale=b, size=n)
+
+    def test_root_is_cholesky_factor(self):
+        # whitening by L^{-1} gives back sqrt(v) u of the same stream
+        a, b = 1.3, 0.7
+        scatter = egd.ScatterMatrix(
+            random_spd(5, np.random.default_rng(RNG_SEED + 8)))
+        d = egd.sample(egd.EgdParams(scatter, a, b), 300, seed=13)
+        white = linalg.solve_triangular(scatter.cholesky, d.samples.T,
+                                        lower=True).T
+        u, v = self._stream(13, 300, 5, a, b)
+        assert_allclose(white, np.sqrt(v)[:, None] * u, rtol=0.0,
+                        atol=1e-12 * np.sqrt(v.max()))
+
+    def test_ill_conditioned_scatter_samples(self):
+        # condition number about 1e15: the class accepts it, so it samples
+        q = 4
+        rng = np.random.default_rng(RNG_SEED + 9)
+        basis = np.linalg.qr(rng.standard_normal((q, q)))[0]
+        mat = (basis * np.logspace(0.0, -15.0, q)) @ basis.T
+        scatter = egd.ScatterMatrix(0.5 * (mat + mat.T))
+        assert np.linalg.cond(scatter.entries) > 5e14
+        d = egd.sample(egd.EgdParams(scatter, 1.5, 2.0), 500, seed=3)
+        _, v = self._stream(3, 500, q, 1.5, 2.0)
+        assert_allclose(egd.squared_radius(scatter, d.samples), v,
+                        rtol=1e-6)
+
 
 class TestGsmDensity:
     def test_matches_closed_form(self):

@@ -64,6 +64,11 @@ class TestEmConfig:
         with pytest.raises(ValueError, match="user_model"):
             egd.EmConfig(n_components=2, user_model=two_scale_model(2))
 
+    def test_user_model_component_count(self):
+        with pytest.raises(ValueError, match="n_components"):
+            egd.EmConfig(n_components=3, init="user-model",
+                         user_model=two_scale_model(2))
+
     def test_unknown_init(self):
         with pytest.raises(ValueError, match="init"):
             egd.EmConfig(n_components=2, init="grid")

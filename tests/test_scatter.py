@@ -41,8 +41,9 @@ class TestBMatrix:
         # one sample, n_eff = 1: d = 2 / b = 0.25
         x = np.array([[np.sqrt(1.0 / 0.25)]])
         problem = _problem(egd.Dataset(x), 0.1, 8.0)
-        assert problem.b_mat[0, 0] == pytest.approx(1.0, rel=1e-14)
-        assert abs(problem.b_factor[0, 0]) == pytest.approx(1.0, rel=1e-14)
+        b_scatter = problem.b_scatter
+        assert b_scatter.entries[0, 0] == pytest.approx(1.0, rel=1e-14)
+        assert abs(b_scatter.cholesky[0, 0]) == pytest.approx(1.0, rel=1e-14)
 
     def test_rank_deficient_rejected(self):
         x = np.random.default_rng(0).standard_normal((3, 5))
@@ -78,17 +79,17 @@ class TestBMatrix:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1000, 8))
         problem = _problem(egd.Dataset(x), 4.05, 2.0)
-        assert rel_frob(problem.b_factor @ problem.b_factor.T,
-                        problem.b_mat) < 1e-10
+        fac = problem.b_scatter.cholesky
+        assert rel_frob(fac @ fac.T, problem.b_scatter.entries) < 1e-10
 
     def test_round_trip(self):
         # the inverse factor undoes the factor, and reduces B to I
         rng = np.random.default_rng(3)
         x = rng.standard_normal((50, 4))
         problem = _problem(egd.Dataset(x), 0.5, 4.0)
-        assert rel_frob(problem.b_inv @ problem.b_factor, np.eye(4)) < 1e-10
-        assert rel_frob(problem.b_inv @ problem.b_mat @ problem.b_inv.T,
-                        np.eye(4)) < 1e-10
+        b_scatter, b_inv = problem.b_scatter, problem.b_inv
+        assert rel_frob(b_inv @ b_scatter.cholesky, np.eye(4)) < 1e-10
+        assert rel_frob(b_inv @ b_scatter.entries @ b_inv.T, np.eye(4)) < 1e-10
 
     def test_weighted_b_matrix(self):
         rng = np.random.default_rng(4)
@@ -98,7 +99,7 @@ class TestBMatrix:
         # d = 2 / (b n_eff)
         problem = _problem(egd.Dataset(x, w), 1.0, 2.0 / (d_const * w.sum()))
         expect = d_const * (x * w[:, None]).T @ x
-        assert_allclose(problem.b_mat, expect, rtol=1e-12)
+        assert_allclose(problem.b_scatter.entries, expect, rtol=1e-12)
 
 
 class TestStationarityResidual:
@@ -300,7 +301,8 @@ class TestSelectAlpha:
     @pytest.fixture(scope="class")
     def data(self):
         data, _ = make_egd_data(4, self.A, self.B, 400, seed=19)
-        assert rel_frob(_problem(data, self.A, self.B).b_mat, np.eye(4)) > 0.5
+        b_mat = _problem(data, self.A, self.B).b_scatter.entries
+        assert rel_frob(b_mat, np.eye(4)) > 0.5
         return data
 
     def _candidate(self, data, sigma):
@@ -322,14 +324,14 @@ class TestSelectAlpha:
 
     def test_case_two_pins_largest(self, data):
         # a hugely inflated start forces the all-below-one branch
-        start = 1e6 * _problem(data, self.A, self.B).b_mat
+        start = 1e6 * _problem(data, self.A, self.B).b_scatter.entries
         alpha, sigma = self._one_step(data, start)
         assert alpha < 1.0
         assert self._map_eigs(data, sigma)[-1] == pytest.approx(1.0, abs=1e-8)
 
     def test_case_three_pins_smallest(self, data):
         # a tiny start forces the all-above-one branch
-        start = 1e-6 * _problem(data, self.A, self.B).b_mat
+        start = 1e-6 * _problem(data, self.A, self.B).b_scatter.entries
         alpha, sigma = self._one_step(data, start)
         assert alpha > 1.0
         assert self._map_eigs(data, sigma)[0] == pytest.approx(1.0, abs=1e-8)
@@ -352,7 +354,7 @@ class TestSelectAlpha:
         start = random_spd(4, np.random.default_rng(31))
         alpha, _ = self._one_step(data, start, rule="trace")
         g_prime = self._candidate(data, start)
-        b_mat = _problem(data, self.A, self.B).b_mat
+        b_mat = _problem(data, self.A, self.B).b_scatter.entries
         expect = np.trace(np.linalg.solve(g_prime, b_mat)) / (2.0 * self.A)
         assert alpha == pytest.approx(expect, rel=1e-12)
 
@@ -376,7 +378,7 @@ class TestCarriedCandidate:
         report = egd.fit_nonconcave(data, self.A, self.B,
                                     egd.FixedPointConfig(tol=1e-13))
         # perturb the spectrum of the pencil (Sigma*, B) of the fixed point
-        fac, fac_inv = problem.b_factor, problem.b_inv
+        fac, fac_inv = problem.b_scatter.cholesky, problem.b_inv
         vals, vecs = np.linalg.eigh(
             fac_inv @ report.sigma_hat.entries @ fac_inv.T)
         starts = []
@@ -471,7 +473,7 @@ class TestAscentGuard:
         # a real iterate, three times the honest one and far worse; its
         # candidate B + c sum_i w_i x_i x_i' / (t_i / 3) is B + 3 (G - B)
         worse = egd.ScatterMatrix(3.0 * sigma.entries)
-        b_mat = problem.b_mat
+        b_mat = problem.b_scatter.entries
         t, log_t = t / 3.0, np.log(t / 3.0)
         return (worse, t, log_t,
                 egd.scatter._avg_loglik(problem, t, log_t, worse.log_det),
@@ -555,7 +557,7 @@ class TestStartPencilDefect:
         x = rng.standard_normal((100, 3))
         problem = _problem(egd.Dataset(x), 0.1, 2.0)
         start = _start(problem, egd.FixedPointConfig(init="identity"))[0]
-        assert rel_frob(start.entries, problem.b_mat) < 1e-12
+        assert rel_frob(start.entries, problem.b_scatter.entries) < 1e-12
 
     def test_identity_b(self):
         # one orthonormal-ish sample set scaled so B is the identity; the
@@ -564,7 +566,7 @@ class TestStartPencilDefect:
         x = np.array([[np.sqrt(1 / d_const), 0.0],
                       [0.0, np.sqrt(1 / d_const)]])
         problem = _problem(egd.Dataset(x), 0.3, 2.0 / (d_const * 2.0))
-        assert rel_frob(problem.b_mat, np.eye(2)) < 1e-12
+        assert rel_frob(problem.b_scatter.entries, np.eye(2)) < 1e-12
         sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
         assert_allclose(reduced_eigvalsh(sigma, problem.b_inv),
                         np.linalg.eigvalsh(sigma), rtol=1e-12)
@@ -640,12 +642,9 @@ class TestFactorPerIterate:
     def data(self):
         return make_egd_data(5, 1.0, 2.0, 500, seed=41)[0]
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-16])
-    @pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
-    def test_one_factorization_per_iteration(self, data, monkeypatch, fit,
-                                             a, rule, tol):
-        # B and the start are factored once each, and every step factors
-        # its candidate (a concave step, its iterate)
+    @staticmethod
+    def _extra_factorizations(monkeypatch, fit, data, a, b, **config):
+        # chol_lower calls beyond one per iteration
         calls = []
 
         def counted(mat):
@@ -654,10 +653,34 @@ class TestFactorPerIterate:
 
         monkeypatch.setattr(egd.core, "chol_lower", counted)
         monkeypatch.setattr(egd.scatter, "chol_lower", counted)
-        report = fit(data, a, 2.0, egd.FixedPointConfig(
-            tol=tol, max_iter=5000, alpha_rule=rule))
+        report = fit(data, a, b, egd.FixedPointConfig(max_iter=5000,
+                                                      **config))
         assert report.converged
-        assert len(calls) == report.iterations + 2
+        return len(calls) - report.iterations
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-16])
+    @pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
+    def test_one_factorization_per_iteration(self, data, monkeypatch, fit,
+                                             a, rule, tol):
+        # B is factored once, the sample-cov start reuses its factor, and
+        # every step factors its candidate (a concave step, its iterate)
+        assert self._extra_factorizations(
+            monkeypatch, fit, data, a, 2.0, tol=tol, alpha_rule=rule) == 1
+
+    @pytest.mark.parametrize("init", ["identity", "sample-cov", "user"])
+    @pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
+    def test_factorizations_by_start(self, data, monkeypatch, fit, a, rule,
+                                     init):
+        # the fixed points' identity start is B and, at b != 2, the
+        # sample-cov start a multiple of it: both reuse B's factor; a user
+        # start, and Kent-Tyler's identity start I, are factored once more
+        user = random_spd(5, np.random.default_rng(42)) if init == "user" \
+            else None
+        own = init == "user" or (init == "identity"
+                                 and fit is egd.fit_kent_tyler)
+        assert self._extra_factorizations(
+            monkeypatch, fit, data, a, 1.5, tol=1e-9, alpha_rule=rule,
+            init=init, user_matrix=user) == 1 + own
 
     @pytest.mark.parametrize("max_iter", [2, 1000])
     @pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
@@ -690,6 +713,19 @@ class TestConfigValidation:
     def test_unknown_init(self):
         with pytest.raises(ValueError, match="init"):
             egd.FixedPointConfig(init="zeros")
+
+    @pytest.mark.parametrize("fit, a", [
+        (egd.fit_scatter, 3.0), (egd.fit_scatter, 0.6),
+        (egd.fit_kent_tyler, 0.6)],
+        ids=["concave", "nonconcave", "kent-tyler"])
+    def test_asymmetric_user_matrix_rejected(self, fit, a):
+        # checked as every scatter input is, not symmetrized
+        data, _ = make_egd_data(3, 0.6, 2.0, 100, seed=43)
+        user = np.eye(3)
+        user[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            fit(data, a, 2.0, egd.FixedPointConfig(init="user",
+                                                   user_matrix=user))
 
     def test_report_regime_fields(self):
         data, _ = make_egd_data(3, 4.0, 1.0, 200, seed=26)
