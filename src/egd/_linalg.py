@@ -11,9 +11,10 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 def chol_lower(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; raises ValueError if the matrix is not SPD."""
+    """Lower Cholesky factor, read from the lower triangle of ``mat`` alone;
+    raises ValueError if that symmetric matrix is not positive definite."""
     try:
-        return np.linalg.cholesky(symmetrize(np.asarray(mat, dtype=float)))
+        return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not positive definite") from exc
 

@@ -22,6 +22,11 @@ _DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
 _TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
                     -691 / 2730, 7 / 6)
 
+# a log-moment gap within this many rounding units of its larger term is
+# noise: fewer units let small mixtures' shapes run off on it, and more
+# would refuse a gap of 1e-13 when |log(vbar)| is 7
+_GAP_NOISE = 64 * 2.0 ** -52
+
 
 def _series(coefficients, x: float) -> float:
     """sum_n c_n x^(-2n) for n = 1..len(coefficients), by Horner's rule."""
@@ -105,51 +110,30 @@ class GammaFit:
     converged: bool
 
 
-def _bisect_shape(gap: float, start: float, tol: float, max_iter: int):
-    """Bisection on the strictly decreasing score log(a) - digamma(a) - gap."""
-    def score(a):
-        return math.log(a) - _digamma(a) - gap
-
-    lo = hi = start
-    used = 0
-    while score(lo) < 0.0 and lo > 1e-300:
-        lo *= 0.5
-        used += 1
-    while score(hi) > 0.0 and hi < 1e300:
-        hi *= 2.0
-        used += 1
-    for _ in range(max_iter):
-        used += 1
-        mid = 0.5 * (lo + hi)
-        if score(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * lo:
-            return 0.5 * (lo + hi), used, True
-    return 0.5 * (lo + hi), used, False
-
-
 def fit_gamma_weighted(data: WeightedSample, tol: float = 1e-10,
                        max_iter: int = 100) -> GammaFit:
     """Weighted ML estimate of gamma shape and scale.
 
-    Runs the generalized Newton update on the inverse shape,
+    The shape solves ``log(a) - digamma(a) = gap``, where ``gap =
+    log(vbar) - mlog`` for the weighted mean ``vbar`` and mean log ``mlog``
+    of the values.  As ``1/(2a) < log(a) - digamma(a) < 1/a`` (Alzer 1997),
+    the root lies in ``[1/(2 gap), 1/gap]``.  From ``a = 1/(2 gap)``, each
+    step narrows that bracket by the sign of the score and takes the
+    generalized Newton update on the inverse shape,
 
-        1/a_new = 1/a + (mlog - log(vbar) + log(a) - digamma(a))
+        1/a_new = 1/a + (log(a) - digamma(a) - gap)
                   / (a^2 (1/a - trigamma(a))),
 
-    where ``vbar`` and ``mlog`` are the weighted mean and weighted mean log
-    of the values, starting from ``a0 = 0.5 / (log(vbar) - mlog)``.  The
-    update divides by ``a^2 (1/a - trigamma(a))``, which is strictly
-    negative; if it ever is not, or a step leaves the domain, the solver
-    falls back to bisection on the monotone score
-    ``log(a) - digamma(a) = log(vbar) - mlog``.  The scale is
-    ``b = vbar / a`` exactly.  Iteration stops once the relative shape
-    change drops below ``tol``.
+    if it stays in the bracket and is at most half the previous step, and
+    the bracket's midpoint if not, until the relative change is below
+    ``tol`` or ``max_iter`` steps are spent.  ``b = vbar / a`` exactly.  A
+    gap within 64 rounding units of ``max(1, |log(vbar)|, |mlog|)`` counts
+    as zero: the shape is unbounded and the fit raises ``ValueError``.
     """
-    if tol <= 0.0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     v = data.values
     w = data.weights
     total = float(w.sum())
@@ -164,26 +148,36 @@ def _fit_gamma_moments(vbar: float, mlog: float, tol: float = 1e-10,
     they are not finite or the shape is unbounded."""
     if not (math.isfinite(vbar) and math.isfinite(mlog) and vbar > 0.0):
         raise ValueError("moments must be finite with a positive mean")
-    gap = math.log(vbar) - mlog
-    # gap > 0 by Jensen unless every weighted value is identical
-    if gap <= 0.0:
+    log_vbar = math.log(vbar)
+    gap = log_vbar - mlog
+    # gap > 0 by Jensen unless every weighted value is identical; within
+    # the rounding of its two terms its size is noise
+    if gap <= _GAP_NOISE * max(1.0, abs(log_vbar), abs(mlog)):
         raise ValueError("degenerate sample: shape unbounded")
-
-    a = 0.5 / gap
+    # 1/(2a) < log(a) - digamma(a) < 1/a (Alzer 1997) brackets the root
+    a = lo = 0.5 / gap
+    hi = 1.0 / gap
+    step = math.inf
     for iterations in range(1, max_iter + 1):
         # a > 0 throughout, so the validating wrappers are skipped
         score = math.log(a) - _digamma(a) - gap
-        denom = a * a * (1.0 / a - _trigamma(a))
-        if denom >= 0.0 or not math.isfinite(denom):
-            break
-        inv_new = 1.0 / a + score / denom
-        if inv_new <= 0.0 or not math.isfinite(inv_new):
-            break
-        a_new = 1.0 / inv_new
-        if abs(a_new - a) <= tol * a:
+        if score > 0.0:
+            lo = a
+        else:
+            hi = a
+        try:
+            denom = a * a * (1.0 / a - _trigamma(a))
+            a_new = 1.0 / (1.0 / a + score / denom)
+        except ZeroDivisionError:
+            a_new = 0.0
+        # halving the step keeps Newton from creeping along a score that
+        # rounding has flattened; a step that is not a number bisects too
+        if not (lo <= a_new <= hi and abs(a_new - a) <= 0.5 * step):
+            a_new = 0.5 * (lo + hi)
+        step = abs(a_new - a)
+        if step <= tol * a:
             return GammaFit(shape_a=a_new, scale_b=vbar / a_new,
                             iterations=iterations, converged=True)
         a = a_new
-    a, extra, converged = _bisect_shape(gap, a, tol, max(max_iter, 200))
-    return GammaFit(shape_a=a, scale_b=vbar / a,
-                    iterations=iterations + extra, converged=converged)
+    return GammaFit(shape_a=a, scale_b=vbar / a, iterations=max_iter,
+                    converged=False)

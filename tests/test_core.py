@@ -177,6 +177,14 @@ class TestGeneralizedEigvals:
             reduced_eigvalsh(np.eye(2), tril_inv(chol_lower(spd)))
 
 
+class TestCholLower:
+    def test_upper_triangle_is_not_read(self):
+        spd = random_spd(5, np.random.default_rng(7))
+        junk = np.random.default_rng(8).uniform(-1e6, 1e6, (5, 5))
+        garbled = np.tril(spd) + np.triu(junk, 1)
+        assert np.array_equal(chol_lower(garbled), chol_lower(spd))
+
+
 class TestLogDensity:
     def test_gaussian_at_origin(self):
         # a = q/2, b = 2 is the standard normal; log(1/(2*pi))

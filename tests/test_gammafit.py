@@ -1,8 +1,12 @@
 """Special functions and weighted gamma maximum likelihood."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import egd
@@ -134,6 +138,12 @@ class TestFitGamma:
         assert abs(fit.shape_a - oracle) <= 1e-4
         assert fit.iterations <= 50
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_tol(self, tol):
+        sample = egd.WeightedSample(np.array([1.0, 2.0, 4.0]))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            egd.fit_gamma_weighted(sample, tol=tol)
+
     def test_degenerate_sample(self):
         with pytest.raises(ValueError, match="degenerate sample"):
             egd.fit_gamma_weighted(
@@ -179,20 +189,17 @@ class TestMomentsKernel:
 
 
 class TestBisectionHandOff:
-    """Newton hands an unfinished or broken fit to bisection on the score."""
+    """A Newton step that leaves the bracket becomes a bisection step."""
 
     @pytest.fixture
     def sample(self):
         v = np.random.default_rng(4).gamma(3.0, 2.0, size=300)
         return egd.WeightedSample(v)
 
-    def test_unconverged_newton_is_finished_by_bisection(self, sample):
-        reference = egd.fit_gamma_weighted(sample)
+    def test_max_iter_caps_every_step(self, sample):
         fit = egd.fit_gamma_weighted(sample, max_iter=1)
-        assert fit.converged
-        assert fit.iterations > 1
-        assert_allclose(fit.shape_a, reference.shape_a, rtol=1e-9, atol=0.0)
-        assert_allclose(fit.scale_b, reference.scale_b, rtol=1e-9, atol=0.0)
+        assert not fit.converged
+        assert fit.iterations == 1
 
     def test_zero_newton_denominator_falls_back(self, sample, monkeypatch):
         reference = egd.fit_gamma_weighted(sample)
@@ -202,3 +209,43 @@ class TestBisectionHandOff:
         assert fit.converged
         assert_allclose(fit.shape_a, reference.shape_a, rtol=1e-9, atol=0.0)
         assert_allclose(fit.scale_b, reference.scale_b, rtol=1e-9, atol=0.0)
+
+
+def _in_bracket(fit, vbar, mlog):
+    # 1/(2a) < log(a) - digamma(a) < 1/a puts the root in [1/(2 gap), 1/gap];
+    # the gap is formed as the solver forms it
+    gap = math.log(vbar) - mlog
+    return 0.5 / gap <= fit.shape_a <= 1.0 / gap
+
+
+class TestShapeBracket:
+    """The shape stays inside the closed-form bracket of the root."""
+
+    @pytest.mark.parametrize("vbar", [1e-3, 1.0, 1e3])
+    def test_gap_grid_converges_inside_bracket(self, vbar):
+        for gap in np.logspace(-13.0, 2.0, 31):
+            mlog = np.log(vbar) - gap
+            fit = egd.gammafit._fit_gamma_moments(vbar, mlog)
+            assert fit.converged and fit.iterations <= 100, gap
+            assert _in_bracket(fit, vbar, mlog), gap
+
+    @pytest.mark.parametrize("level", [1e-3, 2.5, 1e3])
+    def test_values_equal_to_rounding_are_degenerate(self, level):
+        # a relative spread of 1e-8 leaves a log-moment gap of about 1e-17,
+        # below the rounding of log(vbar) and mlog
+        u = np.random.default_rng(9).uniform(-1.0, 1.0, 50)
+        sample = egd.WeightedSample(level * (1.0 + 1e-8 * u))
+        with pytest.raises(ValueError, match="degenerate sample"):
+            egd.fit_gamma_weighted(sample)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(vbar=st.floats(min_value=5e-324, allow_infinity=False),
+           mlog=st.floats(allow_nan=False, allow_infinity=False))
+    def test_fit_raises_or_converges_inside_bracket(self, vbar, mlog):
+        try:
+            fit = egd.gammafit._fit_gamma_moments(vbar, mlog)
+        except ValueError:
+            return
+        assert fit.converged
+        assert _in_bracket(fit, vbar, mlog)
