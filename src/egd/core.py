@@ -295,7 +295,11 @@ def _radial_log_density(t, log_t, shift: float, const: float, scale: float,
     if np.any(t == 0.0):
         prefix = "" if np.ndim(t) == 0 else f"sample {int(np.argmin(t))}: "
         raise ValueError(prefix + "density singular/zero at origin")
-    out = np.multiply(log_t, shift, out=out)
+    # a radius that overflowed to inf would make inf - inf: capping log t
+    # at 710 > log(DBL_MAX) makes that row -inf and leaves the others as
+    # they are
+    out = np.minimum(log_t, 710.0, out=out)
+    out *= shift
     out += const
     out -= t / scale
     return out

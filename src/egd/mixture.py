@@ -126,6 +126,10 @@ class EmConfig:
     an easy mixture; ``init="kmeans-on-radii"`` is recommended.
     ``init="user-model"`` starts from ``user_model``, which must have
     ``n_components`` components.
+
+    A component's radial parameters are frozen for a sweep while its
+    effective weight is at most ``q(q+1)/2 + 1`` (see :func:`m_step_shape`),
+    and its scatter while that weight is below ``q``.
     """
 
     n_components: int
@@ -273,7 +277,14 @@ def _m_step_scatter(data, resp, model, radii, log_radii):
 
 def m_step_shape(data: Dataset, resp: Responsibilities,
                  model: MixtureModel) -> MixtureModel:
-    """Refit every component's gamma shape and scale from squared radii."""
+    """Refit every component's gamma shape and scale from squared radii.
+
+    A component whose effective weight ``sum_i w_i t_ki`` is at most
+    ``q(q+1)/2 + 1`` keeps its shape and scale, with a warning: that few
+    points can lie on one centered ellipsoid, where their radii are equal,
+    the shape runs off and the mixture likelihood grows without bound
+    (Hathaway 1985).
+    """
     if resp.matrix.shape != (model.n_components, data.n):
         raise ValueError("responsibilities shape does not match model and data")
     return _m_step_shape(data, resp, model, *_squared_radii(model, data))
@@ -283,14 +294,18 @@ def _m_step_shape(data, resp, model, radii, log_radii):
     # the weighted mean radius and mean log radius are all a gamma fit reads
     t = resp.matrix
     total = data.total_weight
+    # x'Mx = 1 is linear in the q(q+1)/2 entries of M, so that many points
+    # can share one ellipsoid; without the + 1 some shapes still ran off
+    floor = 0.5 * data.dim * (data.dim + 1) + 1.0
     new_comps = []
     new_probs = np.empty(model.n_components)
     for k, comp in enumerate(model.components):
         wk = data.weights * t[k]
         swk = float(wk.sum())
         new_probs[k] = swk / total
-        if swk <= 0.0:
-            warnings.warn(f"component {k} is empty; radial parameters frozen")
+        if swk <= floor:
+            warnings.warn(f"component {k} has effective weight {swk:.3g} <= "
+                          f"{floor:g}; radial parameters frozen for this sweep")
             new_comps.append(comp)
             continue
         try:

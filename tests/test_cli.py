@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +410,23 @@ class TestEval:
         code = run_cli("eval", "--data", work["data"], "--model", model)
         assert code == 4
         assert "'dim'" in capsys.readouterr().err
+
+    def test_overflowing_radius_is_data_error(self, tmp_path, capsys):
+        # under an a > q/2 model the density of a row whose squared radius
+        # overflows is zero, reached with no RuntimeWarning
+        x = np.random.default_rng(2).standard_normal((40, 3))
+        eio.write_matrix_csv(tmp_path / "x.csv", x)
+        model = tmp_path / "m.json"
+        assert run_cli("fit", "--data", tmp_path / "x.csv", "--a", 3.0,
+                       "--b", 1.0, "--out", model) == 0
+        x[0] = [1e200, 1.0, 1.0]
+        eio.write_matrix_csv(tmp_path / "far.csv", x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("eval", "--data", tmp_path / "far.csv",
+                           "--model", model)
+        assert code == 4
+        assert "sample 0 has zero density" in capsys.readouterr().err
 
     def test_too_many_splits(self, work, tmp_path):
         data = tmp_path / "tiny.csv"

@@ -1,5 +1,7 @@
 """Density evaluation, sampling, and the scale-mixture cross-check."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -207,6 +209,19 @@ class TestLogDensity:
         # log Gamma(a) overflows a double here and is taken as inf
         p = egd.EgdParams(egd.ScatterMatrix.identity(2), 1e306, 1.0)
         assert egd.log_density(p, np.array([1.0, 0.5])) == -np.inf
+
+    @pytest.mark.parametrize("shape_a", [0.5, 1.5, 4.0])
+    def test_overflowing_radius_is_minus_inf(self, shape_a):
+        # x'x overflows to inf; for a > q/2 the radial terms would be
+        # (a - q/2) inf - inf / b
+        p = egd.EgdParams(egd.ScatterMatrix.identity(3), shape_a, 2.0)
+        x = np.array([[1e200, 1.0, 1.0], [1.0, 2.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = egd.log_density(p, x)
+            assert egd.log_density(p, x[0]) == -np.inf
+        assert rows[0] == -np.inf
+        assert rows[1] == egd.log_density(p, x[1])
 
     def test_origin_rejected_off_gaussian_shape(self):
         p = egd.EgdParams(egd.ScatterMatrix.identity(2), 0.5, 2.0)

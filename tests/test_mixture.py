@@ -172,6 +172,20 @@ class TestEStep:
                            match="sample 7: density singular/zero at origin"):
             egd.fit_mixture(data, cfg)
 
+    def test_overflowing_radius_raises_zero_density(self):
+        # x'x of the first row overflows to inf: each component's density
+        # is zero there, with no inf - inf on the way
+        q = 3
+        comps = [egd.EgdParams(egd.ScatterMatrix.identity(q), a, 2.0)
+                 for a in (0.5, 1.5, 4.0)]
+        model = egd.MixtureModel(comps, np.full(3, 1.0 / 3.0))
+        x = np.random.default_rng(37).standard_normal((20, q))
+        x[0] = [1e200, 1.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sample 0 has zero density"):
+                egd.e_step(model, egd.Dataset(x))
+
 
 class TestMSteps:
     @pytest.fixture()
@@ -347,6 +361,41 @@ class TestMSteps:
             stepped = egd.m_step_scatter(data, resp, model)
         assert stepped.components[1].scatter is model.components[1].scatter
 
+    def test_rank_deficient_subset_freezes_scatter(self):
+        # effective weight 10 >= q, but on two rows, which span a plane
+        rng = np.random.default_rng(38)
+        weights = np.zeros(50)
+        weights[[4, 9]] = 5.0
+        data = egd.Dataset(rng.standard_normal((50, 3)), weights)
+        comp = egd.EgdParams(egd.ScatterMatrix.identity(3), 0.7, 2.0)
+        model = egd.MixtureModel([comp], np.ones(1))
+        resp = egd.Responsibilities(np.ones((1, 50)))
+        with pytest.warns(UserWarning, match="rank-deficient subset"):
+            stepped = egd.m_step_scatter(data, resp, model)
+        assert stepped.components[0].scatter is comp.scatter
+
+    @pytest.mark.parametrize("rows", [14, 15])
+    def test_light_component_keeps_radial_parameters(self, rows):
+        # q = 3: up to q(q+1)/2 + 1 = 7 of effective weight the radial step
+        # is frozen; the component's points could share one ellipsoid
+        params = egd.EgdParams(egd.ScatterMatrix.identity(3), 2.5, 1.3)
+        data = egd.sample(params, 200, seed=39)
+        model = egd.MixtureModel([params, params], np.array([0.5, 0.5]))
+        light = np.zeros(200)
+        light[:rows] = 0.5
+        resp = egd.Responsibilities(np.vstack([1.0 - light, light]))
+        if rows == 14:
+            with pytest.warns(UserWarning, match=r"effective weight 7 <= 7; "
+                              "radial parameters frozen"):
+                stepped = egd.m_step_shape(data, resp, model)
+            assert stepped.components[1] is params
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                stepped = egd.m_step_shape(data, resp, model)
+            assert stepped.components[1].shape_a != params.shape_a
+        assert stepped.components[0].shape_a != params.shape_a
+
 
 @st.composite
 def mixture_steps(draw):
@@ -393,6 +442,44 @@ def test_scatter_step_never_lowers_likelihood(case):
         stepped = egd.m_step_scatter(data, resp, model)
     after = egd.mixture_log_likelihood(stepped, data)
     assert after >= before - 1e-12 * abs(before)
+
+
+@st.composite
+def small_mixture_fits(draw):
+    """Data from a random mixture with q, K <= 3 and n <= 40, and a config."""
+    q = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k * q, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    comps = [egd.EgdParams(
+        egd.ScatterMatrix(10.0 ** rng.uniform(-1.0, 1.0)
+                          * random_spd(q, rng, ridge=0.5)),
+        0.5 * q * 10.0 ** rng.uniform(-1.0, 1.0),
+        10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(k)]
+    truth = egd.MixtureModel(comps, rng.dirichlet(np.ones(k)))
+    data = egd.sample_mixture(truth, n, int(rng.integers(2**31)))
+    init = draw(st.sampled_from(["random-assignment", "kmeans-on-radii"]))
+    return data, egd.EmConfig(n_components=k, seed=seed, init=init)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(small_mixture_fits())
+def test_mixture_trace_monotone_and_components_bounded(case):
+    # a component of at most q(q+1)/2 points can put them all on one
+    # ellipsoid and run its shape off (Hathaway 1985); the radial weight
+    # floor keeps the likelihood bounded and the trace monotone
+    data, config = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        report = egd.fit_mixture(data, config)
+    trace = report.loglik_trace
+    drops = trace[:-1] - trace[1:]
+    assert np.all(drops <= 1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
+    for comp in report.model.components:
+        assert np.isfinite([comp.shape_a, comp.scale_b,
+                            comp.scatter.log_det]).all()
+        assert comp.shape_a <= 1e6
 
 
 @settings(max_examples=800, deadline=None, derandomize=True, database=None)
