@@ -10,6 +10,15 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def gram(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``sum_i v_i x_i x_i'``; an overflow raises ValueError, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = symmetrize((x * v[:, None]).T @ x)
+    if not np.isfinite(out).all():
+        raise ValueError("weighted second moment overflows")
+    return out
+
+
 def chol_lower(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, read from the lower triangle of ``mat`` alone;
     raises ValueError if that symmetric matrix is not positive definite."""

@@ -123,13 +123,12 @@ def fit_gamma_weighted(data: WeightedSample, tol: float = 1e-10,
 
         1/a_new = 1/a - (D(a) - gap) / (a^2 T(a)),  T = trigamma - 1/a,
 
-    if it stays in the bracket and is at most half the previous step, and
-    the bracket's midpoint if not, until the relative change is below
-    ``tol`` or ``max_iter`` steps are spent.  ``D`` and ``T`` do not
-    cancel, so for gaps from 1e-13 to 1e2 the shape lands within 1e-14
-    relative of the root.  ``b = vbar / a`` exactly.  A gap within 64
-    rounding units of ``max(1, |log(vbar)|, |mlog|)`` counts as zero: the
-    shape is unbounded and the fit raises ``ValueError``.
+    if it stays in the bracket, and the bracket's midpoint if not, until the
+    relative change is below ``tol`` or ``max_iter`` steps are spent.
+    ``D`` and ``T`` do not cancel, so for gaps from 1e-13 to 1e2 the shape
+    lands within 1e-14 relative of the root.  ``b = vbar / a`` exactly.  A
+    gap within 64 rounding units of ``max(1, |log(vbar)|, |mlog|)`` counts
+    as zero: the shape is unbounded and the fit raises ``ValueError``.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError("tol must be positive")
@@ -157,7 +156,6 @@ def _fit_gamma_moments(vbar: float, mlog: float, tol: float = 1e-10,
         raise ValueError("degenerate sample: shape unbounded")
     a = lo = 0.5 / gap
     hi = 1.0 / gap
-    step = math.inf
     for iterations in range(1, max_iter + 1):
         d, t = _psi_gaps(a)
         if d > gap:
@@ -168,13 +166,11 @@ def _fit_gamma_moments(vbar: float, mlog: float, tol: float = 1e-10,
             a_new = 1.0 / (1.0 / a - (d - gap) / (a * a * t))
         except ZeroDivisionError:
             a_new = 0.0
-        # halving the step keeps Newton from cycling; a step that is not a
-        # number, or made zero by an infinite T at a tiny shape, bisects
-        if not (lo <= a_new <= hi and abs(a_new - a) <= 0.5 * step
-                and t < math.inf):
+        # a step that is not a number, or made zero by an infinite T at a
+        # tiny shape, bisects
+        if not (lo <= a_new <= hi and t < math.inf):
             a_new = 0.5 * (lo + hi)
-        step = abs(a_new - a)
-        if step <= tol * a:
+        if abs(a_new - a) <= tol * a:
             return GammaFit(shape_a=a_new, scale_b=vbar / a_new,
                             iterations=iterations, converged=True)
         a = a_new

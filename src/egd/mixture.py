@@ -8,8 +8,8 @@ shape and scale from the squared radii under the current scatters.
 The scatter block is a generalized-EM step (Dempster, Laird & Rubin 1977):
 each component takes one fixed-point step from its current scatter per
 sweep instead of solving its subproblem.  A nonconcave component's step
-uses the trace rule for its scaling, so it forms two n x q^2 products, the
-weighted second moment and the candidate at the start, and the refit keeps
+uses the trace rule for its scaling, so it forms one n x q^2 product, the
+candidate at the start, and no weighted second moment, and the refit keeps
 the Cholesky factor the step computed.  The M-step then compares the
 refit with its start: when the refit lowers the component's weighted
 log-likelihood it is dropped and the start kept, so no scatter sweep lowers
@@ -22,7 +22,7 @@ scatters fixed: two plain sweeps ``theta0 -> theta1 -> theta2``, then, unless
 the step length is capped at -1 (where the point is ``theta2``), one E-step
 at the extrapolated point.  The point is kept, and refitted, only when its
 average log-likelihood is at least the last one recorded and no component
-loses all responsibility there; otherwise the cycle goes on from ``theta2``.
+would be removed there; otherwise the cycle goes on from ``theta2``.
 So this stage, too, never lowers the trace.
 
 The squared radii ``t_ki = x_i' Sigma_k^{-1} x_i`` depend on the scatters
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import gram
 from .core import (Dataset, EgdParams, MixtureModel, ScatterMatrix, _log,
                    _log_norm_const, _radial_log_density, sample,
                    squared_radius)
@@ -222,13 +223,14 @@ def m_step_scatter(data: Dataset, resp: Responsibilities,
     Component ``k`` takes one step of its regime's fixed point (a
     generalized-EM update) with weights ``w_i t_ki`` from its current
     scatter; a nonconcave step is scaled by the trace rule
-    (``alpha_rule='trace'``), which forms two n x q^2 products.  The refit
-    is then compared with its start, and a refit that lowers the component's
-    weighted log-likelihood (or whose log-likelihood is not a number) is
-    dropped in favour of the start, so the M-step never lowers the EM
-    objective.  A component whose effective weight falls below the dimension
-    is left unchanged for the sweep and flagged with a warning.  Mixing
-    probabilities are refreshed from the responsibilities.
+    (``alpha_rule='trace'``) and forms one n x q^2 product, its candidate.
+    The refit is then compared with its start, and a refit that lowers the
+    component's weighted log-likelihood (or whose log-likelihood is not a
+    number) is dropped in favour of the start, so the M-step never lowers
+    the EM objective.  A component whose effective weight falls below the
+    dimension, or whose step fails (on a rank-deficient subset, say), is
+    kept for the sweep with a warning.  Mixing probabilities are refreshed
+    from the responsibilities.
     """
     if resp.matrix.shape != (model.n_components, data.n):
         raise ValueError("responsibilities shape does not match model and data")
@@ -258,12 +260,8 @@ def _m_step_scatter(data, resp, model, radii, log_radii):
                                    log_radii[k])
             ll_start = next(steps)[3]
             sigma, refit_radii, refit_log_radii, ll, _, _ = next(steps)
-        except RankDeficiencyError:
-            warnings.warn(f"component {k} weights concentrate on a rank-deficient "
-                          "subset; scatter frozen for this sweep")
-            new_comps.append(comp)
-            continue
-        except scatter._Breakdown:
+        except (RankDeficiencyError, scatter._Breakdown) as exc:
+            warnings.warn(f"component {k} scatter frozen for this sweep: {exc}")
             new_comps.append(comp)
             continue
         if not ll >= ll_start:
@@ -320,15 +318,20 @@ def _m_step_shape(data, resp, model, radii, log_radii):
     return MixtureModel(new_comps, new_probs / new_probs.sum())
 
 
+def _live(resp, data):
+    # removing a component with at most eps = 2^-52 times n_eff of effective
+    # weight moves the average log-likelihood by about 2 eps at most
+    return resp.matrix @ data.weights > 2.0 ** -52 * data.total_weight
+
+
 def _respond(model, radii, log_radii, data):
     """E-step that removes, with a warning, the components it leaves empty
-    (and their rows of the radii), then repeats."""
+    (see :func:`_live`) and their rows of the radii, then repeats."""
     while True:
         resp, total = _e_step(model, data, radii, log_radii)
-        eff = resp.matrix @ data.weights
-        if float(eff.min()) > 0.0 or model.n_components == 1:
+        keep = _live(resp, data)
+        if keep.all() or model.n_components == 1:
             return model, radii, log_radii, resp, total
-        keep = eff > 0.0
         warnings.warn(f"removing {int(np.count_nonzero(~keep))} "
                       "empty component(s)")
         probs = model.mix_probs[keep]
@@ -396,8 +399,7 @@ def _radial_stage(data, model, radii, log_radii, tol, trace):
                     resp, total = _e_step(point, data, radii, log_radii)
             except ValueError:
                 continue
-            if not (total / n_eff >= prev
-                    and float((resp.matrix @ data.weights).min()) > 0.0):
+            if not (total / n_eff >= prev and _live(resp, data).all()):
                 continue
             model, restart = point, True
         avg = total / n_eff
@@ -414,39 +416,31 @@ def _radial_stage(data, model, radii, log_radii, tol, trace):
     return model, radii, log_radii
 
 
-def _second_moment(x, w):
-    total = float(w.sum())
-    return (x * w[:, None]).T @ x / total
-
-
 def _labels_to_model(data, labels, k):
-    x = data.samples
-    w = data.weights
-    q = data.dim
-    total = data.total_weight
-    # an empty cluster, or one whose moment is not SPD, takes the pooled one
+    x, w, total = data.samples, data.weights, data.total_weight
+    # an empty cluster, or one whose moment fails, takes the pooled one
     pooled = None
     comps = []
     probs = np.empty(k)
     for j in range(k):
-        mask = labels == j
-        wj = w * mask
+        wj = w * (labels == j)
         swj = float(wj.sum())
         probs[j] = swj / total
         sigma = None
         if swj > 0.0:
             try:
-                sigma = ScatterMatrix(_second_moment(x, wj))
+                sigma = ScatterMatrix(gram(x, wj / swj))
             except ValueError:
                 pass
         if sigma is None:
             if pooled is None:
+                moment = gram(x, w / total)
                 try:
-                    pooled = ScatterMatrix(_second_moment(x, w))
+                    pooled = ScatterMatrix(moment)
                 except ValueError as exc:
                     raise RankDeficiencyError("data does not span R^q") from exc
             sigma = pooled
-        comps.append(EgdParams(sigma, 0.5 * q, 2.0))
+        comps.append(EgdParams(sigma, 0.5 * data.dim, 2.0))
     probs = np.maximum(probs, 1.0 / (k * max(data.n, 1)))
     return MixtureModel(comps, probs / probs.sum())
 
@@ -516,8 +510,8 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     the change between two recorded ones falls below ``tol``.
     ``loglik_trace`` records the average log-likelihood of every accepted
     E-step, plus a final evaluation of the returned model; a rejected
-    extrapolation is neither recorded nor warned about.  Components that
-    lose all responsibility are removed with a warning.
+    extrapolation is neither recorded nor warned about.  Components whose
+    effective weight falls to ``2^-52 n_eff`` are removed with a warning.
 
     The squared radii and their logarithms are computed once for the
     initial model.  Each scatter refit overwrites its component's rows of

@@ -27,15 +27,16 @@ the weighted second moment.  The sign of ``c`` selects the regime:
   (``alpha = 1``) iteration ``Sigma <- Sigma'``.
 
 Every use of an iterate reads the Cholesky factor its step computed.  ``B``
-is factored once per fit, and the data starts ``B`` and ``(b/2) B`` reuse
-its factor, so a converged fit from a data start makes ``iterations + 1``
-Cholesky factorizations, and from a user start one more.  One
-driver runs all three iterations and stops when the average log-likelihood
-changes by less than ``tol`` (for a ``tol`` below its rounding, once the
-steps also stop shrinking); the last candidate gives the stationarity
-residual.  The EM scatter M-step takes single steps of the same step
-generators, with the trace rule for ``c > 0``: one such step forms two
-n x q^2 products, ``B`` and the start's candidate.
+is formed and factored when a fit first reads it: every public fit does at
+its start, to check the data's rank, and the data starts ``B`` and
+``(b/2) B`` reuse its factor, so a converged fit from a data start makes
+``iterations + 1`` Cholesky factorizations, and from a user start one
+more.  One driver runs all three iterations and stops when the average
+log-likelihood changes by less than ``tol`` (for a ``tol`` below its
+rounding, once the steps also stop shrinking); the last candidate gives the
+stationarity residual.  The EM scatter M-step takes single steps of the
+same step generators, with the trace rule for ``c > 0``: one such step
+forms one n x q^2 product, the start's candidate, and no ``B``.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (chol_logdet, chol_lower, quad_forms, reduced_eigvalsh,
-                      symmetrize, tril_inv)
+from ._linalg import (chol_logdet, chol_lower, gram, quad_forms,
+                      reduced_eigvalsh, symmetrize, tril_inv)
 from .core import Dataset, ScatterMatrix, _log_norm_const, _radial_log_density
 
 __all__ = [
@@ -163,59 +164,48 @@ def compute_constants(a: float, b: float, q: int, n_eff: float):
 
 @dataclass(frozen=True, eq=False)
 class _Problem:
-    """Weighted data and constants of a fit, ``B`` as a
-    :class:`ScatterMatrix` ``b_scatter`` (entries, Cholesky factor,
-    log-determinant) and the factor's inverse ``b_inv``, which reduces
-    pencils ``(M, B)``; ``tr(B) ||b_inv||_F^2 < 1e14``."""
+    """Weighted data and constants of a fit.  ``B`` and its factor's inverse
+    are formed, as the :class:`ScatterMatrix` ``b_scatter`` and ``b_inv``,
+    the first time either is read, which raises :class:`RankDeficiencyError`
+    unless ``tr(B) ||b_inv||_F^2 < 1e14``.  Their readers are :func:`_start`
+    (every public fit's rank check and data starts), the concave step, the
+    eigen rule and report rows; a nonconcave EM step reads neither."""
 
     x: np.ndarray
     w: np.ndarray
     c: float
+    d: float
     n_eff: float
     shape_a: float
     scale_b: float
     log_const: float
-    b_scatter: ScatterMatrix
-    b_inv: np.ndarray
 
-
-def _b_matrix(x: np.ndarray, w: np.ndarray, d: float) -> np.ndarray:
-    """``B = d sum_i w_i x_i x_i'``, with one n x q temporary."""
-    rows = x * w[:, None]
-    rows *= d
-    return symmetrize(rows.T @ x)
+    def __getattr__(self, name):
+        # reached only while b_scatter and b_inv are unset
+        if name not in ("b_scatter", "b_inv"):
+            raise AttributeError(name)
+        b_mat = gram(self.x, self.d * self.w)
+        try:
+            fac = chol_lower(b_mat)
+            fac_inv = tril_inv(fac)
+        except ValueError as exc:
+            raise RankDeficiencyError("data does not span R^q") from exc
+        if _ill_conditioned(b_mat, fac_inv):
+            raise RankDeficiencyError("data does not span R^q")
+        self.__dict__.update(b_inv=fac_inv, b_scatter=ScatterMatrix._unchecked(
+            b_mat, fac, chol_logdet(fac)))
+        return self.__dict__[name]
 
 
 def _problem(data: Dataset, a: float, b: float) -> _Problem:
-    """Raises :class:`RankDeficiencyError` when ``B`` is effectively singular."""
-    q = data.dim
-    n_eff = data.total_weight
-    c, d = compute_constants(a, b, q, n_eff)
-    b_mat = _b_matrix(data.samples, data.weights, d)
-    try:
-        fac = chol_lower(b_mat)
-        fac_inv = tril_inv(fac)
-    except ValueError as exc:
-        raise RankDeficiencyError("data does not span R^q") from exc
-    # tr(B) ||L^{-1}||_F^2 = tr(B) tr(B^{-1}) is cond(B) to within q^2
-    if _near_singular(1.0, np.trace(b_mat) * np.sum(fac_inv * fac_inv)):
-        raise RankDeficiencyError("data does not span R^q")
-    return _Problem(x=data.samples, w=data.weights, c=c,
-                    n_eff=n_eff, shape_a=a, scale_b=b,
-                    log_const=_log_norm_const(q, a, b),
-                    b_scatter=ScatterMatrix._unchecked(b_mat, fac,
-                                                       chol_logdet(fac)),
-                    b_inv=fac_inv)
+    c, d = compute_constants(a, b, data.dim, data.total_weight)
+    return _Problem(x=data.samples, w=data.weights, c=c, d=d,
+                    n_eff=data.total_weight, shape_a=a, scale_b=b,
+                    log_const=_log_norm_const(data.dim, a, b))
 
 
 def _radii(linv: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.maximum(quad_forms(linv, x), _DENOM_FLOOR)
-
-
-def _candidate(b_mat: np.ndarray, c: float, x: np.ndarray, w: np.ndarray,
-               t: np.ndarray) -> np.ndarray:
-    """``B + c sum_i w_i x_i x_i' / t_i``, one n x q^2 product."""
-    return symmetrize(b_mat + (x * (c * w / t)[:, None]).T @ x)
 
 
 def _residual(sigma: ScatterMatrix, g: np.ndarray) -> float:
@@ -235,14 +225,13 @@ def stationarity_residual(sigma: ScatterMatrix, data: Dataset, c: float,
     """
     if sigma.dim != data.dim:
         raise ValueError("sigma dimension does not match data")
-    x, w = data.samples, data.weights
-    t = _radii(tril_inv(sigma.cholesky), x)
-    return _residual(sigma, _candidate(_b_matrix(x, w, d), c, x, w, t))
+    t = _radii(tril_inv(sigma.cholesky), data.samples)
+    return _residual(sigma, gram(data.samples, data.weights * (d + c / t)))
 
 
 def _start(problem: _Problem, config: FixedPointConfig, identity=None):
     """Start, its squared radii and logs; ``identity`` defaults to ``B``.
-    ``B`` and its multiples reuse the problem's factor."""
+    Reading ``B`` checks its rank; it and its multiples reuse its factor."""
     linv = None
     if config.init == "identity" and identity is None:
         start, linv = problem.b_scatter, problem.b_inv
@@ -261,7 +250,7 @@ def _start(problem: _Problem, config: FixedPointConfig, identity=None):
 def _avg_loglik(problem: _Problem, t: np.ndarray, log_t: np.ndarray,
                 logdet: float) -> float:
     # the constants stay outside the weighted sum
-    shift = problem.shape_a - 0.5 * problem.b_scatter.dim
+    shift = problem.shape_a - 0.5 * problem.x.shape[1]
     radial = _radial_log_density(t, log_t, shift, 0.0, problem.scale_b)
     return (problem.log_const - 0.5 * logdet
             + float(problem.w @ radial) / problem.n_eff)
@@ -272,6 +261,12 @@ def _near_singular(eig_lo: float, eig_hi: float) -> bool:
     # quadratic forms is no signal, since heavy-tailed data (tiny shape)
     # legitimately mixes huge and vanishing radii
     return not eig_lo > _NEAR_SINGULAR_REL * eig_hi
+
+
+def _ill_conditioned(mat: np.ndarray, linv: np.ndarray) -> bool:
+    # tr(M) ||L^{-1}||_F^2 = tr(M) tr(M^{-1}) (M = L L') is cond(M) to
+    # within q^2: B's rank rule and a candidate's breakdown test
+    return _near_singular(1.0, np.trace(mat) * np.sum(linv * linv))
 
 
 def _run(problem: _Problem, config: FixedPointConfig, steps,
@@ -319,8 +314,7 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
     if not near_singular:
         try:
             if g is None:
-                g = _candidate(problem.b_scatter.entries, problem.c,
-                               problem.x, problem.w, t)
+                g = gram(problem.x, problem.w * (problem.d + problem.c / t))
             residual = _residual(sigma, g)
         except ValueError:
             near_singular = True
@@ -363,10 +357,10 @@ def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
             t = _radii(fac_inv, x)
         else:
             k_inv = ((vecs / np.sqrt(vals)) @ vecs.T) @ fac_inv
-            m = (x * (w / t)[:, None]).T @ x
-            entries = symmetrize(fac @ np.linalg.inv(
-                eye + c_prime * symmetrize(k_inv @ m @ k_inv.T)) @ fac.T)
             try:
+                m = gram(x, w / t)
+                entries = symmetrize(fac @ np.linalg.inv(
+                    eye + c_prime * symmetrize(k_inv @ m @ k_inv.T)) @ fac.T)
                 chol = chol_lower(entries)
                 t = _radii(tril_inv(chol), x)
             except ValueError as exc:
@@ -397,10 +391,10 @@ def fit_concave(data: Dataset, a: float, b: float,
 
 
 def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
-           linv: np.ndarray, g2: np.ndarray | None):
+           linv: np.ndarray, t_prime: np.ndarray, g2: np.ndarray | None):
     """Step scaling at the candidate ``sigma_prime`` (inverse Cholesky
-    factor ``linv``) and its map matrix ``g2``, which the trace rule does not
-    read.
+    factor ``linv``, squared radii ``t_prime``) and its map matrix ``g2``;
+    the trace rule reads only ``t_prime``.
 
     The eigen rule leaves the step unscaled when the map spectrum ``lam``,
     that of the pencil ``(g2, sigma_prime)``, brackets one; otherwise it
@@ -410,8 +404,9 @@ def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
     """
     if rule == "trace":
         # at a fixed point tr(Sigma^{-1} Sigma') = q, so tr(Sigma^{-1} B) =
-        # q - c n_eff = 2a whatever the weights
-        alpha = (float(np.sum((linv.T @ linv) * problem.b_scatter.entries))
+        # q - c n_eff = 2a whatever the weights; tr(Sigma'^{-1} B) is
+        # d sum_i w_i t'_i
+        alpha = (problem.d * float(problem.w @ t_prime)
                  / (2.0 * problem.shape_a))
         lam = None
     else:
@@ -430,36 +425,38 @@ def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
 def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
                   log_t: np.ndarray, rule: str | None, rows: bool = True):
     # rule None: every step is accepted unscaled (Kent-Tyler); rows False:
-    # no trace rows, so no map spectrum, which only fills them
-    c, x, w, b_mat = problem.c, problem.x, problem.w, problem.b_scatter.entries
+    # no trace rows, so no map or iterate spectrum, which only fill them
+    c, d, x, w = problem.c, problem.d, problem.x, problem.w
     ll = _avg_loglik(problem, t, log_t, start.log_det)
     sigma, row = start, None
     # the eigen rule's carried candidate, and map spectrum after alpha = 1
     g_prime = lam_n = None
     while True:
         yield sigma, t, log_t, ll, row, g_prime
-        if g_prime is None:
-            g_prime = _candidate(b_mat, c, x, w, t)
         try:
+            if g_prime is None:
+                g_prime = gram(x, w * (d + c / t))
             if rows and lam_n is None:
                 lam_n = reduced_eigvalsh(g_prime, tril_inv(sigma.cholesky))
             chol = chol_lower(g_prime)
             linv = tril_inv(chol)
-        except (ValueError, np.linalg.LinAlgError) as exc:
+        except ValueError as exc:
             raise _Breakdown("candidate is not factorizable") from exc
-        # the iterate spectrum, relative to B; mathematically Sigma' >= B,
-        # so a violated bound or an exploding condition number means the
-        # trajectory left the usable SPD cone
-        mu = reduced_eigvalsh(g_prime, problem.b_inv)
-        if (not np.all(np.isfinite(mu)) or mu[0] <= 1e-8
-                or _near_singular(float(mu[0]), float(mu[-1]))):
+        # Sigma' >= B, which spans R^q, so a candidate that fails B's rank
+        # rule means the trajectory left the usable SPD cone
+        if _ill_conditioned(g_prime, linv):
             raise _Breakdown("candidate is near singular")
         t_prime = _radii(linv, x)
-        g2 = _candidate(b_mat, c, x, w, t_prime) if rule == "eigen" else None
+        try:
+            g2 = gram(x, w * (d + c / t_prime)) if rule == "eigen" else None
+        except ValueError as exc:
+            raise _Breakdown("map matrix overflows") from exc
         alpha, lam = 1.0, None
         if rule is not None:
-            alpha, lam = _alpha(rule, problem, g_prime, linv, g2)
+            alpha, lam = _alpha(rule, problem, g_prime, linv, t_prime, g2)
         if rows:
+            # the iterate spectrum, relative to B
+            mu = reduced_eigvalsh(g_prime, problem.b_inv)
             row = (alpha, float(lam_n[0]), float(lam_n[-1]),
                    alpha * float(mu[0]), alpha * float(mu[-1]))
         sigma = ScatterMatrix._unchecked(
@@ -471,6 +468,7 @@ def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
             # with t = t'/alpha the candidate at alpha Sigma' is
             # B + alpha (G2 - B); at alpha = 1 it is G2, whose spectrum
             # relative to Sigma' = sigma is the next map spectrum
+            b_mat = problem.b_scatter.entries
             g2, lam = b_mat + alpha * (g2 - b_mat), None
         g_prime, lam_n = g2, lam
 
@@ -480,17 +478,18 @@ def fit_nonconcave(data: Dataset, a: float, b: float,
     """Scaled fixed point for the nonconcave regime ``a < q/2`` (``c > 0``).
 
     Each step forms the candidate
-    ``Sigma' = B + c sum_i w_i x_i x_i' / (x_i' Sigma^{-1} x_i)`` and accepts
-    ``alpha * Sigma'``.  Under ``alpha_rule='eigen'`` ``alpha`` comes from
-    the spectrum of the map at ``Sigma'``: once its extreme eigenvalues
-    bracket one the step is unscaled, and the scaling tends to one as the
-    iteration converges.  Under ``alpha_rule='trace'`` ``alpha Sigma'`` gets
-    the inverse trace ``tr(Sigma^{-1} B) = 2a`` of every fixed point.  Only
-    the eigen rule reads the map matrix ``G2``, built from the candidate's
-    squared radii ``t'``; it carries ``G2`` forward, so its next candidate
-    is ``B + alpha (G2 - B)``, which is ``G2`` itself (with its map
-    spectrum) when ``alpha = 1``.  The trace rule forms no ``G2``: each of
-    its candidates is built from the data at the iterate when a step is
+    ``Sigma' = B + c sum_i w_i x_i x_i' / (x_i' Sigma^{-1} x_i)``, one
+    product of the data, and accepts ``alpha * Sigma'``.  Under
+    ``alpha_rule='eigen'`` ``alpha`` comes from the spectrum of the map at
+    ``Sigma'``: once its extreme eigenvalues bracket one the step is
+    unscaled, and the scaling tends to one as the iteration converges.
+    Under ``alpha_rule='trace'`` ``alpha Sigma'`` gets the inverse trace
+    ``tr(Sigma^{-1} B) = 2a`` of every fixed point, read from the squared
+    radii ``t'`` at ``Sigma'``.  Only the eigen rule reads the map matrix
+    ``G2``, built from ``t'``; it carries ``G2`` forward, so its next
+    candidate is ``B + alpha (G2 - B)``, which is ``G2`` itself (with its
+    map spectrum) when ``alpha = 1``.  The trace rule forms no ``G2``: each
+    of its candidates is built from the data at the iterate when a step is
     drawn, as is the last one for the stationarity residual.
     ``a = q/2`` (``c = 0``) is accepted and lands on ``B`` in a single step.
     """
@@ -540,9 +539,10 @@ def _steps(data: Dataset, a: float, b: float, start: ScatterMatrix,
            t: np.ndarray, log_t: np.ndarray):
     """Step generator (see :func:`_run`) of the EM scatter M-step from
     ``start``, whose squared radii are ``t``, logs ``log_t``: concave steps,
-    or trace-rule steps without trace rows, whose first step forms two
-    n x q^2 products (``B`` and the start's candidate, built from the data
-    as every trace-rule candidate is) and no ``G2``."""
+    or trace-rule steps without trace rows, whose first step forms one
+    n x q^2 product (the start's candidate, built from the data as every
+    trace-rule candidate is), no ``G2`` and no ``B``; a rank-deficient
+    subset shows up as a candidate that cannot be factored."""
     problem = _problem(data, a, b)
     t = np.maximum(t, _DENOM_FLOOR)
     if problem.c <= 0.0:

@@ -64,10 +64,11 @@ def nonconcave_reference_step(data, a, b, sigma, t, alpha_rule="eigen"):
     """One step of the nonconcave fixed point from ``sigma``.
 
     ``t`` holds the squared radii ``x_i' sigma^{-1} x_i``.  The candidate
-    ``Sigma' = B + c sum_i w_i x_i x_i' / t_i`` is built from the data, and
-    so is, under the eigen rule, the map matrix ``G2`` at ``Sigma'``.  The
-    arithmetic of each, of the radii, of the trace rule's
-    ``alpha = tr(Sigma'^{-1} B) / (2a)`` and of the pencil eigenvalues
+    ``Sigma' = sum_i w_i (d + c / t_i) x_i x_i'`` is built from the data,
+    and so is, under the eigen rule, the map matrix ``G2`` at ``Sigma'``.
+    The arithmetic of each, of ``B``, of the radii ``t'`` at ``Sigma'``, of
+    the trace rule's ``alpha = tr(Sigma'^{-1} B) / (2a) = d sum_i w_i t'_i
+    / (2a)`` and of the pencil eigenvalues
     (reduction by the inverse Cholesky factor of the pencil's second matrix)
     is the library's, so that a step from the same state can be compared bit
     for bit.  Returns ``(row, case, sigma_next, t_next, logdet_next)`` with
@@ -84,11 +85,14 @@ def nonconcave_reference_step(data, a, b, sigma, t, alpha_rule="eigen"):
     def chol_inv(spd):
         return np.tril(np.linalg.inv(np.linalg.cholesky(spd)))
 
-    b_mat = sym(d * (x * w[:, None]).T @ x)
+    def gram(v):
+        return sym((x * v[:, None]).T @ x)
+
+    b_mat = gram(d * w)
     b_inv = chol_inv(b_mat)
 
     def candidate(forms):
-        return sym(b_mat + (x * (c * w / forms)[:, None]).T @ x)
+        return gram(w * (d + c / forms))
 
     def pencil_eigvals(mat, linv):
         return np.linalg.eigvalsh(sym(linv @ mat @ linv.T))
@@ -101,7 +105,7 @@ def nonconcave_reference_step(data, a, b, sigma, t, alpha_rule="eigen"):
     t_prime = np.maximum(np.einsum("ij,ij->i", z, z), 1e-300)
     mu = pencil_eigvals(g_prime, b_inv)
     if alpha_rule == "trace":
-        alpha, case = float(np.sum((linv.T @ linv) * b_mat)) / (2.0 * a), None
+        alpha, case = d * float(w @ t_prime) / (2.0 * a), None
     else:
         g2 = candidate(t_prime)
         lam2 = pencil_eigvals(g2, linv)

@@ -221,6 +221,23 @@ class TestFit:
         assert code == 4
         assert "symmetric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--a", 3.0, "--b", 1.0),
+        ("fit-mixture", "--k", 1)], ids=["fit", "fit-mixture"])
+    def test_overflowing_moment_is_data_error(self, tmp_path, capsys, argv):
+        # the first row's outer product overflows; the error names that,
+        # not the rank, and is reached with no RuntimeWarning
+        x = np.random.default_rng(31).standard_normal((40, 3))
+        x[0] = [1e200, 1.0, 1.0]
+        eio.write_matrix_csv(tmp_path / "far.csv", x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(argv[0], "--data", tmp_path / "far.csv", *argv[1:],
+                           "--out", tmp_path / "m.json")
+        assert code == 4
+        assert ("error: weighted second moment overflows"
+                in capsys.readouterr().err)
+
     def test_rank_deficient_data_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         line = np.outer(np.arange(1.0, 9.0), [1.0, 2.0])

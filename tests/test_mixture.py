@@ -220,12 +220,13 @@ class TestMSteps:
         resp = egd.Responsibilities(np.ones((1, 200)))
         return data, resp, egd.MixtureModel([comp], np.ones(1))
 
-    def test_nonconcave_step_forms_two_products(self, monkeypatch):
-        # one EM step forms B and the start's candidate, and no map matrix
-        # G2; an eigen-rule fit still carries each step's G2 forward as the
-        # next candidate
+    def test_nonconcave_step_forms_one_product(self, monkeypatch):
+        # one EM step forms the start's candidate and factors it, and forms
+        # neither B (a gram product with its own factorization) nor a map
+        # matrix G2; an eigen-rule fit forms B once and carries each step's
+        # G2 forward as the next candidate
         counts = collections.Counter()
-        for name in ("_b_matrix", "_candidate"):
+        for name in ("gram", "chol_lower"):
             def counted(*args, _name=name, _fn=getattr(egd.scatter, name)):
                 counts[_name] += 1
                 return _fn(*args)
@@ -233,13 +234,12 @@ class TestMSteps:
         data, resp, model = self._one_component(0.7)
         stepped = egd.m_step_scatter(data, resp, model)
         assert stepped.components[0].scatter is not model.components[0].scatter
-        assert counts == {"_b_matrix": 1, "_candidate": 1}
+        assert counts == {"gram": 1, "chol_lower": 1}
         counts.clear()
         report = egd.fit_nonconcave(data, 0.7, 2.0,
                                     egd.FixedPointConfig(tol=1e-10))
         assert report.iterations > 2
-        assert counts == {"_b_matrix": 1,
-                          "_candidate": report.iterations + 1}
+        assert counts["gram"] == report.iterations + 2
 
     @pytest.mark.parametrize("shape_a", [0.7, 2.5])
     def test_refit_keeps_step_factor(self, shape_a):
@@ -312,7 +312,7 @@ class TestMSteps:
 
     def test_breakdown_keeps_start_and_radii(self, blob_data, monkeypatch):
         # a step that leaves the SPD cone keeps the component and its row
-        # of radii
+        # of radii, with a warning that names both
         model, data = blob_data
         resp, _ = egd.e_step(model, data)
         steps = egd.scatter._steps
@@ -324,8 +324,12 @@ class TestMSteps:
         monkeypatch.setattr(egd.scatter, "_steps", broken)
         radii, log_radii = egd.mixture._squared_radii(model, data)
         before = radii.copy(), log_radii.copy()
-        stepped = egd.mixture._m_step_scatter(data, resp, model, radii,
-                                              log_radii)
+        with pytest.warns(UserWarning) as caught:
+            stepped = egd.mixture._m_step_scatter(data, resp, model, radii,
+                                                  log_radii)
+        assert [str(w.message) for w in caught] == [
+            f"component {k} scatter frozen for this sweep: candidate is near "
+            "singular" for k in range(2)]
         for new, old in zip(stepped.components, model.components):
             assert new.scatter is old.scatter
         assert np.array_equal(radii, before[0])
@@ -370,7 +374,8 @@ class TestMSteps:
         comp = egd.EgdParams(egd.ScatterMatrix.identity(3), 0.7, 2.0)
         model = egd.MixtureModel([comp], np.ones(1))
         resp = egd.Responsibilities(np.ones((1, 50)))
-        with pytest.warns(UserWarning, match="rank-deficient subset"):
+        with pytest.warns(UserWarning, match="component 0 scatter frozen for "
+                          "this sweep: candidate is"):
             stepped = egd.m_step_scatter(data, resp, model)
         assert stepped.components[0].scatter is comp.scatter
 
@@ -600,6 +605,52 @@ class TestFitMixture:
         assert_allclose(r1.responsibilities.matrix,
                         r2.responsibilities.matrix[::-1], rtol=1e-8,
                         atol=1e-12)
+
+    def test_overflowing_start_moment_raises(self):
+        # the start's moments overflow on the first row: the fit says so,
+        # with no floating-point warning, instead of calling the data
+        # rank-deficient
+        x = np.random.default_rng(49).standard_normal((40, 3))
+        x[0] = [1e200, 1.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="weighted second moment overflows") as err:
+                egd.fit_mixture(egd.Dataset(x), egd.EmConfig(n_components=2))
+        assert not isinstance(err.value, egd.RankDeficiencyError)
+
+    @pytest.mark.parametrize("light, kept", [(1e-30, False), (1e-12, True)])
+    def test_dying_component_pruned(self, light, kept):
+        # a component with at most eps n_eff of effective weight is removed
+        # although its weight is not zero; one just above it is kept
+        rng = np.random.default_rng(50)
+        data = egd.Dataset(rng.standard_normal((200, 2)))
+        comp = egd.EgdParams(egd.ScatterMatrix.identity(2), 1.0, 2.0)
+        model = egd.MixtureModel([comp, comp], np.array([1.0 - light, light]))
+        radii, log_radii = egd.mixture._squared_radii(model, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pruned, radii, _, resp, _ = egd.mixture._respond(
+                model, radii, log_radii, data)
+        assert pruned.n_components == radii.shape[0] == resp.n_components
+        assert pruned.n_components == (2 if kept else 1)
+        assert [str(w.message) for w in caught] == (
+            [] if kept else ["removing 1 empty component(s)"])
+
+    def test_dying_component_pruned_in_fit(self):
+        # removed at once, with one warning; pruning only at exactly zero
+        # weight would carry it, and warn about it, through every round
+        rng = np.random.default_rng(50)
+        data = egd.Dataset(rng.standard_normal((200, 2)))
+        comp = egd.EgdParams(egd.ScatterMatrix.identity(2), 1.0, 2.0)
+        start = egd.MixtureModel([comp, comp], np.array([1.0 - 1e-30, 1e-30]))
+        cfg = egd.EmConfig(n_components=2, init="user-model",
+                           user_model=start, outer_rounds=5, seed=0)
+        with pytest.warns(UserWarning) as caught:
+            report = egd.fit_mixture(data, cfg)
+        assert [str(w.message) for w in caught] == [
+            "removing 1 empty component(s)"]
+        assert report.model.n_components == 1
 
     def test_empty_component_removed(self):
         rng = np.random.default_rng(48)

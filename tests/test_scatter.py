@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 import egd
-from egd._linalg import chol_lower, reduced_eigvalsh
-from egd.scatter import _b_matrix, _problem, _start
+from egd._linalg import chol_lower, gram, reduced_eigvalsh
+from egd.scatter import _problem, _start
 from helpers import (ascent_oracle_avg_loglik, kent_tyler_reference,
                      make_egd_data, nonconcave_reference,
                      nonconcave_reference_step, random_spd, rel_frob,
@@ -49,7 +50,7 @@ class TestBMatrix:
         x = np.random.default_rng(0).standard_normal((3, 5))
         with pytest.raises(egd.RankDeficiencyError,
                            match="does not span R\\^q"):
-            _problem(egd.Dataset(x), 0.1, 2.0)
+            _problem(egd.Dataset(x), 0.1, 2.0).b_scatter
 
     def test_zero_weights_outside_subspace_rejected(self):
         rng = np.random.default_rng(1)
@@ -57,7 +58,7 @@ class TestBMatrix:
         w = np.zeros(10)
         w[:2] = 1.0
         with pytest.raises(egd.RankDeficiencyError):
-            _problem(egd.Dataset(x, w), 0.1, 2.0)
+            _problem(egd.Dataset(x, w), 0.1, 2.0).b_scatter
 
     @pytest.mark.parametrize("spread, spans", [(1e-7, False), (1e-6, True)])
     def test_factorable_but_ill_conditioned(self, spread, spans):
@@ -67,13 +68,13 @@ class TestBMatrix:
         x = np.random.default_rng(7).standard_normal((50, 4))
         x[:, 3] = x[:, 0] + spread * x[:, 3]
         # d = 2 / (b n_eff) = 0.02
-        chol_lower(_b_matrix(x, np.ones(50), 0.02))
+        chol_lower(gram(x, np.full(50, 0.02)))
         if spans:
-            _problem(egd.Dataset(x), 0.1, 2.0)
+            _problem(egd.Dataset(x), 0.1, 2.0).b_scatter
         else:
             with pytest.raises(egd.RankDeficiencyError,
                                match="does not span R\\^q"):
-                _problem(egd.Dataset(x), 0.1, 2.0)
+                _problem(egd.Dataset(x), 0.1, 2.0).b_scatter
 
     def test_factor_reconstruction(self):
         rng = np.random.default_rng(2)
@@ -100,6 +101,30 @@ class TestBMatrix:
         problem = _problem(egd.Dataset(x, w), 1.0, 2.0 / (d_const * w.sum()))
         expect = d_const * (x * w[:, None]).T @ x
         assert_allclose(problem.b_scatter.entries, expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("fit, a", [
+        (egd.fit_scatter, 3.0), (egd.fit_scatter, 0.5),
+        (egd.fit_kent_tyler, 0.5)],
+        ids=["concave", "nonconcave", "kent-tyler"])
+    def test_overflowing_second_moment_raises(self, fit, a):
+        # x x' of the first row overflows: every fit says so, with no
+        # floating-point warning, instead of calling the data rank-deficient
+        x = np.random.default_rng(5).standard_normal((40, 3))
+        x[0] = [1e200, 1.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="weighted second moment overflows") as err:
+                fit(egd.Dataset(x), a, 1.0)
+        assert not isinstance(err.value, egd.RankDeficiencyError)
+
+    def test_gram_overflow_raises_without_warning(self):
+        x = np.array([[1e200, 1.0], [1.0, -1e200], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                gram(x, np.ones(3))
+        assert np.array_equal(gram(x[2:], np.ones(1)), np.ones((2, 2)))
 
 
 class TestStationarityResidual:
@@ -155,7 +180,7 @@ class TestFitConcaveRegime:
         # the step returns B itself, bit for bit
         _, d = egd.compute_constants(2.0, 2.0, 4, 300.0)
         assert np.array_equal(report.sigma_hat.entries,
-                              egd.scatter._b_matrix(x, np.ones(300), d))
+                              gram(x, np.full(300, d)))
 
     def test_eigenvalue_box(self):
         data, _ = make_egd_data(5, 8.0, 1.3, 800, seed=8)
@@ -260,6 +285,20 @@ class TestFitNonconcaveRegime:
         r2 = egd.fit_scatter(scaled, 0.7, 2.0, cfg)
         assert rel_frob(r2.sigma_hat.entries,
                         25.0 * r1.sigma_hat.entries) < 1e-12
+
+    def test_overflowing_candidate_ends_near_singular(self):
+        # from so wide a start the first candidate's c w_i x_i x_i' / t_i
+        # terms sum past the largest double: the fit stops at its start,
+        # near-singular, with no floating-point warning
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((60, 6))
+        x[:, 0] *= 1e4
+        cfg = egd.FixedPointConfig(init="user", user_matrix=8e307 * np.eye(6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = egd.fit_scatter(egd.Dataset(x), 0.05, 2.0, cfg)
+        assert report.near_singular and not report.converged
+        assert report.iterations == 0
 
     def test_near_singular_flagged_not_raised(self):
         # most of the mass exactly on a line: no ML solution for tiny shape
