@@ -6,8 +6,9 @@ import numpy as np
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Average a matrix with its transpose."""
-    return 0.5 * (mat + mat.T)
+    """Average a matrix with its transpose; halving first keeps the sum of
+    finite entries finite, and halving is exact above the subnormals."""
+    return 0.5 * mat + 0.5 * mat.T
 
 
 def gram(x: np.ndarray, v: np.ndarray) -> np.ndarray:

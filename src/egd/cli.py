@@ -31,6 +31,10 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_DATA = 4
 
 _FITS = {"fp": fit_scatter, "kent-tyler": fit_kent_tyler}
+_TOL_HELP = ("stop at the first iterate S = LL' whose stationarity residual "
+             "||L^-1 (S' - S) L^-T||_F, S' its fixed-point update, is at "
+             "most TOL, or where that residual stops shrinking while the "
+             "log-likelihood ties to rounding")
 
 
 def _number(convert, positive: bool):
@@ -100,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "for kent-tyler it is I")
     p.add_argument("--alpha-rule", choices=("eigen", "trace"), default="eigen")
     p.add_argument("--algo", choices=_FITS, default="fp")
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6,
+                   help=_TOL_HELP)
     p.add_argument("--max-iter", type=_positive_int, default=1000)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
@@ -137,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algos", default="fp,kent-tyler",
                    help="comma-separated subset of: fp, kent-tyler")
     p.add_argument("--alpha-rule", choices=("eigen", "trace"), default="eigen")
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6,
+                   help=_TOL_HELP)
     p.add_argument("--max-iter", type=_positive_int, default=1000)
     p.add_argument("--out-dir", required=True)
 

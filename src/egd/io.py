@@ -243,19 +243,18 @@ def _fmt(value) -> str:
 def trace_rows(report):
     """Rows for :func:`write_trace` from a scatter fit report.
 
-    The stationarity residual is only evaluated at exit, so it appears on
-    the final row; step-size columns are empty for algorithms without one.
+    Every row holds its iterate's stationarity residual, the quantity the
+    fit stops on; step-size columns are empty for algorithms without one.
     """
-    n = report.iterations
     alphas = report.alpha_trace
     lmax = report.lambda_max_trace
     lmin = report.lambda_min_trace
     rows = []
-    for i in range(n):
+    for i in range(report.iterations):
         rows.append((
             i,
             report.loglik_trace[i],
-            report.final_residual if i == n - 1 else None,
+            report.residual_trace[i],
             alphas[i] if alphas is not None else None,
             lmax[i] if lmax is not None else None,
             lmin[i] if lmin is not None else None,

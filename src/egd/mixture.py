@@ -255,11 +255,10 @@ def _m_step_scatter(data, resp, model, radii, log_radii):
             new_comps.append(comp)
             continue
         try:
-            steps = scatter._steps(data._reweighted(wk), comp.shape_a,
-                                   comp.scale_b, comp.scatter, radii[k],
-                                   log_radii[k])
-            ll_start = next(steps)[3]
-            sigma, refit_radii, refit_log_radii, ll, _, _ = next(steps)
+            ll_start, ll, sigma, refit_radii, refit_log_radii = (
+                scatter._em_step(data._reweighted(wk), comp.shape_a,
+                                 comp.scale_b, comp.scatter, radii[k],
+                                 log_radii[k]))
         except (RankDeficiencyError, scatter._Breakdown) as exc:
             warnings.warn(f"component {k} scatter frozen for this sweep: {exc}")
             new_comps.append(comp)
@@ -484,7 +483,12 @@ def _init_model(data, config, rng):
             raise ValueError("user model dimension does not match data")
         return model
     if config.init == "kmeans-on-radii":
-        labels = _kmeans_radii_labels(np.linalg.norm(data.samples, axis=1), k)
+        x = data.samples
+        # squares of entries past 2^500 could overflow; one power-of-two
+        # scale of every row is exact and leaves the Lloyd labels unchanged
+        shift = int(np.frexp(np.abs(x).max())[1]) - 500
+        labels = _kmeans_radii_labels(
+            np.linalg.norm(np.ldexp(x, -shift) if shift > 0 else x, axis=1), k)
     else:
         labels = rng.integers(0, k, size=data.n)
         # keep every component populated enough to be fittable

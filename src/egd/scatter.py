@@ -9,42 +9,33 @@ the stationarity condition for the scatter takes the Kent-Tyler (1991) form
     Sigma = sum_i w_i (d + c / t_i) x_i x_i',    t_i = x_i' Sigma^{-1} x_i,
 
 and every fit works on the data ``x``, the weights ``w`` and ``Sigma``
-directly.  The right-hand side at the current iterate is the *candidate*
+directly.  The right-hand side at an iterate is its *candidate*
 ``Sigma'``; its first term is ``B = d sum_i w_i x_i x_i'``, ``(2/b)`` times
 the weighted second moment.  The sign of ``c`` selects the regime:
 
-* ``c <= 0`` (``a >= q/2``) gives a concave log-likelihood and a globally
-  convergent iteration ``Sigma <- P (Sigma + c' M)^{-1} P`` with
-  ``c' = -c``, ``M = sum_i w_i x_i x_i' / t_i`` and ``P`` the matrix
-  geometric mean of ``B`` and ``Sigma``.  The eigenvalues of the pencil
-  ``(Sigma, B)`` stay inside a fixed box, and ``c = 0`` lands on ``B``.
-* ``c > 0`` (``a < q/2``) accepts ``alpha Sigma'`` with a per-step scalar
-  ``alpha`` chosen either by an eigenvalue case analysis or by a trace
-  normalization.  Only the eigen rule reads the map matrix ``G2``, the
-  candidate at ``Sigma'``; it carries ``B + alpha (G2 - B)`` forward as the
-  next candidate, and any other candidate is built from the data.  The
-  data-augmentation baseline of Kent and Tyler is the unscaled
-  (``alpha = 1``) iteration ``Sigma <- Sigma'``.
+* ``c <= 0`` (``a >= q/2``) gives a concave log-likelihood and the
+  globally convergent iteration ``Sigma <- P (Sigma + c' M)^{-1} P`` of
+  :func:`fit_concave`, which lands on ``B`` when ``c = 0``.
+* ``c > 0`` (``a < q/2``): :func:`fit_nonconcave` accepts ``alpha Sigma'``
+  with ``alpha`` from an eigenvalue case analysis or a trace
+  normalization; the data-augmentation baseline of Kent and Tyler is the
+  unscaled (``alpha = 1``) iteration ``Sigma <- Sigma'``.
 
-Every use of an iterate reads the Cholesky factor its step computed.  ``B``
-is formed and factored when a fit first reads it: every public fit does at
-its start, to check the data's rank, and the data starts ``B`` and
-``(b/2) B`` reuse its factor, so a converged fit from a data start makes
-``iterations + 1`` Cholesky factorizations, and from a user start one
-more.  One driver runs all three iterations and stops when the average
-log-likelihood changes by less than ``tol`` (for a ``tol`` below its
-rounding, once the steps also stop shrinking); the last candidate gives the
-stationarity residual.  The EM scatter M-step takes single steps of the
-same step generators, with the trace rule for ``c > 0``: one such step
-forms one n x q^2 product, the start's candidate, and no ``B``.
+Each regime has a candidate function and a step function.  An iterate's
+candidate is formed once and gives both its stationarity residual, on
+which one driver stops all three iterations (see :class:`FixedPointConfig`),
+and the step taken from it.  Each iterate carries the Cholesky factor its
+step computed.  The EM scatter M-step takes one step of the same
+functions, with the trace rule for ``c > 0``: it forms one n x q^2
+product, the start's candidate, and no ``B``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -69,7 +60,7 @@ __all__ = [
 _DENOM_FLOOR = 1e-300
 _NEAR_SINGULAR_REL = 1e-14
 # The average log-likelihood is rounded to a few units in its last place;
-# a tol no larger than this many spacings cannot be resolved by its change.
+# two iterates within this many spacings of each other tie.
 _LL_ROUNDING_ULPS = 4.0
 
 _INITS = ("identity", "sample-cov", "user")
@@ -89,18 +80,17 @@ class _Breakdown(ValueError):
 class FixedPointConfig:
     """Options shared by the fixed-point scatter fits.
 
-    ``init`` selects the starting matrix: the identity, the weighted sample
-    second moment, or a user matrix supplied via ``user_matrix``.  For the
-    fixed points ``'identity'`` is ``Sigma_0 = B = (2/b)`` times the
-    weighted second moment, the same start as ``'sample-cov'`` when
-    ``b = 2``; for Kent-Tyler it is ``Sigma_0 = I``.  ``user_matrix`` is
-    checked when the fit starts, as every :class:`ScatterMatrix` is: it
-    must be symmetric to 1e-12 relative Frobenius error and positive
-    definite, or the fit raises ``ValueError``.  ``alpha_rule`` only
-    affects the nonconcave iteration.  A fit stops once the average
-    log-likelihood changes by less than ``tol``; a ``tol`` within its
-    rounding also waits until the step ``||L^{-1} (Sigma_k - Sigma_{k-1})
-    L^{-T}||_F`` (``Sigma_{k-1} = L L'``) stops shrinking.
+    ``init`` selects the start: ``'identity'`` (``B = (2/b)`` times the
+    weighted second moment for the fixed points, the ``'sample-cov'``
+    start when ``b = 2``; ``I`` for Kent-Tyler), the weighted second
+    moment, or ``user_matrix``, which must be symmetric to 1e-12 relative
+    Frobenius error and positive definite, or the fit raises
+    ``ValueError``.  ``alpha_rule`` only affects the nonconcave iteration.
+    A fit stops at the first iterate ``Sigma_k = L L'`` whose stationarity
+    residual ``r_k = ||L^{-1} (Sigma'_k - Sigma_k) L^{-T}||_F``, twice the
+    norm of the Riemannian gradient, is at most ``tol``, or at its rounding
+    floor: ``r_k >= r_{k-1}`` while the average log-likelihood ties within
+    a few units in its last place (``r_0`` is the start's).
     """
 
     init: str = "sample-cov"
@@ -126,15 +116,14 @@ class FixedPointConfig:
 class FitReport:
     """Outcome of a scatter fit.
 
-    ``loglik_trace`` holds the average log-likelihood of each accepted
-    iterate, so its length equals ``iterations``.  The alpha and lambda
-    traces are populated by the nonconcave iteration only; the lambda traces
-    record the extreme eigenvalues of the fixed-point map at each step, the
-    pencil ``(Sigma', Sigma)`` of the candidate and the iterate.
-    ``iterate_eig_*`` record the extreme eigenvalues of the pencil
-    ``(Sigma, B)`` of each iterate and ``B = (2/b)`` times the weighted
-    second moment.  ``near_singular`` flags an abort caused by quadratic
-    forms collapsing toward zero.
+    ``loglik_trace`` and ``residual_trace`` hold the average log-likelihood
+    and the stationarity residual of each accepted iterate;
+    ``final_residual`` is the last residual, NaN after a near-singular
+    stop.  Only the nonconcave iteration fills the alpha and lambda traces;
+    the lambda traces hold the extreme eigenvalues of the fixed-point map at
+    each step, the pencil ``(Sigma', Sigma)``, and ``iterate_eig_*`` those of
+    the pencil ``(Sigma, B)`` of each iterate.  ``near_singular`` flags an
+    abort caused by quadratic forms collapsing toward zero.
     """
 
     sigma_hat: ScatterMatrix
@@ -142,6 +131,7 @@ class FitReport:
     converged: bool
     final_residual: float
     loglik_trace: np.ndarray
+    residual_trace: np.ndarray
     elapsed_ms_trace: np.ndarray
     alpha_trace: np.ndarray | None = None
     lambda_max_trace: np.ndarray | None = None
@@ -151,8 +141,9 @@ class FitReport:
     near_singular: bool = False
 
     def __post_init__(self):
-        if len(self.loglik_trace) != self.iterations:
-            raise ValueError("loglik_trace length must equal iterations")
+        if not (len(self.loglik_trace) == len(self.residual_trace)
+                == self.iterations):
+            raise ValueError("trace lengths must equal iterations")
 
 
 def compute_constants(a: float, b: float, q: int, n_eff: float):
@@ -166,10 +157,9 @@ def compute_constants(a: float, b: float, q: int, n_eff: float):
 class _Problem:
     """Weighted data and constants of a fit.  ``B`` and its factor's inverse
     are formed, as the :class:`ScatterMatrix` ``b_scatter`` and ``b_inv``,
-    the first time either is read, which raises :class:`RankDeficiencyError`
-    unless ``tr(B) ||b_inv||_F^2 < 1e14``.  Their readers are :func:`_start`
-    (every public fit's rank check and data starts), the concave step, the
-    eigen rule and report rows; a nonconcave EM step reads neither."""
+    when either is first read, which raises :class:`RankDeficiencyError`
+    unless ``tr(B) ||b_inv||_F^2 < 1e14``; a nonconcave EM step reads
+    neither."""
 
     x: np.ndarray
     w: np.ndarray
@@ -208,21 +198,20 @@ def _radii(linv: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.maximum(quad_forms(linv, x), _DENOM_FLOOR)
 
 
-def _residual(sigma: ScatterMatrix, g: np.ndarray) -> float:
-    # ||L^{-1} (G - Sigma) L^{-T}||_F with Sigma = L L' and G the candidate
-    # at sigma: the defect of the stationarity condition in coordinates
-    # where the iterate is the identity
+def _residual(sigma: ScatterMatrix, g: np.ndarray | None) -> float:
+    # ||L^{-1} (G - Sigma) L^{-T}||_F for Sigma = L L' and its candidate G
+    # (NaN when it overflowed): the stationarity defect where Sigma is I
+    if g is None:
+        return math.nan
     linv = tril_inv(sigma.cholesky)
     return float(np.linalg.norm(linv @ (g - sigma.entries) @ linv.T, "fro"))
 
 
 def stationarity_residual(sigma: ScatterMatrix, data: Dataset, c: float,
                           d: float) -> float:
-    """Frobenius norm of the stationarity-condition defect at ``sigma``.
-
-    The defect is ``L^{-1} (Sigma' - Sigma) L^{-T}`` with ``Sigma = L L'``
-    and ``Sigma' = sum_i w_i (d + c / t_i) x_i x_i'`` the candidate.
-    """
+    """Frobenius norm of the stationarity defect ``L^{-1} (Sigma' - Sigma)
+    L^{-T}`` at ``sigma = L L'``, where ``Sigma' = sum_i w_i (d + c / t_i)
+    x_i x_i'`` is the candidate."""
     if sigma.dim != data.dim:
         raise ValueError("sigma dimension does not match data")
     t = _radii(tril_inv(sigma.cholesky), data.samples)
@@ -271,101 +260,105 @@ def _ill_conditioned(mat: np.ndarray, linv: np.ndarray) -> bool:
 
 def _run(problem: _Problem, config: FixedPointConfig, steps,
          fields: tuple) -> FitReport:
-    """Drive a step generator to the stop described in
-    :class:`FixedPointConfig`.
+    """Drive a step generator to the stop of :class:`FixedPointConfig`.
 
-    ``steps`` yields the start and then every accepted iterate as
-    ``(sigma, t, log_t, avg_loglik, trace_row, candidate)``, where ``sigma``
-    is a :class:`ScatterMatrix` with the factor the step computed, ``t``
-    holds the squared radii at ``sigma``, ``log_t`` their logs, ``candidate``
-    the candidate at ``sigma`` or None when the step does not form it (all
-    but the eigen rule's carried candidates), and raises :class:`_Breakdown`
-    when a step leaves the usable SPD cone; the last accepted iterate is
-    then reported with ``near_singular`` set.  The step test and residual
-    read each iterate's own factor, and the last iterate is reported as is.
-    ``fields`` names the report traces filled, in order, from the entries of
-    each trace row.
+    ``steps`` yields the start and then each accepted iterate as ``(sigma,
+    t, log_t, avg_loglik, trace_row, candidate)``: ``sigma`` carries its
+    factor, ``t`` and ``log_t`` are its squared radii and their logs, and
+    the candidate at ``sigma`` (None when it overflows) gives the residual.
+    A step that leaves the usable SPD cone raises :class:`_Breakdown`, and
+    the last iterate is reported near-singular.  ``fields`` names the
+    report traces filled, in order, from each trace row.
     """
     start = time.perf_counter()
-    sigma, t, _, ll_prev, _, g = next(steps)
-    lls, rows, elapsed = [], [], []
-    converged = False
-    near_singular = False
-    step_prev = math.inf
+    sigma, _, _, ll_prev, _, g = next(steps)
+    r_prev = _residual(sigma, g)
+    lls, residuals, rows, elapsed = [], [], [], []
+    converged = near_singular = False
     try:
-        for item in itertools.islice(steps, config.max_iter):
-            sigma_prev, (sigma, t, _, ll, row, g) = sigma, item
+        for sigma, _, _, ll, row, g in islice(steps, config.max_iter):
+            r = _residual(sigma, g)
             lls.append(ll)
+            residuals.append(r)
             rows.append(row)
             elapsed.append(1000.0 * (time.perf_counter() - start))
-            settled = abs(ll - ll_prev) < config.tol
-            if config.tol <= _LL_ROUNDING_ULPS * np.spacing(abs(ll)):
-                # rounded log-likelihoods tie long before the iteration
-                # settles; such a tol waits for the step to stop shrinking
-                step = _residual(sigma_prev, sigma.entries)
-                settled, step_prev = settled and step >= step_prev, step
-            if settled:
+            # at the rounding floor the residual stops shrinking while the
+            # log-likelihood ties
+            tie = abs(ll - ll_prev) <= _LL_ROUNDING_ULPS * np.spacing(abs(ll))
+            if r <= config.tol or (r >= r_prev and tie):
                 converged = True
                 break
-            ll_prev = ll
+            r_prev, ll_prev = r, ll
     except _Breakdown:
         near_singular = True
-    residual = math.nan
-    if not near_singular:
-        try:
-            if g is None:
-                g = gram(problem.x, problem.w * (problem.d + problem.c / t))
-            residual = _residual(sigma, g)
-        except ValueError:
-            near_singular = True
     traces = {name: np.asarray([row[i] for row in rows])
               for i, name in enumerate(fields)}
     return FitReport(
         sigma_hat=sigma,
         iterations=len(lls),
         converged=converged,
-        final_residual=residual,
+        final_residual=math.nan if near_singular or not lls else r,
         loglik_trace=np.asarray(lls),
+        residual_trace=np.asarray(residuals),
         elapsed_ms_trace=np.asarray(elapsed),
         near_singular=near_singular,
         **traces,
     )
 
 
-def _concave_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
-                   log_t: np.ndarray):
+def _concave_candidate(problem: _Problem, sigma: ScatterMatrix,
+                       t: np.ndarray):
+    """At an iterate: the eigenpairs of the pencil ``(Sigma, B)``,
+    ``M = sum_i w_i x_i x_i' / t_i`` and the candidate ``B + c M``;
+    ``c = 0`` needs no ``M``, and an ``M`` that overflows gives None."""
+    fac_inv, b_mat = problem.b_inv, problem.b_scatter.entries
+    vals, vecs = np.linalg.eigh(symmetrize(fac_inv @ sigma.entries
+                                           @ fac_inv.T))
+    if problem.c == 0.0:
+        return vals, vecs, None, b_mat
+    try:
+        m = gram(problem.x, problem.w / t)
+    except ValueError:
+        return vals, vecs, None, None
+    return vals, vecs, m, b_mat + problem.c * m
+
+
+def _concave_step(problem: _Problem, vals: np.ndarray, vecs: np.ndarray,
+                  m: np.ndarray | None, g: np.ndarray | None):
+    """The step from what :func:`_concave_candidate` found at an iterate;
+    returns the next iterate and its squared radii."""
+    # a pencil eigenvalue that rounds to zero or below stops here, so an
+    # iterate that collapses is still reported
+    if _near_singular(float(vals[0]), float(vals[-1])):
+        raise _Breakdown("iterate is near singular")
+    if g is None:
+        raise _Breakdown("candidate overflows")
+    fac, fac_inv = problem.b_scatter.cholesky, problem.b_inv
+    if m is None:
+        # c = 0: the step is F F' = B, which the problem holds
+        return problem.b_scatter, _radii(fac_inv, problem.x)
     # With B = F F', C = F^{-1} Sigma F^{-T} and K = F C^{1/2} (so that
     # Sigma = K K' and P = K F'), the step P (Sigma + c' M)^{-1} P is
     # F (I + c' K^{-1} M K^{-T})^{-1} F', whose inverse is well conditioned
-    c_prime = -problem.c
-    x, w = problem.x, problem.w
-    fac, fac_inv = problem.b_scatter.cholesky, problem.b_inv
-    eye = np.eye(fac.shape[0])
-    sigma = start
+    k_inv = ((vecs / np.sqrt(vals)) @ vecs.T) @ fac_inv
+    try:
+        entries = symmetrize(fac @ np.linalg.inv(
+            np.eye(fac.shape[0])
+            - problem.c * symmetrize(k_inv @ m @ k_inv.T)) @ fac.T)
+        chol = chol_lower(entries)
+        t = _radii(tril_inv(chol), problem.x)
+    except ValueError as exc:
+        raise _Breakdown("iterate is not factorizable") from exc
+    return ScatterMatrix._unchecked(entries, chol, chol_logdet(chol)), t
+
+
+def _concave_steps(problem: _Problem, sigma: ScatterMatrix, t: np.ndarray,
+                   log_t: np.ndarray):
     while True:
-        vals, vecs = np.linalg.eigh(
-            symmetrize(fac_inv @ sigma.entries @ fac_inv.T))
-        ll = _avg_loglik(problem, t, log_t, sigma.log_det)
-        yield sigma, t, log_t, ll, (float(vals[0]), float(vals[-1])), None
-        # a pencil eigenvalue that rounds to zero or below stops here, so a
-        # start that collapses is still reported
-        if _near_singular(float(vals[0]), float(vals[-1])):
-            raise _Breakdown("iterate is near singular")
-        if c_prime == 0.0:
-            # the step is F F' = B, which the problem holds
-            sigma = problem.b_scatter
-            t = _radii(fac_inv, x)
-        else:
-            k_inv = ((vecs / np.sqrt(vals)) @ vecs.T) @ fac_inv
-            try:
-                m = gram(x, w / t)
-                entries = symmetrize(fac @ np.linalg.inv(
-                    eye + c_prime * symmetrize(k_inv @ m @ k_inv.T)) @ fac.T)
-                chol = chol_lower(entries)
-                t = _radii(tril_inv(chol), x)
-            except ValueError as exc:
-                raise _Breakdown("iterate is not factorizable") from exc
-            sigma = ScatterMatrix._unchecked(entries, chol, chol_logdet(chol))
+        vals, vecs, m, g = _concave_candidate(problem, sigma, t)
+        yield (sigma, t, log_t, _avg_loglik(problem, t, log_t, sigma.log_det),
+               (float(vals[0]), float(vals[-1])), g)
+        sigma, t = _concave_step(problem, vals, vecs, m, g)
         log_t = np.log(t)
 
 
@@ -396,11 +389,10 @@ def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
     factor ``linv``, squared radii ``t_prime``) and its map matrix ``g2``;
     the trace rule reads only ``t_prime``.
 
-    The eigen rule leaves the step unscaled when the map spectrum ``lam``,
-    that of the pencil ``(g2, sigma_prime)``, brackets one; otherwise it
-    shrinks the step so the largest map eigenvalue lands on one, or
-    stretches it so the smallest does.  Returns ``(alpha, lam)``, with
-    ``lam`` None under the trace rule.
+    The eigen rule leaves the step unscaled when the map spectrum, that of
+    the pencil ``(g2, sigma_prime)``, brackets one; otherwise it shrinks
+    the step so the largest map eigenvalue lands on one, or stretches it so
+    the smallest does.
     """
     if rule == "trace":
         # at a fixed point tr(Sigma^{-1} Sigma') = q, so tr(Sigma^{-1} B) =
@@ -408,89 +400,90 @@ def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
         # d sum_i w_i t'_i
         alpha = (problem.d * float(problem.w @ t_prime)
                  / (2.0 * problem.shape_a))
-        lam = None
     else:
         lam = reduced_eigvalsh(g2, linv)
         if lam[-1] >= 1.0 >= lam[0]:
-            return 1.0, lam
+            return 1.0
         avals = reduced_eigvalsh(sigma_prime + problem.b_scatter.entries - g2,
                                  problem.b_inv)
         inv_alpha = float(avals[0] if lam[-1] < 1.0 else avals[-1])
         alpha = 1.0 / inv_alpha if inv_alpha != 0.0 else math.inf
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise _Breakdown(f"alpha selection failed: alpha = {alpha}")
-    return alpha, lam
+    return alpha
+
+
+def _scaled_candidate(problem: _Problem, t: np.ndarray):
+    # the candidate at squared radii t, or None when it overflows
+    try:
+        return gram(problem.x, problem.w * (problem.d + problem.c / t))
+    except ValueError:
+        return None
+
+
+def _scaled_step(problem: _Problem, g_prime: np.ndarray | None,
+                 rule: str | None):
+    """The step to ``alpha Sigma'`` from the candidate ``g_prime``, unscaled
+    under rule None (Kent-Tyler): it, its squared radii, ``alpha`` and the
+    eigen rule's candidate at it (None under other rules)."""
+    if g_prime is None:
+        raise _Breakdown("candidate overflows")
+    try:
+        chol = chol_lower(g_prime)
+        linv = tril_inv(chol)
+    except ValueError as exc:
+        raise _Breakdown("candidate is not factorizable") from exc
+    # Sigma' >= B, which spans R^q, so a candidate that fails B's rank
+    # rule means the trajectory left the usable SPD cone
+    if _ill_conditioned(g_prime, linv):
+        raise _Breakdown("candidate is near singular")
+    t_prime = _radii(linv, problem.x)
+    g2 = _scaled_candidate(problem, t_prime) if rule == "eigen" else None
+    if rule == "eigen" and g2 is None:
+        raise _Breakdown("map matrix overflows")
+    alpha = 1.0 if rule is None else _alpha(rule, problem, g_prime, linv,
+                                            t_prime, g2)
+    if g2 is not None and alpha != 1.0:
+        # with t = t'/alpha the candidate at alpha Sigma' is B + alpha (G2 - B)
+        b_mat = problem.b_scatter.entries
+        g2 = b_mat + alpha * (g2 - b_mat)
+    sigma = ScatterMatrix._unchecked(
+        g_prime, chol, chol_logdet(chol))._scaled(alpha)
+    return sigma, t_prime / alpha, alpha, g2
 
 
 def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
-                  log_t: np.ndarray, rule: str | None, rows: bool = True):
-    # rule None: every step is accepted unscaled (Kent-Tyler); rows False:
-    # no trace rows, so no map or iterate spectrum, which only fill them
-    c, d, x, w = problem.c, problem.d, problem.x, problem.w
-    ll = _avg_loglik(problem, t, log_t, start.log_det)
+                  log_t: np.ndarray, rule: str | None):
+    # Kent-Tyler (rule None) fills no trace rows
     sigma, row = start, None
-    # the eigen rule's carried candidate, and map spectrum after alpha = 1
-    g_prime = lam_n = None
+    g_prime = _scaled_candidate(problem, t)
     while True:
-        yield sigma, t, log_t, ll, row, g_prime
-        try:
-            if g_prime is None:
-                g_prime = gram(x, w * (d + c / t))
-            if rows and lam_n is None:
-                lam_n = reduced_eigvalsh(g_prime, tril_inv(sigma.cholesky))
-            chol = chol_lower(g_prime)
-            linv = tril_inv(chol)
-        except ValueError as exc:
-            raise _Breakdown("candidate is not factorizable") from exc
-        # Sigma' >= B, which spans R^q, so a candidate that fails B's rank
-        # rule means the trajectory left the usable SPD cone
-        if _ill_conditioned(g_prime, linv):
-            raise _Breakdown("candidate is near singular")
-        t_prime = _radii(linv, x)
-        try:
-            g2 = gram(x, w * (d + c / t_prime)) if rule == "eigen" else None
-        except ValueError as exc:
-            raise _Breakdown("map matrix overflows") from exc
-        alpha, lam = 1.0, None
+        yield (sigma, t, log_t, _avg_loglik(problem, t, log_t, sigma.log_det),
+               row, g_prime)
+        nxt, t, alpha, g_next = _scaled_step(problem, g_prime, rule)
         if rule is not None:
-            alpha, lam = _alpha(rule, problem, g_prime, linv, t_prime, g2)
-        if rows:
+            lam = reduced_eigvalsh(g_prime, tril_inv(sigma.cholesky))
             # the iterate spectrum, relative to B
             mu = reduced_eigvalsh(g_prime, problem.b_inv)
-            row = (alpha, float(lam_n[0]), float(lam_n[-1]),
+            row = (alpha, float(lam[0]), float(lam[-1]),
                    alpha * float(mu[0]), alpha * float(mu[-1]))
-        sigma = ScatterMatrix._unchecked(
-            g_prime, chol, chol_logdet(chol))._scaled(alpha)
-        t = t_prime / alpha
-        log_t = np.log(t)
-        ll = _avg_loglik(problem, t, log_t, sigma.log_det)
-        if g2 is not None and alpha != 1.0:
-            # with t = t'/alpha the candidate at alpha Sigma' is
-            # B + alpha (G2 - B); at alpha = 1 it is G2, whose spectrum
-            # relative to Sigma' = sigma is the next map spectrum
-            b_mat = problem.b_scatter.entries
-            g2, lam = b_mat + alpha * (g2 - b_mat), None
-        g_prime, lam_n = g2, lam
+        sigma, log_t = nxt, np.log(t)
+        g_prime = _scaled_candidate(problem, t) if g_next is None else g_next
 
 
 def fit_nonconcave(data: Dataset, a: float, b: float,
                    config: FixedPointConfig | None = None) -> FitReport:
     """Scaled fixed point for the nonconcave regime ``a < q/2`` (``c > 0``).
 
-    Each step forms the candidate
-    ``Sigma' = B + c sum_i w_i x_i x_i' / (x_i' Sigma^{-1} x_i)``, one
-    product of the data, and accepts ``alpha * Sigma'``.  Under
-    ``alpha_rule='eigen'`` ``alpha`` comes from the spectrum of the map at
-    ``Sigma'``: once its extreme eigenvalues bracket one the step is
-    unscaled, and the scaling tends to one as the iteration converges.
-    Under ``alpha_rule='trace'`` ``alpha Sigma'`` gets the inverse trace
+    Each step accepts ``alpha Sigma'``.  Under ``alpha_rule='eigen'``
+    ``alpha`` comes from the spectrum of the map at ``Sigma'``: once its
+    extreme eigenvalues bracket one the step is unscaled, and the scaling
+    tends to one as the iteration converges.  This rule forms the map
+    matrix ``G2``, the candidate at ``Sigma'``, and carries
+    ``B + alpha (G2 - B)`` forward as the next candidate.  Under
+    ``alpha_rule='trace'`` ``alpha Sigma'`` gets the inverse trace
     ``tr(Sigma^{-1} B) = 2a`` of every fixed point, read from the squared
-    radii ``t'`` at ``Sigma'``.  Only the eigen rule reads the map matrix
-    ``G2``, built from ``t'``; it carries ``G2`` forward, so its next
-    candidate is ``B + alpha (G2 - B)``, which is ``G2`` itself (with its
-    map spectrum) when ``alpha = 1``.  The trace rule forms no ``G2``: each
-    of its candidates is built from the data at the iterate when a step is
-    drawn, as is the last one for the stationarity residual.
+    radii at ``Sigma'``, and each candidate is built from the data.
     ``a = q/2`` (``c = 0``) is accepted and lands on ``B`` in a single step.
     """
     config = config or FixedPointConfig()
@@ -521,7 +514,7 @@ def fit_kent_tyler(data: Dataset, a: float, b: float,
     problem = _problem(data, a, b)
     return _run(problem, config,
                 _scaled_steps(problem, *_start(problem, config, np.eye(q)),
-                              None, rows=False),
+                              None),
                 ())
 
 
@@ -535,16 +528,21 @@ def fit_scatter(data: Dataset, a: float, b: float,
     return fit(data, a=a, b=b, config=config)
 
 
-def _steps(data: Dataset, a: float, b: float, start: ScatterMatrix,
-           t: np.ndarray, log_t: np.ndarray):
-    """Step generator (see :func:`_run`) of the EM scatter M-step from
-    ``start``, whose squared radii are ``t``, logs ``log_t``: concave steps,
-    or trace-rule steps without trace rows, whose first step forms one
-    n x q^2 product (the start's candidate, built from the data as every
-    trace-rule candidate is), no ``G2`` and no ``B``; a rank-deficient
-    subset shows up as a candidate that cannot be factored."""
+def _em_step(data: Dataset, a: float, b: float, start: ScatterMatrix,
+             t: np.ndarray, log_t: np.ndarray):
+    """One concave or trace-rule EM step from ``start`` (squared radii
+    ``t``, logs ``log_t``): the average log-likelihoods at the start and
+    the step, the step, its squared radii and logs.  A failed step, as on
+    a rank-deficient subset, raises :class:`_Breakdown`."""
     problem = _problem(data, a, b)
     t = np.maximum(t, _DENOM_FLOOR)
+    ll_start = _avg_loglik(problem, t, log_t, start.log_det)
     if problem.c <= 0.0:
-        return _concave_steps(problem, start, t, log_t)
-    return _scaled_steps(problem, start, t, log_t, "trace", rows=False)
+        sigma, t = _concave_step(problem,
+                                 *_concave_candidate(problem, start, t))
+    else:
+        sigma, t, *_ = _scaled_step(problem, _scaled_candidate(problem, t),
+                                    "trace")
+    log_t = np.log(t)
+    return (ll_start, _avg_loglik(problem, t, log_t, sigma.log_det), sigma,
+            t, log_t)

@@ -71,10 +71,13 @@ def nonconcave_reference_step(data, a, b, sigma, t, alpha_rule="eigen"):
     / (2a)`` and of the pencil eigenvalues
     (reduction by the inverse Cholesky factor of the pencil's second matrix)
     is the library's, so that a step from the same state can be compared bit
-    for bit.  Returns ``(row, case, sigma_next, t_next, logdet_next)`` with
-    ``row = (alpha, lam_min, lam_max, eig_min, eig_max)`` as in the
-    report's traces and ``case`` the eigen rule's case (None under the
-    trace rule).
+    for bit.  Returns ``(row, case, sigma_next, t_next, logdet_next,
+    candidate_next)`` with ``row = (alpha, lam_min, lam_max, eig_min,
+    eig_max)`` as in the report's traces, ``case`` the eigen rule's case
+    (None under the trace rule) and ``candidate_next`` the candidate at
+    ``sigma_next`` as the library forms it: under the eigen rule ``G2``
+    carried forward as ``B + alpha (G2 - B)``, under the trace rule built
+    from the data.
     """
     x, w = data.samples, data.weights
     c, d = egd.compute_constants(a, b, data.dim, data.total_weight)
@@ -106,6 +109,7 @@ def nonconcave_reference_step(data, a, b, sigma, t, alpha_rule="eigen"):
     mu = pencil_eigvals(g_prime, b_inv)
     if alpha_rule == "trace":
         alpha, case = d * float(w @ t_prime) / (2.0 * a), None
+        g2 = None
     else:
         g2 = candidate(t_prime)
         lam2 = pencil_eigvals(g2, linv)
@@ -119,20 +123,41 @@ def nonconcave_reference_step(data, a, b, sigma, t, alpha_rule="eigen"):
            alpha * float(mu[0]), alpha * float(mu[-1]))
     logdet = (data.dim * np.log(alpha)
               + 2.0 * float(np.sum(np.log(np.diag(chol)))))
-    return row, case, alpha * g_prime, t_prime / alpha, logdet
+    t_next = t_prime / alpha
+    if g2 is None:
+        g_next = candidate(t_next)
+    else:
+        g_next = g2 if alpha == 1.0 else b_mat + alpha * (g2 - b_mat)
+    return row, case, alpha * g_prime, t_next, logdet, g_next
+
+
+def stop_rule(residual, residual_prev, ll, ll_prev, tol):
+    """The fits' stop: the stationarity residual is at most ``tol``, or it
+    stopped shrinking while the average log-likelihood ties within four
+    units in its last place."""
+    tie = abs(ll - ll_prev) <= 4.0 * np.spacing(abs(ll))
+    return residual <= tol or (residual >= residual_prev and tie)
+
+
+def residual_reference(sigma, candidate):
+    """``||L^{-1} (candidate - sigma) L^{-T}||_F`` with ``sigma = L L'``,
+    by an explicit inverse of the Cholesky factor."""
+    linv = np.linalg.inv(np.linalg.cholesky(sigma))
+    return float(np.linalg.norm(linv @ (candidate - sigma) @ linv.T))
 
 
 def nonconcave_reference(data, a, b, sigma0, tol, max_iter=1000,
                          alpha_rule="eigen"):
     """Nonconcave fixed point that rebuilds ``Sigma'`` every step.
 
-    Starts from ``sigma0`` and stops, like the library fits, once the
-    average log-likelihood changes by less than ``tol``.  Returns a dict
-    with the per-step ``rows`` and ``cases``, the final ``sigma``,
-    ``iterations`` and ``converged``.
+    Starts from ``sigma0`` and stops by :func:`stop_rule`, like the library
+    fits, on the residual of each iterate and the candidate the step
+    returns for it.  Returns a dict with the per-step ``rows`` and
+    ``cases``, the final ``sigma``, ``iterations`` and ``converged``.
     """
     x, w = data.samples, data.weights
     q = data.dim
+    c, d = egd.compute_constants(a, b, q, data.total_weight)
     const = (gammaln(0.5 * q) - 0.5 * q * np.log(np.pi) - gammaln(a)
              - a * np.log(b))
 
@@ -143,18 +168,20 @@ def nonconcave_reference(data, a, b, sigma0, tol, max_iter=1000,
     sigma = np.asarray(sigma0, dtype=float)
     t = np.einsum("ij,jk,ik->i", x, np.linalg.inv(sigma), x)
     ll_prev = avg_loglik(t, np.linalg.slogdet(sigma)[1])
+    r_prev = residual_reference(sigma,
+                                (x * (w * (d + c / t))[:, None]).T @ x)
     rows, cases = [], []
     converged = False
     for _ in range(max_iter):
-        row, case, sigma, t, logdet = nonconcave_reference_step(
+        row, case, sigma, t, logdet, g = nonconcave_reference_step(
             data, a, b, sigma, t, alpha_rule)
         rows.append(row)
         cases.append(case)
-        ll = avg_loglik(t, logdet)
-        if abs(ll - ll_prev) < tol:
+        ll, r = avg_loglik(t, logdet), residual_reference(sigma, g)
+        if stop_rule(r, r_prev, ll, ll_prev, tol):
             converged = True
             break
-        ll_prev = ll
+        r_prev, ll_prev = r, ll
     return {"rows": np.asarray(rows), "cases": cases, "sigma": sigma,
             "iterations": len(rows), "converged": converged}
 
@@ -207,21 +234,29 @@ def kent_tyler_reference(samples, weights, a, b, sigma0, tol,
     """Kent-Tyler recursion in original coordinates, explicit inverses.
 
     Iterates ``Sigma <- n_eff^{-1} sum_i w_i u(t_i) x_i x_i'`` with
-    ``u(t) = (q - 2a)/t + 2/b`` from ``sigma0`` and stops, like the library
-    fits, once the average log-likelihood changes by less than ``tol``.
-    Returns ``(sigma, iterations)``.
+    ``u(t) = (q - 2a)/t + 2/b`` from ``sigma0``.  The next iterate is the
+    candidate at the current one, so each iterate's stationarity residual
+    is read from the next, and the recursion stops by :func:`stop_rule`,
+    like the library fits.  Returns ``(sigma, iterations)``.
     """
     q = samples.shape[1]
-    sigma = np.asarray(sigma0, dtype=float)
-    ll_prev = egd_avg_loglik_reference(samples, weights, sigma, a, b)
-    for it in range(1, max_iter + 1):
+
+    def update(sigma):
         t = np.einsum("ij,jk,ik->i", samples, np.linalg.inv(sigma), samples)
         u = (q - 2.0 * a) / t + 2.0 / b
-        sigma = (samples * (weights * u)[:, None]).T @ samples / weights.sum()
+        return (samples * (weights * u)[:, None]).T @ samples / weights.sum()
+
+    sigma = np.asarray(sigma0, dtype=float)
+    ll_prev = egd_avg_loglik_reference(samples, weights, sigma, a, b)
+    candidate = update(sigma)
+    r_prev = residual_reference(sigma, candidate)
+    for it in range(1, max_iter + 1):
+        sigma, candidate = candidate, update(candidate)
         ll = egd_avg_loglik_reference(samples, weights, sigma, a, b)
-        if abs(ll - ll_prev) < tol:
+        r = residual_reference(sigma, candidate)
+        if stop_rule(r, r_prev, ll, ll_prev, tol):
             return sigma, it
-        ll_prev = ll
+        r_prev, ll_prev = r, ll
     return sigma, max_iter
 
 

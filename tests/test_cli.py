@@ -157,7 +157,8 @@ class TestFit:
         lls = [r["avg_loglik"] for r in rows]
         assert [r["iter"] for r in rows] == list(range(len(rows)))
         assert np.all(np.diff(lls) > -1e-12)
-        assert rows[-1]["residual"] is not None
+        assert all(r["residual"] is not None for r in rows)
+        assert rows[-1]["residual"] <= 1e-10
         assert all(r["alpha"] is not None for r in rows)
 
     def test_nonconvergence_exit_still_writes_model(self, tmp_path, capsys):

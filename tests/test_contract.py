@@ -68,10 +68,17 @@ def build(spec):
     return x, (basis * eigs) @ basis.T
 
 
-def check_report(report, max_iter):
-    assert len(report.loglik_trace) == report.iterations
+def check_report(report, max_iter, tol):
+    r, ll = report.residual_trace, report.loglik_trace
+    assert len(ll) == len(r) == report.iterations
     assert (report.converged or report.near_singular
             or report.iterations == max_iter)
+    if report.converged and not report.final_residual <= tol:
+        # stopped at the residual's rounding floor: it did not shrink while
+        # the log-likelihood tied (the start's values are not reported)
+        assert report.iterations == 1 or (
+            r[-1] >= r[-2]
+            and abs(ll[-1] - ll[-2]) <= 4.0 * np.spacing(abs(ll[-1])))
 
 
 def run_cli(argv):
@@ -106,7 +113,7 @@ def test_fits_report_or_raise_value_error(spec):
                 report = fit(egd.Dataset(x), spec["a"], spec["b"], config)
             except ValueError:
                 continue
-            check_report(report, spec["max_iter"])
+            check_report(report, spec["max_iter"], config.tol)
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             eio.write_matrix_csv(root / "x.csv", x)

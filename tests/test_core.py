@@ -29,6 +29,18 @@ class TestScatterMatrix:
         s = egd.ScatterMatrix(scale * np.eye(3))
         assert_allclose(s.log_det, 3.0 * np.log(scale), rtol=1e-12)
 
+    def test_huge_finite_entries(self):
+        # the entries' sum with their transpose would overflow; their
+        # average does not
+        mat = 1e308 * np.array([[1.0, 0.5], [0.5, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = egd.ScatterMatrix(mat)
+        assert np.array_equal(s.entries, mat)
+        assert np.all(np.isfinite(s.cholesky))
+        assert_allclose(s.log_det, 2.0 * np.log(1e308) + np.log(0.75),
+                        rtol=1e-12)
+
     @pytest.mark.parametrize("mat", [
         np.zeros((2, 2)), 1e-170 * np.array([[1.0, 0.5], [0.1, 1.0]])],
         ids=["zero", "tiny-asymmetric"])

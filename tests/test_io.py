@@ -341,8 +341,9 @@ class TestTraceFile:
         rows = eio.trace_rows(report)
         assert [r[0] for r in rows] == list(range(report.iterations))
         assert all(r[3] is None for r in rows)  # no step scaling
+        # every row holds its iterate's residual, the last the final one
+        assert [r[2] for r in rows] == report.residual_trace.tolist()
         assert rows[-1][2] == report.final_residual
-        assert all(r[2] is None for r in rows[:-1])
 
     def test_report_rows_nonconcave(self, tmp_path):
         data = egd.sample(
@@ -357,6 +358,8 @@ class TestTraceFile:
         back = eio.read_trace(path)
         assert_allclose([r["avg_loglik"] for r in back],
                         report.loglik_trace, rtol=0.0)
+        assert_allclose([r["residual"] for r in back],
+                        report.residual_trace, rtol=0.0)
         iters = [r["iter"] for r in back]
         assert iters[0] == 0
         assert np.all(np.diff(iters) > 0)

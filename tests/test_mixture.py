@@ -17,18 +17,15 @@ from helpers import (align_scatters, kmeans_radii_reference, random_spd,
 
 @pytest.fixture()
 def scatter_steps(monkeypatch):
-    """Collects the iterates each scatter step generator of the M-step yields."""
+    """Collects what each scatter step of the M-step returns."""
     calls = []
-    steps = egd.scatter._steps
+    step = egd.scatter._em_step
 
     def spy(*args):
-        drawn = []
-        calls.append(drawn)
-        for item in steps(*args):
-            drawn.append(item)
-            yield item
+        calls.append(step(*args))
+        return calls[-1]
 
-    monkeypatch.setattr(egd.scatter, "_steps", spy)
+    monkeypatch.setattr(egd.scatter, "_em_step", spy)
     return calls
 
 
@@ -283,28 +280,31 @@ class TestMSteps:
 
     def test_default_scatter_step_is_one_guarded_step(self, blob_data,
                                                       scatter_steps):
-        # each component draws its start and one step, no more
+        # each component takes one step, which it keeps only if it does not
+        # lower the component's log-likelihood
         model, data = blob_data
         resp, _ = egd.e_step(model, data)
-        egd.m_step_scatter(data, resp, model)
-        assert [len(drawn) for drawn in scatter_steps] == [2, 2]
+        stepped = egd.m_step_scatter(data, resp, model)
+        assert len(scatter_steps) == 2
+        for (ll_start, ll, sigma, *_), new in zip(scatter_steps,
+                                                  stepped.components):
+            assert ll >= ll_start
+            assert new.scatter is sigma
 
     def test_lowering_refit_is_dropped(self, blob_data, monkeypatch):
         model, data = blob_data
         resp, before = egd.e_step(model, data)
-        steps = egd.scatter._steps
+        step = egd.scatter._em_step
 
         def inflated(data, a, b, *start):
             # an honest start, then three times the honest refit, with the
             # log-likelihood and radii that go with it
-            gen = steps(data, a, b, *start)
-            yield next(gen)
-            sigma, t, _, _, row, g = next(gen)
+            ll_start, _, sigma, t, _ = step(data, a, b, *start)
             worse = egd.EgdParams(egd.ScatterMatrix(3.0 * sigma.entries), a, b)
             ll = egd.log_likelihood(worse, data) / data.total_weight
-            yield worse.scatter, t / 3.0, np.log(t / 3.0), ll, row, g
+            return ll_start, ll, worse.scatter, t / 3.0, np.log(t / 3.0)
 
-        monkeypatch.setattr(egd.scatter, "_steps", inflated)
+        monkeypatch.setattr(egd.scatter, "_em_step", inflated)
         stepped = egd.m_step_scatter(data, resp, model)
         for new, old in zip(stepped.components, model.components):
             assert new.scatter is old.scatter
@@ -315,13 +315,10 @@ class TestMSteps:
         # of radii, with a warning that names both
         model, data = blob_data
         resp, _ = egd.e_step(model, data)
-        steps = egd.scatter._steps
-
         def broken(*args):
-            yield next(steps(*args))
             raise egd.scatter._Breakdown("candidate is near singular")
 
-        monkeypatch.setattr(egd.scatter, "_steps", broken)
+        monkeypatch.setattr(egd.scatter, "_em_step", broken)
         radii, log_radii = egd.mixture._squared_radii(model, data)
         before = radii.copy(), log_radii.copy()
         with pytest.warns(UserWarning) as caught:
@@ -618,6 +615,41 @@ class TestFitMixture:
                                match="weighted second moment overflows") as err:
                 egd.fit_mixture(egd.Dataset(x), egd.EmConfig(n_components=2))
         assert not isinstance(err.value, egd.RankDeficiencyError)
+
+    @pytest.mark.parametrize("q, row, error", [
+        (3, [1e200, 1.0, 1.0], "weighted second moment overflows"),
+        (4, [1e154] * 4, "data does not span R")],
+        ids=["moment-overflows", "rank-rule"])
+    def test_kmeans_start_on_huge_rows(self, q, row, error):
+        # the radii of such rows would overflow; the k-means start raises
+        # what the default start raises, with no floating-point warning
+        x = np.random.default_rng(49).standard_normal((40, q))
+        x[0] = row
+        for init in ("random-assignment", "kmeans-on-radii"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=error):
+                    egd.fit_mixture(egd.Dataset(x), egd.EmConfig(
+                        n_components=2, init=init))
+
+    def test_kmeans_start_labels_ignore_power_of_two_scale(self, monkeypatch):
+        # rows large enough to be rescaled get the labels of the unscaled
+        # rows, which are not rescaled
+        labels = []
+
+        def captured(data, found, k):
+            labels.append(found)
+            raise StopIteration
+
+        monkeypatch.setattr(egd.mixture, "_labels_to_model", captured)
+        x = np.random.default_rng(51).standard_normal((300, 3))
+        x[:100] *= 30.0
+        for scale in (1.0, 2.0 ** 560):
+            with pytest.raises(StopIteration):
+                egd.fit_mixture(egd.Dataset(scale * x), egd.EmConfig(
+                    n_components=3, init="kmeans-on-radii"))
+        assert np.array_equal(labels[0], labels[1])
+        assert len(set(labels[0].tolist())) == 3
 
     @pytest.mark.parametrize("light, kept", [(1e-30, False), (1e-12, True)])
     def test_dying_component_pruned(self, light, kept):

@@ -627,18 +627,24 @@ class TestStartPencilDefect:
         assert np.linalg.norm(linv @ defect @ linv.T) <= 1e-8
 
     def test_tol_below_loglik_rounding_runs_to_fixed_point(self):
-        # at this tol the rounded log-likelihood ties at step 11, when the
-        # stationarity defect is still 2e-8; the stop waits for the steps
-        # to stop shrinking
+        # no residual reaches 1e-18: the fit stops at the residual's rounding
+        # floor, on the first iterate whose residual did not shrink while
+        # the log-likelihood tied within four units in its last place; the
+        # log-likelihood ties long before, at a residual still above 1e-10
         data, _ = make_egd_data(4, 0.9, 2.0, 700, seed=25)
         tight = egd.fit_scatter(data, 0.9, 2.0,
                                 egd.FixedPointConfig(tol=1e-18,
                                                      max_iter=5000))
         loose = egd.fit_scatter(data, 0.9, 2.0,
-                                egd.FixedPointConfig(tol=1e-14))
+                                egd.FixedPointConfig(tol=1e-12))
         assert tight.converged and loose.converged
         assert tight.iterations > loose.iterations
-        assert tight.final_residual < 1e-3 * loose.final_residual
+        r, ll = tight.residual_trace, tight.loglik_trace
+        tie = np.abs(np.diff(ll)) <= 4.0 * np.spacing(np.abs(ll[1:]))
+        floor = tie & (r[1:] >= r[:-1])
+        assert np.flatnonzero(floor).tolist() == [tight.iterations - 2]
+        assert 1e-18 < tight.final_residual == r[-1] < 1e-13
+        assert r[np.argmax(tie) + 1] > 1e-10
 
     @pytest.mark.parametrize("fit, a", [
         (egd.fit_scatter, 3.0), (egd.fit_scatter, 0.6),
@@ -650,6 +656,29 @@ class TestStartPencilDefect:
         report = fit(egd.Dataset(x), a, 2.0)
         assert report.converged and not report.near_singular
         assert 0.0 < report.sigma_hat.entries[0, 0] < 1e-190
+
+
+def test_starts_agree_at_tight_tol():
+    # the optimum is unique, and a residual of at most tol bounds the
+    # distance to it linearly: at tol = 1e-12 four starts, under both alpha
+    # rules, end within 1e-9 of one another on small problems across both
+    # regimes
+    for case in range(12):
+        rng = np.random.default_rng(900 + case)
+        q = int(rng.integers(2, 7))
+        n = int(rng.integers(3 * q, 61))
+        a = 0.5 * q * 10.0 ** rng.uniform(-1.3, 0.7)
+        data = egd.Dataset(rng.standard_normal((n, q)) @ random_spd(q, rng))
+        fits = []
+        for init in ("identity", "sample-cov", "user", "user"):
+            user = random_spd(q, rng) if init == "user" else None
+            for rule in ("eigen", "trace"):
+                report = egd.fit_scatter(data, a, 2.0, egd.FixedPointConfig(
+                    init=init, user_matrix=user, tol=1e-12, max_iter=5000,
+                    alpha_rule=rule))
+                assert report.converged and not report.near_singular
+                fits.append(report.sigma_hat.entries)
+        assert max(rel_frob(f, fits[0]) for f in fits) <= 1e-9, case
 
 
 # one fit of each kind at q = 5: (fit, a, alpha_rule)
@@ -720,6 +749,25 @@ class TestFactorPerIterate:
         assert self._extra_factorizations(
             monkeypatch, fit, data, a, 1.5, tol=1e-9, alpha_rule=rule,
             init=init, user_matrix=user) == 1 + own
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-16])
+    @pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
+    def test_one_candidate_per_iterate(self, data, monkeypatch, fit, a,
+                                       rule, tol):
+        # B, then one n x q^2 product per iterate, the start included: each
+        # iterate's candidate (the concave step's M) serves both its stop
+        # test and the step taken from it
+        calls = []
+
+        def counted(x, v):
+            calls.append(v.shape)
+            return gram(x, v)
+
+        monkeypatch.setattr(egd.scatter, "gram", counted)
+        report = fit(data, a, 2.0, egd.FixedPointConfig(
+            max_iter=5000, tol=tol, alpha_rule=rule))
+        assert report.converged
+        assert len(calls) == report.iterations + 2
 
     @pytest.mark.parametrize("max_iter", [2, 1000])
     @pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
