@@ -127,7 +127,8 @@ class EgdParams:
 
 
 def _checked_weights(weights, n: int) -> np.ndarray:
-    w = np.ascontiguousarray(np.asarray(weights, dtype=float))
+    # a view, so that freezing it leaves the caller's array writable
+    w = np.ascontiguousarray(np.asarray(weights, dtype=float)).view()
     if w.shape != (n,):
         raise ValueError("weights must be a vector with one entry per sample")
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
@@ -142,13 +143,15 @@ class Dataset:
 
     Rejects nonfinite entries, exact zero rows (the density is singular or
     zero at the origin for ``a != q/2``), negative weights, and weight
-    vectors summing to zero.
+    vectors summing to zero.  Holds read-only views of the caller's arrays
+    when they are C-contiguous float64 (copies otherwise), so the caller's
+    arrays stay writable, and writing to them changes the dataset.
     """
 
     __slots__ = ("_samples", "_weights")
 
     def __init__(self, samples, weights=None):
-        x = np.ascontiguousarray(np.asarray(samples, dtype=float))
+        x = np.ascontiguousarray(np.asarray(samples, dtype=float)).view()
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError("samples must be a nonempty 2-D array")
         if not np.all(np.isfinite(x)):
@@ -203,7 +206,8 @@ class Dataset:
 
 
 class MixtureModel:
-    """Finite mixture of elliptical gamma components."""
+    """Finite mixture of elliptical gamma components; ``mix_probs`` is a
+    read-only view of the caller's array, as in :class:`Dataset`."""
 
     __slots__ = ("_components", "_mix_probs")
 
@@ -214,7 +218,7 @@ class MixtureModel:
         dim = comps[0].dim
         if any(c.dim != dim for c in comps):
             raise ValueError("all components must share one dimension")
-        probs = np.ascontiguousarray(np.asarray(mix_probs, dtype=float))
+        probs = np.ascontiguousarray(np.asarray(mix_probs, dtype=float)).view()
         if probs.shape != (len(comps),):
             raise ValueError("one mixing probability per component required")
         if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):

@@ -76,12 +76,13 @@ def trigamma(x):
 
 
 class WeightedSample:
-    """Positive values with nonnegative weights of positive total."""
+    """Positive values with nonnegative weights of positive total, held as
+    read-only views of the caller's arrays, as in :class:`egd.Dataset`."""
 
     __slots__ = ("_values", "_weights")
 
     def __init__(self, values, weights=None):
-        v = np.ascontiguousarray(np.asarray(values, dtype=float))
+        v = np.ascontiguousarray(np.asarray(values, dtype=float)).view()
         if v.ndim != 1 or v.size < 1:
             raise ValueError("values must be a nonempty vector")
         if np.any(v <= 0.0) or not np.all(np.isfinite(v)):

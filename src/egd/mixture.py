@@ -80,12 +80,13 @@ _KMEANS_PASSES = 100
 
 
 class Responsibilities:
-    """Posterior component probabilities, one column per sample."""
+    """Posterior component probabilities, one column per sample, held as a
+    read-only view of the caller's array, as in :class:`egd.Dataset`."""
 
     __slots__ = ("_matrix",)
 
     def __init__(self, matrix):
-        m = np.ascontiguousarray(np.asarray(matrix, dtype=float))
+        m = np.ascontiguousarray(np.asarray(matrix, dtype=float)).view()
         if m.ndim != 2 or m.shape[0] < 1:
             raise ValueError("responsibilities must be a (K, n) array")
         if np.any(m < 0.0) or not np.all(np.isfinite(m)):

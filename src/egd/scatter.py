@@ -21,13 +21,14 @@ the weighted second moment.  The sign of ``c`` selects the regime:
   normalization; the data-augmentation baseline of Kent and Tyler is the
   unscaled (``alpha = 1``) iteration ``Sigma <- Sigma'``.
 
-Each regime has a candidate function and a step function.  An iterate's
-candidate is formed once and gives both its stationarity residual, on
-which one driver stops all three iterations (see :class:`FixedPointConfig`),
-and the step taken from it.  Each iterate carries the Cholesky factor its
-step computed.  The EM scatter M-step takes one step of the same
-functions, with the trace rule for ``c > 0``: it forms one n x q^2
-product, the start's candidate, and no ``B``.
+Each regime is a candidate, a step and a row function, run by one plain
+driver loop.  An iterate's candidate is formed once and gives both its
+stationarity residual, on which the driver stops (see
+:class:`FixedPointConfig`), and the step taken from it; each iterate
+carries the Cholesky factor its step computed.  Only the driver calls the
+row functions, which fill the report's traces.  The EM scatter M-step is
+one iteration of the same candidate and step functions, with the trace
+rule for ``c > 0``: one n x q^2 product, the start's candidate, no ``B``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -155,11 +156,10 @@ def compute_constants(a: float, b: float, q: int, n_eff: float):
 
 @dataclass(frozen=True, eq=False)
 class _Problem:
-    """Weighted data and constants of a fit.  ``B`` and its factor's inverse
-    are formed, as the :class:`ScatterMatrix` ``b_scatter`` and ``b_inv``,
-    when either is first read, which raises :class:`RankDeficiencyError`
-    unless ``tr(B) ||b_inv||_F^2 < 1e14``; a nonconcave EM step reads
-    neither."""
+    """Weighted data and constants of a fit.  The first read of ``b_scatter``
+    (``B`` as a :class:`ScatterMatrix`) or ``b_inv`` (its factor's inverse)
+    forms both, and raises :class:`RankDeficiencyError` unless
+    ``tr(B) ||b_inv||_F^2 < 1e14``; a nonconcave EM step reads neither."""
 
     x: np.ndarray
     w: np.ndarray
@@ -170,10 +170,8 @@ class _Problem:
     scale_b: float
     log_const: float
 
-    def __getattr__(self, name):
-        # reached only while b_scatter and b_inv are unset
-        if name not in ("b_scatter", "b_inv"):
-            raise AttributeError(name)
+    @cached_property
+    def _b(self):
         b_mat = gram(self.x, self.d * self.w)
         try:
             fac = chol_lower(b_mat)
@@ -182,9 +180,10 @@ class _Problem:
             raise RankDeficiencyError("data does not span R^q") from exc
         if _ill_conditioned(b_mat, fac_inv):
             raise RankDeficiencyError("data does not span R^q")
-        self.__dict__.update(b_inv=fac_inv, b_scatter=ScatterMatrix._unchecked(
-            b_mat, fac, chol_logdet(fac)))
-        return self.__dict__[name]
+        return ScatterMatrix._unchecked(b_mat, fac, chol_logdet(fac)), fac_inv
+
+    b_scatter = property(lambda self: self._b[0])
+    b_inv = property(lambda self: self._b[1])
 
 
 def _problem(data: Dataset, a: float, b: float) -> _Problem:
@@ -258,30 +257,40 @@ def _ill_conditioned(mat: np.ndarray, linv: np.ndarray) -> bool:
     return _near_singular(1.0, np.trace(mat) * np.sum(linv * linv))
 
 
-def _run(problem: _Problem, config: FixedPointConfig, steps,
-         fields: tuple) -> FitReport:
-    """Drive a step generator to the stop of :class:`FixedPointConfig`.
+def _run(problem: _Problem, config: FixedPointConfig, start, regime,
+         fields: tuple = ()) -> FitReport:
+    """Run a regime from ``start``, an iterate carrying its factor, its
+    squared radii and their logs, to the stop of :class:`FixedPointConfig`.
 
-    ``steps`` yields the start and then each accepted iterate as ``(sigma,
-    t, log_t, avg_loglik, trace_row, candidate)``: ``sigma`` carries its
-    factor, ``t`` and ``log_t`` are its squared radii and their logs, and
-    the candidate at ``sigma`` (None when it overflows) gives the residual.
-    A step that leaves the usable SPD cone raises :class:`_Breakdown`, and
-    the last iterate is reported near-singular.  ``fields`` names the
-    report traces filled, in order, from each trace row.
+    A regime is ``(candidate, step, row)``.  ``candidate(problem, sigma,
+    t)`` is a tuple led by the candidate at ``sigma``, None when it
+    overflows.  ``step(problem, sigma, cand)`` returns the next iterate,
+    its squared radii, ``alpha`` (None if concave) and the candidate tuple
+    it carries, if any.  ``row(problem, sigma, cand, alpha, next_cand)``
+    (None for Kent-Tyler) fills the report traces ``fields`` in order.  A
+    step that leaves the usable SPD cone raises :class:`_Breakdown`, and
+    the last iterate is reported near-singular.
     """
-    start = time.perf_counter()
-    sigma, _, _, ll_prev, _, g = next(steps)
-    r_prev = _residual(sigma, g)
+    candidate, step, row = regime
+    clock = time.perf_counter()
+    sigma, t, log_t = start
+    cand = candidate(problem, sigma, t)
+    ll_prev = _avg_loglik(problem, t, log_t, sigma.log_det)
+    r_prev = _residual(sigma, cand[0])
     lls, residuals, rows, elapsed = [], [], [], []
     converged = near_singular = False
     try:
-        for sigma, _, _, ll, row, g in islice(steps, config.max_iter):
-            r = _residual(sigma, g)
+        for _ in range(config.max_iter):
+            nxt, t, alpha, next_cand = step(problem, sigma, cand)
+            next_cand = next_cand or candidate(problem, nxt, t)
+            if row is not None:
+                rows.append(row(problem, sigma, cand, alpha, next_cand))
+            sigma, cand, log_t = nxt, next_cand, np.log(t)
+            ll = _avg_loglik(problem, t, log_t, sigma.log_det)
+            r = _residual(sigma, cand[0])
             lls.append(ll)
             residuals.append(r)
-            rows.append(row)
-            elapsed.append(1000.0 * (time.perf_counter() - start))
+            elapsed.append(1000.0 * (time.perf_counter() - clock))
             # at the rounding floor the residual stops shrinking while the
             # log-likelihood ties
             tie = abs(ll - ll_prev) <= _LL_ROUNDING_ULPS * np.spacing(abs(ll))
@@ -291,7 +300,7 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
             r_prev, ll_prev = r, ll
     except _Breakdown:
         near_singular = True
-    traces = {name: np.asarray([row[i] for row in rows])
+    traces = {name: np.asarray([items[i] for items in rows])
               for i, name in enumerate(fields)}
     return FitReport(
         sigma_hat=sigma,
@@ -308,25 +317,25 @@ def _run(problem: _Problem, config: FixedPointConfig, steps,
 
 def _concave_candidate(problem: _Problem, sigma: ScatterMatrix,
                        t: np.ndarray):
-    """At an iterate: the eigenpairs of the pencil ``(Sigma, B)``,
-    ``M = sum_i w_i x_i x_i' / t_i`` and the candidate ``B + c M``;
-    ``c = 0`` needs no ``M``, and an ``M`` that overflows gives None."""
+    """At an iterate: the candidate ``B + c M``, the eigenpairs of the
+    pencil ``(Sigma, B)`` and ``M = sum_i w_i x_i x_i' / t_i``; ``c = 0``
+    needs no ``M``, and an ``M`` that overflows gives None."""
     fac_inv, b_mat = problem.b_inv, problem.b_scatter.entries
     vals, vecs = np.linalg.eigh(symmetrize(fac_inv @ sigma.entries
                                            @ fac_inv.T))
     if problem.c == 0.0:
-        return vals, vecs, None, b_mat
+        return b_mat, vals, vecs, None
     try:
         m = gram(problem.x, problem.w / t)
     except ValueError:
-        return vals, vecs, None, None
-    return vals, vecs, m, b_mat + problem.c * m
+        return None, vals, vecs, None
+    return b_mat + problem.c * m, vals, vecs, m
 
 
-def _concave_step(problem: _Problem, vals: np.ndarray, vecs: np.ndarray,
-                  m: np.ndarray | None, g: np.ndarray | None):
-    """The step from what :func:`_concave_candidate` found at an iterate;
-    returns the next iterate and its squared radii."""
+def _concave_step(problem: _Problem, sigma: ScatterMatrix, cand: tuple):
+    """The step from what :func:`_concave_candidate` found at ``sigma``:
+    the next iterate, its squared radii, no ``alpha`` and no candidate."""
+    g, vals, vecs, m = cand
     # a pencil eigenvalue that rounds to zero or below stops here, so an
     # iterate that collapses is still reported
     if _near_singular(float(vals[0]), float(vals[-1])):
@@ -336,7 +345,7 @@ def _concave_step(problem: _Problem, vals: np.ndarray, vecs: np.ndarray,
     fac, fac_inv = problem.b_scatter.cholesky, problem.b_inv
     if m is None:
         # c = 0: the step is F F' = B, which the problem holds
-        return problem.b_scatter, _radii(fac_inv, problem.x)
+        return problem.b_scatter, _radii(fac_inv, problem.x), None, None
     # With B = F F', C = F^{-1} Sigma F^{-T} and K = F C^{1/2} (so that
     # Sigma = K K' and P = K F'), the step P (Sigma + c' M)^{-1} P is
     # F (I + c' K^{-1} M K^{-T})^{-1} F', whose inverse is well conditioned
@@ -349,17 +358,16 @@ def _concave_step(problem: _Problem, vals: np.ndarray, vecs: np.ndarray,
         t = _radii(tril_inv(chol), problem.x)
     except ValueError as exc:
         raise _Breakdown("iterate is not factorizable") from exc
-    return ScatterMatrix._unchecked(entries, chol, chol_logdet(chol)), t
+    return (ScatterMatrix._unchecked(entries, chol, chol_logdet(chol)), t,
+            None, None)
 
 
-def _concave_steps(problem: _Problem, sigma: ScatterMatrix, t: np.ndarray,
-                   log_t: np.ndarray):
-    while True:
-        vals, vecs, m, g = _concave_candidate(problem, sigma, t)
-        yield (sigma, t, log_t, _avg_loglik(problem, t, log_t, sigma.log_det),
-               (float(vals[0]), float(vals[-1])), g)
-        sigma, t = _concave_step(problem, vals, vecs, m, g)
-        log_t = np.log(t)
+def _concave_row(problem, sigma, cand, alpha, next_cand):
+    # the spectrum of the next iterate's pencil (Sigma, B)
+    return float(next_cand[1][0]), float(next_cand[1][-1])
+
+
+_CONCAVE = (_concave_candidate, _concave_step, _concave_row)
 
 
 def fit_concave(data: Dataset, a: float, b: float,
@@ -378,8 +386,7 @@ def fit_concave(data: Dataset, a: float, b: float,
     problem = _problem(data, a, b)
     if problem.c > 0.0:
         raise ValueError("concave iteration requires a >= dim/2 (c <= 0)")
-    return _run(problem, config,
-                _concave_steps(problem, *_start(problem, config)),
+    return _run(problem, config, _start(problem, config), _CONCAVE,
                 ("iterate_eig_min_trace", "iterate_eig_max_trace"))
 
 
@@ -413,19 +420,20 @@ def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
     return alpha
 
 
-def _scaled_candidate(problem: _Problem, t: np.ndarray):
+def _scaled_candidate(problem: _Problem, sigma, t: np.ndarray):
     # the candidate at squared radii t, or None when it overflows
     try:
-        return gram(problem.x, problem.w * (problem.d + problem.c / t))
+        return (gram(problem.x, problem.w * (problem.d + problem.c / t)),)
     except ValueError:
-        return None
+        return (None,)
 
 
-def _scaled_step(problem: _Problem, g_prime: np.ndarray | None,
+def _scaled_step(problem: _Problem, sigma: ScatterMatrix, cand: tuple,
                  rule: str | None):
-    """The step to ``alpha Sigma'`` from the candidate ``g_prime``, unscaled
+    """The step to ``alpha Sigma'`` from the candidate ``Sigma'``, unscaled
     under rule None (Kent-Tyler): it, its squared radii, ``alpha`` and the
     eigen rule's candidate at it (None under other rules)."""
+    (g_prime,) = cand
     if g_prime is None:
         raise _Breakdown("candidate overflows")
     try:
@@ -438,37 +446,34 @@ def _scaled_step(problem: _Problem, g_prime: np.ndarray | None,
     if _ill_conditioned(g_prime, linv):
         raise _Breakdown("candidate is near singular")
     t_prime = _radii(linv, problem.x)
-    g2 = _scaled_candidate(problem, t_prime) if rule == "eigen" else None
-    if rule == "eigen" and g2 is None:
-        raise _Breakdown("map matrix overflows")
+    g2 = None
+    if rule == "eigen":
+        (g2,) = _scaled_candidate(problem, None, t_prime)
+        if g2 is None:
+            raise _Breakdown("map matrix overflows")
     alpha = 1.0 if rule is None else _alpha(rule, problem, g_prime, linv,
                                             t_prime, g2)
     if g2 is not None and alpha != 1.0:
         # with t = t'/alpha the candidate at alpha Sigma' is B + alpha (G2 - B)
         b_mat = problem.b_scatter.entries
         g2 = b_mat + alpha * (g2 - b_mat)
-    sigma = ScatterMatrix._unchecked(
+    nxt = ScatterMatrix._unchecked(
         g_prime, chol, chol_logdet(chol))._scaled(alpha)
-    return sigma, t_prime / alpha, alpha, g2
+    return nxt, t_prime / alpha, alpha, None if g2 is None else (g2,)
 
 
-def _scaled_steps(problem: _Problem, start: ScatterMatrix, t: np.ndarray,
-                  log_t: np.ndarray, rule: str | None):
-    # Kent-Tyler (rule None) fills no trace rows
-    sigma, row = start, None
-    g_prime = _scaled_candidate(problem, t)
-    while True:
-        yield (sigma, t, log_t, _avg_loglik(problem, t, log_t, sigma.log_det),
-               row, g_prime)
-        nxt, t, alpha, g_next = _scaled_step(problem, g_prime, rule)
-        if rule is not None:
-            lam = reduced_eigvalsh(g_prime, tril_inv(sigma.cholesky))
-            # the iterate spectrum, relative to B
-            mu = reduced_eigvalsh(g_prime, problem.b_inv)
-            row = (alpha, float(lam[0]), float(lam[-1]),
-                   alpha * float(mu[0]), alpha * float(mu[-1]))
-        sigma, log_t = nxt, np.log(t)
-        g_prime = _scaled_candidate(problem, t) if g_next is None else g_next
+def _scaled_row(problem, sigma, cand, alpha, next_cand):
+    # alpha, then the spectra of (Sigma', Sigma) and (alpha Sigma', B)
+    lam = reduced_eigvalsh(cand[0], tril_inv(sigma.cholesky))
+    mu = reduced_eigvalsh(cand[0], problem.b_inv)
+    return (alpha, float(lam[0]), float(lam[-1]),
+            alpha * float(mu[0]), alpha * float(mu[-1]))
+
+
+def _scaled(rule: str | None):
+    """The nonconcave regime under ``rule``; Kent-Tyler (None) has no row."""
+    return (_scaled_candidate, partial(_scaled_step, rule=rule),
+            None if rule is None else _scaled_row)
 
 
 def fit_nonconcave(data: Dataset, a: float, b: float,
@@ -490,9 +495,8 @@ def fit_nonconcave(data: Dataset, a: float, b: float,
     problem = _problem(data, a, b)
     if problem.c < 0.0:
         raise ValueError("nonconcave iteration requires a <= dim/2 (c >= 0)")
-    return _run(problem, config,
-                _scaled_steps(problem, *_start(problem, config),
-                              config.alpha_rule),
+    return _run(problem, config, _start(problem, config),
+                _scaled(config.alpha_rule),
                 ("alpha_trace", "lambda_min_trace", "lambda_max_trace",
                  "iterate_eig_min_trace", "iterate_eig_max_trace"))
 
@@ -512,10 +516,8 @@ def fit_kent_tyler(data: Dataset, a: float, b: float,
     if a >= 0.5 * q:
         raise ValueError("Kent-Tyler iteration requires a < dim/2")
     problem = _problem(data, a, b)
-    return _run(problem, config,
-                _scaled_steps(problem, *_start(problem, config, np.eye(q)),
-                              None),
-                ())
+    return _run(problem, config, _start(problem, config, np.eye(q)),
+                _scaled(None))
 
 
 def fit_scatter(data: Dataset, a: float, b: float,
@@ -530,19 +532,16 @@ def fit_scatter(data: Dataset, a: float, b: float,
 
 def _em_step(data: Dataset, a: float, b: float, start: ScatterMatrix,
              t: np.ndarray, log_t: np.ndarray):
-    """One concave or trace-rule EM step from ``start`` (squared radii
-    ``t``, logs ``log_t``): the average log-likelihoods at the start and
-    the step, the step, its squared radii and logs.  A failed step, as on
-    a rank-deficient subset, raises :class:`_Breakdown`."""
+    """One iteration of the fits' concave or trace-rule candidate and step
+    functions from ``start`` (squared radii ``t``, logs ``log_t``), with no
+    row: the average log-likelihoods at the start and the step, the step,
+    its squared radii and logs.  A failed step, as on a rank-deficient
+    subset, raises :class:`_Breakdown`."""
     problem = _problem(data, a, b)
     t = np.maximum(t, _DENOM_FLOOR)
     ll_start = _avg_loglik(problem, t, log_t, start.log_det)
-    if problem.c <= 0.0:
-        sigma, t = _concave_step(problem,
-                                 *_concave_candidate(problem, start, t))
-    else:
-        sigma, t, *_ = _scaled_step(problem, _scaled_candidate(problem, t),
-                                    "trace")
+    candidate, step, _ = _CONCAVE if problem.c <= 0.0 else _scaled("trace")
+    sigma, t, *_ = step(problem, start, candidate(problem, start, t))
     log_t = np.log(t)
     return (ll_start, _avg_loglik(problem, t, log_t, sigma.log_det), sigma,
             t, log_t)

@@ -90,6 +90,39 @@ class TestDataset:
         assert d.total_weight == 5.0
 
 
+def _given_and_held(kind, rng):
+    """The arrays passed to a public constructor and those the object holds."""
+    if kind == "dataset":
+        x, w = rng.standard_normal((6, 2)), rng.uniform(0.5, 2.0, 6)
+        data = egd.Dataset(x, w)
+        return (x, w), (data.samples, data.weights)
+    if kind == "weighted-sample":
+        v, w = rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 6)
+        sample = egd.WeightedSample(v, w)
+        return (v, w), (sample.values, sample.weights)
+    if kind == "mixture":
+        probs = np.array([0.25, 0.75])
+        comp = egd.EgdParams(egd.ScatterMatrix.identity(2), 1.0, 2.0)
+        return (probs,), (egd.MixtureModel([comp, comp], probs).mix_probs,)
+    resp = np.full((2, 6), 0.5)
+    return (resp,), (egd.Responsibilities(resp).matrix,)
+
+
+@pytest.mark.parametrize("kind", ["dataset", "weighted-sample", "mixture",
+                                  "responsibilities"])
+def test_constructors_freeze_a_view(kind):
+    # the object holds a read-only view of each C-contiguous float64 array
+    # it is given, and the caller's own array stays writable
+    given, held = _given_and_held(kind, np.random.default_rng(3))
+    for mine, theirs in zip(given, held):
+        first = (0,) * mine.ndim
+        assert np.shares_memory(mine, theirs)
+        with pytest.raises(ValueError, match="read-only"):
+            theirs[first] = 1.0
+        mine[first] = 1.0
+        assert theirs[first] == 1.0
+
+
 class TestSquaredRadius:
     def test_identity(self):
         s = egd.ScatterMatrix.identity(2)

@@ -193,17 +193,19 @@ class TestMSteps:
         data = egd.Dataset(np.vstack([a.samples, b.samples]))
         return model, data
 
-    def test_scatter_step_reduces_to_single_fit(self):
+    @pytest.mark.parametrize("shape_a", [0.7, 2.5, 1.5],
+                             ids=["trace", "concave", "c0"])
+    def test_scatter_step_reduces_to_single_fit(self, shape_a):
         rng = np.random.default_rng(36)
         data = egd.Dataset(rng.standard_normal((200, 3)) * 2.0)
-        comp = egd.EgdParams(egd.ScatterMatrix.identity(3), 0.7, 2.0)
+        comp = egd.EgdParams(egd.ScatterMatrix.identity(3), shape_a, 2.0)
         model = egd.MixtureModel([comp], np.ones(1))
         resp = egd.Responsibilities(np.ones((1, 200)))
         stepped = egd.m_step_scatter(data, resp, model)
-        # same warm start and one trace-rule step: the iterates coincide
-        # exactly
+        # same warm start and one step (trace rule, concave, or the c = 0
+        # step to B): the iterates coincide exactly
         direct = egd.fit_scatter(
-            data, 0.7, 2.0,
+            data, shape_a, 2.0,
             egd.FixedPointConfig(init="user", user_matrix=np.eye(3),
                                  tol=1e-10, max_iter=1, alpha_rule="trace"))
         assert np.array_equal(stepped.components[0].scatter.entries,

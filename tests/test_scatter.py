@@ -460,18 +460,28 @@ class TestCarriedCandidate:
         # iterate; after a case-1 step the carried candidate and map
         # spectrum are those the reference builds, bit for bit
         data, problem, starts = setting
+        candidate, step, trace_row = egd.scatter._scaled("eigen")
         carried_exact = 0
         for user in starts:
             cfg = self._config(user)
-            steps = egd.scatter._scaled_steps(
-                problem, *_start(problem, cfg), "eigen")
-            sigma, t, _, _, _, _ = next(steps)
+            start = _start(problem, cfg)
+            # each iterate and its squared radii, and each step's row
+            iterates, rows = [start[:2]], []
+
+            def recorded_step(*args):
+                iterates.append(step(*args))
+                return iterates[-1]
+
+            def recorded_row(*args):
+                rows.append(trace_row(*args))
+                return rows[-1]
+
+            egd.scatter._run(problem, cfg, start,
+                             (candidate, recorded_step, recorded_row))
             prev_case = None  # the first candidate is built from the data
-            fit = egd.fit_nonconcave(data, self.A, self.B, cfg)
-            for _ in range(fit.iterations):
+            for (sigma, t, *_), row in zip(iterates, rows):
                 ref_row, case, *_ = nonconcave_reference_step(
                     data, self.A, self.B, sigma.entries, t)
-                sigma, t, _, _, row, _ = next(steps)
                 if prev_case in (None, 1):
                     assert row == ref_row
                 else:
@@ -498,32 +508,32 @@ class TestAscentGuard:
         return _problem(data, 0.8, 2.0)
 
     @staticmethod
-    def sabotaged(problem, config, worse):
-        """Honest steps, except that the second is replaced by ``worse``."""
-        steps = egd.scatter._scaled_steps(problem, *_start(problem, config),
-                                          "eigen")
-        yield next(steps)
-        yield next(steps)
-        yield worse(problem, *next(steps))
-        yield from steps
+    def sabotaged(worse):
+        """The eigen rule's regime with honest steps, except that the
+        second is replaced by ``worse``."""
+        candidate, step, row = egd.scatter._scaled("eigen")
+        count = itertools.count(1)
+
+        def wrapped(problem, sigma, cand):
+            taken = step(problem, sigma, cand)
+            return worse(problem, *taken) if next(count) == 2 else taken
+
+        return candidate, wrapped, row
 
     @staticmethod
-    def stretched(problem, sigma, t, log_t, ll, row, g):
+    def stretched(problem, sigma, t, alpha, carried):
         # a real iterate, three times the honest one and far worse; its
         # candidate B + c sum_i w_i x_i x_i' / (t_i / 3) is B + 3 (G - B)
         worse = egd.ScatterMatrix(3.0 * sigma.entries)
         b_mat = problem.b_scatter.entries
-        t, log_t = t / 3.0, np.log(t / 3.0)
-        return (worse, t, log_t,
-                egd.scatter._avg_loglik(problem, t, log_t, worse.log_det),
-                row, b_mat + 3.0 * (g - b_mat))
+        return worse, t / 3.0, alpha, (b_mat + 3.0 * (carried[0] - b_mat),)
 
     def test_public_fits_have_no_guard(self, problem):
         # the driver accepts the worse step and runs on past it
         cfg = egd.FixedPointConfig(tol=1e-12, max_iter=50)
         report = egd.scatter._run(
-            problem, cfg, self.sabotaged(problem, cfg, self.stretched),
-            self.FIELDS)
+            problem, cfg, _start(problem, cfg),
+            self.sabotaged(self.stretched), self.FIELDS)
         assert report.iterations > 2
         assert np.min(np.diff(report.loglik_trace)) < 0.0
 
@@ -782,6 +792,23 @@ class TestFactorPerIterate:
         assert rel_frob(fac @ fac.T, sigma.entries) <= 1e-14
         assert sigma.log_det == pytest.approx(
             np.linalg.slogdet(sigma.entries)[1], rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("max_iter", [1, 3])
+@pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
+def test_iteration_cap(fit, a, rule, max_iter):
+    # a tol no step reaches: the driver takes exactly max_iter steps, each
+    # with one entry in every trace, and reports no convergence
+    data, _ = make_egd_data(5, 1.0, 2.0, 500, seed=41)
+    report = fit(data, a, 2.0, egd.FixedPointConfig(
+        tol=1e-15, max_iter=max_iter, alpha_rule=rule))
+    assert report.iterations == max_iter
+    assert not report.converged and not report.near_singular
+    traces = [value for name, value in vars(report).items()
+              if name.endswith("_trace") and value is not None]
+    assert len(traces) == (3 if fit is egd.fit_kent_tyler
+                           else 5 if fit is egd.fit_concave else 8)
+    assert all(len(trace) == max_iter for trace in traces)
 
 
 class TestConfigValidation:
