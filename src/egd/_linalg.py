@@ -50,9 +50,10 @@ def quad_forms(linv: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     One matrix product with the q x q inverse is several times faster than
     a triangular solve with ``n`` right-hand sides and, for a Cholesky
-    factor, as accurate.
+    factor, as accurate.  A form that overflows is inf, with no warning.
     """
-    z = rows @ linv.T
+    with np.errstate(over="ignore"):
+        z = rows @ linv.T
     return np.einsum("ij,ij->i", z, z)
 
 

@@ -40,12 +40,12 @@ class ScatterMatrix:
 
     Construction verifies symmetry to 1e-12 relative Frobenius error,
     symmetrizes exactly, and rejects any matrix whose Cholesky factorization
-    fails (i.e. whose eigenvalues are not all strictly positive).  The
-    Cholesky factor and log-determinant are cached; the factor is the only
-    square root of the scatter that densities, sampling and the fits use.
+    fails (i.e. whose eigenvalues are not all strictly positive).  It holds
+    ``L``, its Cholesky factor and the only square root the package uses,
+    ``L^{-1}`` and ``log|Sigma|``, computed once, here; no caller inverts L.
     """
 
-    __slots__ = ("_entries", "_chol", "_log_det")
+    __slots__ = ("_entries", "_chol", "_chol_inv", "_log_det")
 
     def __init__(self, entries):
         mat = np.asarray(entries, dtype=float)
@@ -60,27 +60,29 @@ class ScatterMatrix:
         scale = float(np.linalg.norm(unit))
         if scale == 0.0 or float(np.linalg.norm(unit - unit.T)) > _SYMMETRY_RTOL * scale:
             raise ValueError("scatter matrix must be symmetric")
-        sym = np.ascontiguousarray(symmetrize(mat))
-        self._chol = chol_lower(sym)
-        self._log_det = chol_logdet(self._chol)
+        self._factor(np.ascontiguousarray(symmetrize(mat)))
+
+    def _factor(self, sym: np.ndarray) -> "ScatterMatrix":
+        # the one place a scatter is factored, from an exactly symmetric array
+        chol = chol_lower(sym)
         sym.setflags(write=False)
-        self._entries = sym
+        self._entries, self._chol, self._chol_inv, self._log_det = (
+            sym, chol, tril_inv(chol), chol_logdet(chol))
+        return self
 
     @classmethod
-    def _unchecked(cls, entries: np.ndarray, chol: np.ndarray,
-                   log_det: float) -> "ScatterMatrix":
-        # a fit's iterate: exactly symmetric, with a Cholesky factor and
-        # log-determinant the fit already computed
-        entries.setflags(write=False)
-        out = object.__new__(cls)
-        out._entries, out._chol, out._log_det = entries, chol, log_det
-        return out
+    def _factored(cls, sym: np.ndarray) -> "ScatterMatrix":
+        # B or a fit's iterate, unchecked
+        return object.__new__(cls)._factor(sym)
 
     def _scaled(self, s: float) -> "ScatterMatrix":
-        # s Sigma: factor sqrt(s) L, log-determinant q log s + log|Sigma|
-        return ScatterMatrix._unchecked(
-            s * self._entries, math.sqrt(s) * self._chol,
-            self.dim * math.log(s) + self._log_det)
+        # s Sigma: sqrt(s) L, L^{-1} / sqrt(s) and q log s + log|Sigma|
+        out, root = object.__new__(ScatterMatrix), math.sqrt(s)
+        out._entries = s * self._entries
+        out._entries.setflags(write=False)
+        out._chol, out._chol_inv = root * self._chol, self._chol_inv / root
+        out._log_det = self.dim * math.log(s) + self._log_det
+        return out
 
     @property
     def dim(self) -> int:
@@ -268,17 +270,17 @@ def squared_radius(scatter: ScatterMatrix, x) -> float | np.ndarray:
 
     Accepts a single vector of length ``dim`` (returns a float) or an
     ``(n, dim)`` array (returns a length-``n`` array).  The rows are
-    multiplied by the triangular inverse ``L^{-1}`` of the cached Cholesky
-    factor ``Sigma = L L'``; the scatter inverse itself is never formed.
+    multiplied by the inverse ``L^{-1}`` of the factor ``Sigma = L L'`` that
+    the scatter holds; nothing is inverted here, and an overflow gives inf.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         if x.shape != (scatter.dim,):
             raise ValueError("x has wrong dimension")
-        return float(quad_forms(tril_inv(scatter.cholesky), x[None, :])[0])
+        return float(quad_forms(scatter._chol_inv, x[None, :])[0])
     if x.ndim != 2 or x.shape[1] != scatter.dim:
         raise ValueError("x must be a vector or an (n, dim) array")
-    return quad_forms(tril_inv(scatter.cholesky), x)
+    return quad_forms(scatter._chol_inv, x)
 
 
 def _log(t):

@@ -112,6 +112,10 @@ class Responsibilities:
     def n_components(self) -> int:
         return self._matrix.shape[0]
 
+    def __repr__(self) -> str:
+        k, n = self._matrix.shape
+        return f"Responsibilities(n_components={k}, n={n})"
+
 
 @dataclass(frozen=True, eq=False)
 class EmConfig:

@@ -24,11 +24,12 @@ the weighted second moment.  The sign of ``c`` selects the regime:
 Each regime is a candidate, a step and a row function, run by one plain
 driver loop.  An iterate's candidate is formed once and gives both its
 stationarity residual, on which the driver stops (see
-:class:`FixedPointConfig`), and the step taken from it; each iterate
-carries the Cholesky factor its step computed.  Only the driver calls the
-row functions, which fill the report's traces.  The EM scatter M-step is
-one iteration of the same candidate and step functions, with the trace
-rule for ``c > 0``: one n x q^2 product, the start's candidate, no ``B``.
+:class:`FixedPointConfig`), and the step taken from it; an iterate's
+step factors it once, and it holds ``L``, ``L^{-1}`` and ``log|Sigma|``.
+Only the driver calls the row functions, which fill the report's traces.
+The EM scatter M-step is one iteration of the same candidate and step
+functions, with the trace rule for ``c > 0``: one n x q^2 product, the
+start's candidate, no ``B``.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._linalg import (chol_logdet, chol_lower, gram, quad_forms,
-                      reduced_eigvalsh, symmetrize, tril_inv)
+from ._linalg import gram, quad_forms, reduced_eigvalsh, symmetrize
 from .core import Dataset, ScatterMatrix, _log_norm_const, _radial_log_density
 
 __all__ = [
@@ -157,9 +157,8 @@ def compute_constants(a: float, b: float, q: int, n_eff: float):
 @dataclass(frozen=True, eq=False)
 class _Problem:
     """Weighted data and constants of a fit.  The first read of ``b_scatter``
-    (``B`` as a :class:`ScatterMatrix`) or ``b_inv`` (its factor's inverse)
-    forms both, and raises :class:`RankDeficiencyError` unless
-    ``tr(B) ||b_inv||_F^2 < 1e14``; a nonconcave EM step reads neither."""
+    factors ``B = F F'`` and raises :class:`RankDeficiencyError` unless
+    ``tr(B) ||F^{-1}||_F^2 < 1e14``; a nonconcave EM step never reads it."""
 
     x: np.ndarray
     w: np.ndarray
@@ -171,19 +170,15 @@ class _Problem:
     log_const: float
 
     @cached_property
-    def _b(self):
+    def b_scatter(self) -> ScatterMatrix:
         b_mat = gram(self.x, self.d * self.w)
         try:
-            fac = chol_lower(b_mat)
-            fac_inv = tril_inv(fac)
+            b = ScatterMatrix._factored(b_mat)
         except ValueError as exc:
             raise RankDeficiencyError("data does not span R^q") from exc
-        if _ill_conditioned(b_mat, fac_inv):
+        if _ill_conditioned(b):
             raise RankDeficiencyError("data does not span R^q")
-        return ScatterMatrix._unchecked(b_mat, fac, chol_logdet(fac)), fac_inv
-
-    b_scatter = property(lambda self: self._b[0])
-    b_inv = property(lambda self: self._b[1])
+        return b
 
 
 def _problem(data: Dataset, a: float, b: float) -> _Problem:
@@ -193,17 +188,19 @@ def _problem(data: Dataset, a: float, b: float) -> _Problem:
                     log_const=_log_norm_const(data.dim, a, b))
 
 
-def _radii(linv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.maximum(quad_forms(linv, x), _DENOM_FLOOR)
+def _radii(sigma: ScatterMatrix, x: np.ndarray) -> np.ndarray:
+    return np.maximum(quad_forms(sigma._chol_inv, x), _DENOM_FLOOR)
 
 
 def _residual(sigma: ScatterMatrix, g: np.ndarray | None) -> float:
     # ||L^{-1} (G - Sigma) L^{-T}||_F for Sigma = L L' and its candidate G
-    # (NaN when it overflowed): the stationarity defect where Sigma is I
+    # (NaN when it overflowed): the stationarity defect where Sigma is I;
+    # at a tiny start it can overflow, to inf or NaN, as the stop rule allows
     if g is None:
         return math.nan
-    linv = tril_inv(sigma.cholesky)
-    return float(np.linalg.norm(linv @ (g - sigma.entries) @ linv.T, "fro"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = sigma._chol_inv @ (g - sigma.entries) @ sigma._chol_inv.T
+        return float(np.linalg.norm(defect, "fro"))
 
 
 def stationarity_residual(sigma: ScatterMatrix, data: Dataset, c: float,
@@ -213,16 +210,15 @@ def stationarity_residual(sigma: ScatterMatrix, data: Dataset, c: float,
     x_i x_i'`` is the candidate."""
     if sigma.dim != data.dim:
         raise ValueError("sigma dimension does not match data")
-    t = _radii(tril_inv(sigma.cholesky), data.samples)
+    t = _radii(sigma, data.samples)
     return _residual(sigma, gram(data.samples, data.weights * (d + c / t)))
 
 
 def _start(problem: _Problem, config: FixedPointConfig, identity=None):
     """Start, its squared radii and logs; ``identity`` defaults to ``B``.
     Reading ``B`` checks its rank; it and its multiples reuse its factor."""
-    linv = None
     if config.init == "identity" and identity is None:
-        start, linv = problem.b_scatter, problem.b_inv
+        start = problem.b_scatter
     elif config.init == "sample-cov":
         # the weighted second moment is (b/2) B
         start = problem.b_scatter._scaled(0.5 * problem.scale_b)
@@ -231,7 +227,7 @@ def _start(problem: _Problem, config: FixedPointConfig, identity=None):
                               else identity)
         if start.dim != problem.b_scatter.dim:
             raise ValueError("user_matrix has wrong shape")
-    t = _radii(tril_inv(start.cholesky) if linv is None else linv, problem.x)
+    t = _radii(start, problem.x)
     return start, t, np.log(t)
 
 
@@ -240,8 +236,10 @@ def _avg_loglik(problem: _Problem, t: np.ndarray, log_t: np.ndarray,
     # the constants stay outside the weighted sum
     shift = problem.shape_a - 0.5 * problem.x.shape[1]
     radial = _radial_log_density(t, log_t, shift, 0.0, problem.scale_b)
-    return (problem.log_const - 0.5 * logdet
-            + float(problem.w @ radial) / problem.n_eff)
+    # radii near DBL_MAX, as at a tiny start, sum to -inf
+    with np.errstate(over="ignore"):
+        total = float(problem.w @ radial)
+    return problem.log_const - 0.5 * logdet + total / problem.n_eff
 
 
 def _near_singular(eig_lo: float, eig_hi: float) -> bool:
@@ -251,10 +249,11 @@ def _near_singular(eig_lo: float, eig_hi: float) -> bool:
     return not eig_lo > _NEAR_SINGULAR_REL * eig_hi
 
 
-def _ill_conditioned(mat: np.ndarray, linv: np.ndarray) -> bool:
+def _ill_conditioned(mat: ScatterMatrix) -> bool:
     # tr(M) ||L^{-1}||_F^2 = tr(M) tr(M^{-1}) (M = L L') is cond(M) to
     # within q^2: B's rank rule and a candidate's breakdown test
-    return _near_singular(1.0, np.trace(mat) * np.sum(linv * linv))
+    linv = mat._chol_inv
+    return _near_singular(1.0, np.trace(mat.entries) * np.sum(linv * linv))
 
 
 def _run(problem: _Problem, config: FixedPointConfig, start, regime,
@@ -320,7 +319,7 @@ def _concave_candidate(problem: _Problem, sigma: ScatterMatrix,
     """At an iterate: the candidate ``B + c M``, the eigenpairs of the
     pencil ``(Sigma, B)`` and ``M = sum_i w_i x_i x_i' / t_i``; ``c = 0``
     needs no ``M``, and an ``M`` that overflows gives None."""
-    fac_inv, b_mat = problem.b_inv, problem.b_scatter.entries
+    fac_inv, b_mat = problem.b_scatter._chol_inv, problem.b_scatter.entries
     vals, vecs = np.linalg.eigh(symmetrize(fac_inv @ sigma.entries
                                            @ fac_inv.T))
     if problem.c == 0.0:
@@ -342,24 +341,21 @@ def _concave_step(problem: _Problem, sigma: ScatterMatrix, cand: tuple):
         raise _Breakdown("iterate is near singular")
     if g is None:
         raise _Breakdown("candidate overflows")
-    fac, fac_inv = problem.b_scatter.cholesky, problem.b_inv
+    b = problem.b_scatter
     if m is None:
         # c = 0: the step is F F' = B, which the problem holds
-        return problem.b_scatter, _radii(fac_inv, problem.x), None, None
+        return b, _radii(b, problem.x), None, None
     # With B = F F', C = F^{-1} Sigma F^{-T} and K = F C^{1/2} (so that
     # Sigma = K K' and P = K F'), the step P (Sigma + c' M)^{-1} P is
     # F (I + c' K^{-1} M K^{-T})^{-1} F', whose inverse is well conditioned
-    k_inv = ((vecs / np.sqrt(vals)) @ vecs.T) @ fac_inv
+    fac, k_inv = b.cholesky, ((vecs / np.sqrt(vals)) @ vecs.T) @ b._chol_inv
     try:
-        entries = symmetrize(fac @ np.linalg.inv(
+        nxt = ScatterMatrix._factored(symmetrize(fac @ np.linalg.inv(
             np.eye(fac.shape[0])
-            - problem.c * symmetrize(k_inv @ m @ k_inv.T)) @ fac.T)
-        chol = chol_lower(entries)
-        t = _radii(tril_inv(chol), problem.x)
+            - problem.c * symmetrize(k_inv @ m @ k_inv.T)) @ fac.T))
     except ValueError as exc:
         raise _Breakdown("iterate is not factorizable") from exc
-    return (ScatterMatrix._unchecked(entries, chol, chol_logdet(chol)), t,
-            None, None)
+    return nxt, _radii(nxt, problem.x), None, None
 
 
 def _concave_row(problem, sigma, cand, alpha, next_cand):
@@ -390,14 +386,13 @@ def fit_concave(data: Dataset, a: float, b: float,
                 ("iterate_eig_min_trace", "iterate_eig_max_trace"))
 
 
-def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
-           linv: np.ndarray, t_prime: np.ndarray, g2: np.ndarray | None):
-    """Step scaling at the candidate ``sigma_prime`` (inverse Cholesky
-    factor ``linv``, squared radii ``t_prime``) and its map matrix ``g2``;
-    the trace rule reads only ``t_prime``.
+def _alpha(rule: str, problem: _Problem, prime: ScatterMatrix,
+           t_prime: np.ndarray, g2: np.ndarray | None):
+    """Step scaling at the candidate ``prime`` (squared radii ``t_prime``)
+    and its map matrix ``g2``; the trace rule reads only ``t_prime``.
 
     The eigen rule leaves the step unscaled when the map spectrum, that of
-    the pencil ``(g2, sigma_prime)``, brackets one; otherwise it shrinks
+    the pencil ``(g2, prime)``, brackets one; otherwise it shrinks
     the step so the largest map eigenvalue lands on one, or stretches it so
     the smallest does.
     """
@@ -408,11 +403,11 @@ def _alpha(rule: str, problem: _Problem, sigma_prime: np.ndarray,
         alpha = (problem.d * float(problem.w @ t_prime)
                  / (2.0 * problem.shape_a))
     else:
-        lam = reduced_eigvalsh(g2, linv)
+        lam = reduced_eigvalsh(g2, prime._chol_inv)
         if lam[-1] >= 1.0 >= lam[0]:
             return 1.0
-        avals = reduced_eigvalsh(sigma_prime + problem.b_scatter.entries - g2,
-                                 problem.b_inv)
+        b = problem.b_scatter
+        avals = reduced_eigvalsh(prime.entries + b.entries - g2, b._chol_inv)
         inv_alpha = float(avals[0] if lam[-1] < 1.0 else avals[-1])
         alpha = 1.0 / inv_alpha if inv_alpha != 0.0 else math.inf
     if not (alpha > 0.0 and math.isfinite(alpha)):
@@ -437,35 +432,32 @@ def _scaled_step(problem: _Problem, sigma: ScatterMatrix, cand: tuple,
     if g_prime is None:
         raise _Breakdown("candidate overflows")
     try:
-        chol = chol_lower(g_prime)
-        linv = tril_inv(chol)
+        prime = ScatterMatrix._factored(g_prime)
     except ValueError as exc:
         raise _Breakdown("candidate is not factorizable") from exc
     # Sigma' >= B, which spans R^q, so a candidate that fails B's rank
     # rule means the trajectory left the usable SPD cone
-    if _ill_conditioned(g_prime, linv):
+    if _ill_conditioned(prime):
         raise _Breakdown("candidate is near singular")
-    t_prime = _radii(linv, problem.x)
+    t_prime = _radii(prime, problem.x)
     g2 = None
     if rule == "eigen":
         (g2,) = _scaled_candidate(problem, None, t_prime)
         if g2 is None:
             raise _Breakdown("map matrix overflows")
-    alpha = 1.0 if rule is None else _alpha(rule, problem, g_prime, linv,
-                                            t_prime, g2)
+    alpha = 1.0 if rule is None else _alpha(rule, problem, prime, t_prime, g2)
     if g2 is not None and alpha != 1.0:
         # with t = t'/alpha the candidate at alpha Sigma' is B + alpha (G2 - B)
         b_mat = problem.b_scatter.entries
         g2 = b_mat + alpha * (g2 - b_mat)
-    nxt = ScatterMatrix._unchecked(
-        g_prime, chol, chol_logdet(chol))._scaled(alpha)
-    return nxt, t_prime / alpha, alpha, None if g2 is None else (g2,)
+    return (prime._scaled(alpha), t_prime / alpha, alpha,
+            None if g2 is None else (g2,))
 
 
 def _scaled_row(problem, sigma, cand, alpha, next_cand):
     # alpha, then the spectra of (Sigma', Sigma) and (alpha Sigma', B)
-    lam = reduced_eigvalsh(cand[0], tril_inv(sigma.cholesky))
-    mu = reduced_eigvalsh(cand[0], problem.b_inv)
+    lam = reduced_eigvalsh(cand[0], sigma._chol_inv)
+    mu = reduced_eigvalsh(cand[0], problem.b_scatter._chol_inv)
     return (alpha, float(lam[0]), float(lam[-1]),
             alpha * float(mu[0]), alpha * float(mu[-1]))
 

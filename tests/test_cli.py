@@ -80,6 +80,17 @@ class TestSample:
         m = eio.read_matrix(out)
         assert np.var(m[:, 0]) > 10 * np.var(m[:, 1])
 
+    def test_scatter_of_wrong_dimension_is_data_error(self, tmp_path,
+                                                      capsys):
+        scatter = tmp_path / "sigma.csv"
+        eio.write_matrix_csv(scatter, np.eye(3))
+        code = run_cli("sample", "--dim", 2, "--a", 1.0, "--b", 2.0,
+                       "--n", 5, "--scatter", scatter,
+                       "--out", tmp_path / "s.csv")
+        assert code == 4
+        assert ("error: scatter dimension does not match --dim"
+                in capsys.readouterr().err)
+
     def test_model_source(self, work, tmp_path):
         out = tmp_path / "s.csv"
         assert run_cli("sample", "--model", work["model"], "--n", 20,
@@ -277,6 +288,30 @@ class TestFit:
         model, _ = eio.read_model(out)
         assert rel_frob(model.components[0].scatter.entries,
                         report.sigma_hat.entries) < 1e-12
+
+    def test_weights_matrix_is_data_error(self, tmp_path, capsys):
+        data, wfile = tmp_path / "d.csv", tmp_path / "w.csv"
+        eio.write_matrix_csv(data, np.random.default_rng(20)
+                             .standard_normal((4, 2)))
+        eio.write_matrix_csv(wfile, np.ones((2, 2)))
+        code = run_cli("fit", "--data", data, "--weights", wfile, "--a", 1.0,
+                       "--b", 2.0, "--out", tmp_path / "m.json")
+        assert code == 4
+        assert ("error: weights file must hold a single row or column"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-307])
+    def test_tiny_init_file_converges(self, work, tmp_path, scale):
+        # the start's residual and log-likelihood overflow, to inf and -inf,
+        # with no RuntimeWarning
+        init = tmp_path / "tiny.csv"
+        eio.write_matrix_csv(init, scale * np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("fit", "--data", work["data"], "--a", 1.2,
+                           "--b", 2.0, "--init", init,
+                           "--out", tmp_path / "m.json")
+        assert code == 0
 
     def test_user_init_file(self, work, tmp_path):
         init = tmp_path / "init.csv"

@@ -146,6 +146,13 @@ class TestSquaredRadius:
         looped = [egd.squared_radius(s, row) for row in x]
         assert_allclose(batched, looped, rtol=1e-12)
 
+    def test_overflow_is_inf(self):
+        # L^{-1} x overflows here, not only its square
+        s = egd.ScatterMatrix(1e-250 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert egd.squared_radius(s, np.array([1e200, 1.0])) == np.inf
+
     def test_positive_off_origin(self):
         rng = np.random.default_rng(RNG_SEED + 1)
         s = egd.ScatterMatrix(random_spd(3, rng))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import egd
+from egd._linalg import tril_inv
 from helpers import (align_scatters, kmeans_radii_reference, random_spd,
                      rel_frob)
 
@@ -48,6 +49,14 @@ class TestResponsibilities:
         r = egd.Responsibilities(np.full((2, 3), 0.5))
         with pytest.raises(ValueError):
             r.matrix[0, 0] = 1.0
+
+    def test_repr_names_shape(self):
+        # a report's repr shows its responsibilities, not their address
+        resp = egd.Responsibilities(np.full((2, 3), 0.5))
+        assert repr(resp) == "Responsibilities(n_components=2, n=3)"
+        report = egd.EmReport(model=two_scale_model(2), loglik_trace=np.zeros(1),
+                              responsibilities=resp, converged=True, rounds=1)
+        assert " at 0x" not in repr(report)
 
 
 class TestEmConfig:
@@ -110,6 +119,22 @@ class TestEStep:
         data = egd.Dataset(np.ones((5, 3)))
         with pytest.raises(ValueError, match="dimension"):
             egd.e_step(model, data)
+
+    def test_built_model_inverts_no_factor(self, monkeypatch):
+        # every scatter holds its inverse factor from construction, so the
+        # densities of a built model invert nothing
+        model = two_scale_model(3)
+        data = egd.sample(model.components[1], 50, seed=34)
+        calls = []
+
+        def counted(chol):
+            calls.append(chol.shape)
+            return tril_inv(chol)
+
+        monkeypatch.setattr(egd.core, "tril_inv", counted)
+        egd.e_step(model, data)
+        egd.log_density(model.components[0], data.samples)
+        assert calls == []
 
     @staticmethod
     def _from_log_density(model, data):
@@ -224,13 +249,13 @@ class TestMSteps:
         # neither B (a gram product with its own factorization) nor a map
         # matrix G2; an eigen-rule fit forms B once and carries each step's
         # G2 forward as the next candidate
+        data, resp, model = self._one_component(0.7)
         counts = collections.Counter()
-        for name in ("gram", "chol_lower"):
-            def counted(*args, _name=name, _fn=getattr(egd.scatter, name)):
+        for module, name in ((egd.scatter, "gram"), (egd.core, "chol_lower")):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
                 counts[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(egd.scatter, name, counted)
-        data, resp, model = self._one_component(0.7)
+            monkeypatch.setattr(module, name, counted)
         stepped = egd.m_step_scatter(data, resp, model)
         assert stepped.components[0].scatter is not model.components[0].scatter
         assert counts == {"gram": 1, "chol_lower": 1}
@@ -377,6 +402,19 @@ class TestMSteps:
                           "this sweep: candidate is"):
             stepped = egd.m_step_scatter(data, resp, model)
         assert stepped.components[0].scatter is comp.scatter
+
+    def test_equal_radii_keep_radial_parameters(self):
+        # rows on the unit sphere under the identity all have squared
+        # radius one, to rounding, which no gamma law fits
+        x = np.random.default_rng(37).standard_normal((50, 3))
+        data = egd.Dataset(x / np.linalg.norm(x, axis=1, keepdims=True))
+        comp = egd.EgdParams(egd.ScatterMatrix.identity(3), 1.5, 2.0)
+        model = egd.MixtureModel([comp], np.ones(1))
+        resp = egd.Responsibilities(np.ones((1, 50)))
+        with pytest.warns(UserWarning, match="component 0 has degenerate "
+                          "radii; radial parameters frozen"):
+            stepped = egd.m_step_shape(data, resp, model)
+        assert stepped.components[0] is comp
 
     @pytest.mark.parametrize("rows", [14, 15])
     def test_light_component_keeps_radial_parameters(self, rows):
@@ -907,7 +945,7 @@ class TestRadialExtrapolation:
                 n_components=2, seed=5, outer_rounds=40))
         return report, evaluated
 
-    @pytest.mark.parametrize("spoil", ["lower", "empty", "overflow"])
+    @pytest.mark.parametrize("spoil", ["lower", "empty", "overflow", "zero"])
     def test_rejected_point_is_neither_recorded_nor_warned(self, monkeypatch,
                                                            spoil):
         trials = []
@@ -918,11 +956,14 @@ class TestRadialExtrapolation:
                 # the E-step gives component 1 no responsibility
                 trial = egd.MixtureModel(comps, [1.0, 0.0])
             else:
-                # a far worse shape, or a scale whose t / b overflows
+                # a far worse shape, a scale whose t / b overflows, or one
+                # under which some sample has zero density, so that the
+                # E-step raises
+                scale = 1e-306 if spoil == "overflow" else 1e-310
                 trial = egd.MixtureModel(
                     [egd.EgdParams(c.scatter, 40.0 * c.shape_a, c.scale_b)
                      if spoil == "lower" else
-                     egd.EgdParams(c.scatter, c.shape_a, 1e-306)
+                     egd.EgdParams(c.scatter, c.shape_a, scale)
                      for c in comps], model2.mix_probs)
             trials.append(trial)
             return trial

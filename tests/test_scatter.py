@@ -10,7 +10,7 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 import egd
-from egd._linalg import chol_lower, gram, reduced_eigvalsh
+from egd._linalg import chol_lower, gram, reduced_eigvalsh, tril_inv
 from egd.scatter import _problem, _start
 from helpers import (ascent_oracle_avg_loglik, kent_tyler_reference,
                      make_egd_data, nonconcave_reference,
@@ -88,7 +88,8 @@ class TestBMatrix:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((50, 4))
         problem = _problem(egd.Dataset(x), 0.5, 4.0)
-        b_scatter, b_inv = problem.b_scatter, problem.b_inv
+        b_scatter = problem.b_scatter
+        b_inv = b_scatter._chol_inv
         assert rel_frob(b_inv @ b_scatter.cholesky, np.eye(4)) < 1e-10
         assert rel_frob(b_inv @ b_scatter.entries @ b_inv.T, np.eye(4)) < 1e-10
 
@@ -417,7 +418,8 @@ class TestCarriedCandidate:
         report = egd.fit_nonconcave(data, self.A, self.B,
                                     egd.FixedPointConfig(tol=1e-13))
         # perturb the spectrum of the pencil (Sigma*, B) of the fixed point
-        fac, fac_inv = problem.b_scatter.cholesky, problem.b_inv
+        fac, fac_inv = (problem.b_scatter.cholesky,
+                        problem.b_scatter._chol_inv)
         vals, vecs = np.linalg.eigh(
             fac_inv @ report.sigma_hat.entries @ fac_inv.T)
         starts = []
@@ -617,7 +619,7 @@ class TestStartPencilDefect:
         problem = _problem(egd.Dataset(x), 0.3, 2.0 / (d_const * 2.0))
         assert rel_frob(problem.b_scatter.entries, np.eye(2)) < 1e-12
         sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-        assert_allclose(reduced_eigvalsh(sigma, problem.b_inv),
+        assert_allclose(reduced_eigvalsh(sigma, problem.b_scatter._chol_inv),
                         np.linalg.eigvalsh(sigma), rtol=1e-12)
 
     def test_round_trip_residual(self):
@@ -713,24 +715,25 @@ class TestReportedLoglik:
 
 
 class TestFactorPerIterate:
-    """Each iterate is factored once, by the step that makes it; the step
-    test, the residual and the report read that factor."""
+    """Each iterate is factored and its factor inverted once, by the step
+    that makes it; the step test, the residual and the report read both."""
 
     @pytest.fixture(scope="class")
     def data(self):
         return make_egd_data(5, 1.0, 2.0, 500, seed=41)[0]
 
     @staticmethod
-    def _extra_factorizations(monkeypatch, fit, data, a, b, **config):
-        # chol_lower calls beyond one per iteration
+    def _extra_factorizations(monkeypatch, fit, data, a, b, kernel=chol_lower,
+                              **config):
+        # calls of ``kernel``, a factorization or an inversion, beyond one
+        # per iteration
         calls = []
 
         def counted(mat):
             calls.append(mat.shape)
-            return chol_lower(mat)
+            return kernel(mat)
 
-        monkeypatch.setattr(egd.core, "chol_lower", counted)
-        monkeypatch.setattr(egd.scatter, "chol_lower", counted)
+        monkeypatch.setattr(egd.core, kernel.__name__, counted)
         report = fit(data, a, b, egd.FixedPointConfig(max_iter=5000,
                                                       **config))
         assert report.converged
@@ -759,6 +762,21 @@ class TestFactorPerIterate:
         assert self._extra_factorizations(
             monkeypatch, fit, data, a, 1.5, tol=1e-9, alpha_rule=rule,
             init=init, user_matrix=user) == 1 + own
+
+    @pytest.mark.parametrize("init", ["identity", "sample-cov", "user"])
+    @pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
+    def test_inversions_by_start(self, data, monkeypatch, fit, a, rule, init):
+        # B's factor and each iterate's are inverted once, where they are
+        # factored; the residual, the rows, the radii and B's multiples
+        # read the inverse the scatter holds.  A user start, and
+        # Kent-Tyler's identity start I, are inverted once more
+        user = random_spd(5, np.random.default_rng(42)) if init == "user" \
+            else None
+        own = init == "user" or (init == "identity"
+                                 and fit is egd.fit_kent_tyler)
+        assert self._extra_factorizations(
+            monkeypatch, fit, data, a, 1.5, kernel=tril_inv, tol=1e-9,
+            alpha_rule=rule, init=init, user_matrix=user) == 1 + own
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-16])
     @pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
@@ -792,6 +810,21 @@ class TestFactorPerIterate:
         assert rel_frob(fac @ fac.T, sigma.entries) <= 1e-14
         assert sigma.log_det == pytest.approx(
             np.linalg.slogdet(sigma.entries)[1], rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e-307])
+@pytest.mark.parametrize("fit, a, rule", FITS, ids=FIT_IDS)
+def test_tiny_user_start_converges(fit, a, rule, scale):
+    # the start's residual and log-likelihood overflow, to inf or NaN and
+    # to -inf, which the stop rule passes over, with no RuntimeWarning
+    data, _ = make_egd_data(4, 1.2, 2.0, 300, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fit(data, a, 2.0, egd.FixedPointConfig(
+            init="user", user_matrix=scale * np.eye(4), tol=1e-9,
+            alpha_rule=rule))
+    assert report.converged and not report.near_singular
+    assert report.loglik_trace[0] > -np.inf
 
 
 @pytest.mark.parametrize("max_iter", [1, 3])
