@@ -170,19 +170,6 @@ class Dataset:
         self._samples = x
         self._weights = w
 
-    def _reweighted(self, weights: np.ndarray) -> "Dataset":
-        """The same samples under new weights, taken unchecked and frozen.
-
-        ``weights`` must be a float vector that :func:`_checked_weights`
-        accepts, such as the dataset's weights times one row of a
-        responsibility matrix with positive total.
-        """
-        weights.setflags(write=False)
-        out = object.__new__(Dataset)
-        out._samples = self._samples
-        out._weights = weights
-        return out
-
     @property
     def samples(self) -> np.ndarray:
         return self._samples

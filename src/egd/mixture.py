@@ -242,39 +242,40 @@ def m_step_scatter(data: Dataset, resp: Responsibilities,
     return _m_step_scatter(data, resp, model, *_squared_radii(model, data))
 
 
+def _component_weights(data, resp):
+    """Each component's weights ``w_i t_ki`` as one K x n product, the
+    total of each row and the mixing probabilities they give."""
+    weights = data.weights * resp.matrix
+    totals = [float(wk.sum()) for wk in weights]
+    probs = np.asarray(totals) / data.total_weight
+    return weights, totals, probs / probs.sum()
+
+
 def _m_step_scatter(data, resp, model, radii, log_radii):
     # the rows of ``radii`` and ``log_radii`` of a refitted component are
     # overwritten in place with the refit's; a component that keeps its
     # scatter keeps its rows
-    t = resp.matrix
-    total = data.total_weight
-    new_comps = []
-    new_probs = np.empty(model.n_components)
+    weights, totals, probs = _component_weights(data, resp)
+    comps = list(model.components)
     for k, comp in enumerate(model.components):
-        wk = data.weights * t[k]
-        swk = float(wk.sum())
-        new_probs[k] = swk / total
+        wk, swk = weights[k], totals[k]
         if swk < data.dim:
             warnings.warn(f"component {k} is degenerate (effective weight "
                           f"{swk:.3g} < dim); scatter frozen for this sweep")
-            new_comps.append(comp)
             continue
         try:
             ll_start, ll, sigma, refit_radii, refit_log_radii = (
-                scatter._em_step(data._reweighted(wk), comp.shape_a,
+                scatter._em_step(data.samples, wk, comp.shape_a,
                                  comp.scale_b, comp.scatter, radii[k],
                                  log_radii[k]))
         except (RankDeficiencyError, scatter._Breakdown) as exc:
             warnings.warn(f"component {k} scatter frozen for this sweep: {exc}")
-            new_comps.append(comp)
             continue
-        if not ll >= ll_start:
-            new_comps.append(comp)
-            continue
-        new_comps.append(EgdParams(sigma, comp.shape_a, comp.scale_b))
-        radii[k] = refit_radii
-        log_radii[k] = refit_log_radii
-    return MixtureModel(new_comps, new_probs / new_probs.sum())
+        if ll >= ll_start:
+            comps[k] = EgdParams(sigma, comp.shape_a, comp.scale_b)
+            radii[k] = refit_radii
+            log_radii[k] = refit_log_radii
+    return MixtureModel(comps, probs)
 
 
 def m_step_shape(data: Dataset, resp: Responsibilities,
@@ -294,21 +295,16 @@ def m_step_shape(data: Dataset, resp: Responsibilities,
 
 def _m_step_shape(data, resp, model, radii, log_radii):
     # the weighted mean radius and mean log radius are all a gamma fit reads
-    t = resp.matrix
-    total = data.total_weight
+    weights, totals, probs = _component_weights(data, resp)
     # x'Mx = 1 is linear in the q(q+1)/2 entries of M, so that many points
     # can share one ellipsoid; without the + 1 some shapes still ran off
     floor = 0.5 * data.dim * (data.dim + 1) + 1.0
-    new_comps = []
-    new_probs = np.empty(model.n_components)
+    comps = list(model.components)
     for k, comp in enumerate(model.components):
-        wk = data.weights * t[k]
-        swk = float(wk.sum())
-        new_probs[k] = swk / total
+        wk, swk = weights[k], totals[k]
         if swk <= floor:
             warnings.warn(f"component {k} has effective weight {swk:.3g} <= "
                           f"{floor:g}; radial parameters frozen for this sweep")
-            new_comps.append(comp)
             continue
         try:
             fit = _fit_gamma_moments(float(wk @ radii[k]) / swk,
@@ -316,10 +312,9 @@ def _m_step_shape(data, resp, model, radii, log_radii):
         except ValueError:
             warnings.warn(f"component {k} has degenerate radii; radial "
                           "parameters frozen for this sweep")
-            new_comps.append(comp)
             continue
-        new_comps.append(EgdParams(comp.scatter, fit.shape_a, fit.scale_b))
-    return MixtureModel(new_comps, new_probs / new_probs.sum())
+        comps[k] = EgdParams(comp.scatter, fit.shape_a, fit.scale_b)
+    return MixtureModel(comps, probs)
 
 
 def _live(resp, data):
@@ -386,15 +381,15 @@ def _radial_stage(data, model, radii, log_radii, tol, trace):
     n_eff = data.total_weight
     cycle = [model]
     trial = None
-    e_steps = 0
     prev = None
-    while e_steps < _STAGE2_E_STEPS:
-        e_steps += 1
+    for e_step in range(1, _STAGE2_E_STEPS + 1):
         if trial is None:
             k = model.n_components
             model, radii, log_radii, resp, total = _respond(model, radii,
                                                             log_radii, data)
-            restart = model.n_components != k
+            # a pruned component restarts the cycle
+            if model.n_components != k:
+                cycle = []
         else:
             point, trial = trial, None
             # a rejected point leaves no trace: no record and no warning
@@ -405,16 +400,16 @@ def _radial_stage(data, model, radii, log_radii, tol, trace):
                 continue
             if not (total / n_eff >= prev and _live(resp, data).all()):
                 continue
-            model, restart = point, True
+            # an accepted point restarts the cycle too
+            model, cycle = point, []
         avg = total / n_eff
         trace.append(avg)
         model = _m_step_shape(data, resp, model, radii, log_radii)
         if prev is not None and abs(avg - prev) < tol:
             break
         prev = avg
-        # an extrapolated point or a pruned component restarts the cycle
-        cycle = [model] if restart else cycle + [model]
-        if len(cycle) == 3 and e_steps < _STAGE2_E_STEPS:
+        cycle.append(model)
+        if len(cycle) == 3 and e_step < _STAGE2_E_STEPS:
             trial = _extrapolated(*cycle)
             cycle = [model]
     return model, radii, log_radii
@@ -445,7 +440,7 @@ def _labels_to_model(data, labels, k):
                     raise RankDeficiencyError("data does not span R^q") from exc
             sigma = pooled
         comps.append(EgdParams(sigma, 0.5 * data.dim, 2.0))
-    probs = np.maximum(probs, 1.0 / (k * max(data.n, 1)))
+    probs = np.maximum(probs, 1.0 / (k * data.n))
     return MixtureModel(comps, probs / probs.sum())
 
 

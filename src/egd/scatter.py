@@ -181,11 +181,11 @@ class _Problem:
         return b
 
 
-def _problem(data: Dataset, a: float, b: float) -> _Problem:
-    c, d = compute_constants(a, b, data.dim, data.total_weight)
-    return _Problem(x=data.samples, w=data.weights, c=c, d=d,
-                    n_eff=data.total_weight, shape_a=a, scale_b=b,
-                    log_const=_log_norm_const(data.dim, a, b))
+def _problem(x: np.ndarray, w: np.ndarray, a: float, b: float) -> _Problem:
+    q, n_eff = x.shape[1], float(w.sum())
+    c, d = compute_constants(a, b, q, n_eff)
+    return _Problem(x=x, w=w, c=c, d=d, n_eff=n_eff, shape_a=a, scale_b=b,
+                    log_const=_log_norm_const(q, a, b))
 
 
 def _radii(sigma: ScatterMatrix, x: np.ndarray) -> np.ndarray:
@@ -251,9 +251,13 @@ def _near_singular(eig_lo: float, eig_hi: float) -> bool:
 
 def _ill_conditioned(mat: ScatterMatrix) -> bool:
     # tr(M) ||L^{-1}||_F^2 = tr(M) tr(M^{-1}) (M = L L') is cond(M) to
-    # within q^2: B's rank rule and a candidate's breakdown test
+    # within q^2: B's rank rule and a candidate's breakdown test.  Summed
+    # term by term, as tr(M) can overflow where every entry is finite; a
+    # term that overflows is inf, which is near singular
     linv = mat._chol_inv
-    return _near_singular(1.0, np.trace(mat.entries) * np.sum(linv * linv))
+    with np.errstate(over="ignore"):
+        rank = float(np.sum(np.diag(mat.entries) * np.sum(linv * linv)))
+    return _near_singular(1.0, rank)
 
 
 def _run(problem: _Problem, config: FixedPointConfig, start, regime,
@@ -379,7 +383,7 @@ def fit_concave(data: Dataset, a: float, b: float,
     it, and forms no product of the data beyond ``B`` and the radii.
     """
     config = config or FixedPointConfig()
-    problem = _problem(data, a, b)
+    problem = _problem(data.samples, data.weights, a, b)
     if problem.c > 0.0:
         raise ValueError("concave iteration requires a >= dim/2 (c <= 0)")
     return _run(problem, config, _start(problem, config), _CONCAVE,
@@ -484,7 +488,7 @@ def fit_nonconcave(data: Dataset, a: float, b: float,
     ``a = q/2`` (``c = 0``) is accepted and lands on ``B`` in a single step.
     """
     config = config or FixedPointConfig()
-    problem = _problem(data, a, b)
+    problem = _problem(data.samples, data.weights, a, b)
     if problem.c < 0.0:
         raise ValueError("nonconcave iteration requires a <= dim/2 (c >= 0)")
     return _run(problem, config, _start(problem, config),
@@ -507,7 +511,7 @@ def fit_kent_tyler(data: Dataset, a: float, b: float,
     q = data.dim
     if a >= 0.5 * q:
         raise ValueError("Kent-Tyler iteration requires a < dim/2")
-    problem = _problem(data, a, b)
+    problem = _problem(data.samples, data.weights, a, b)
     return _run(problem, config, _start(problem, config, np.eye(q)),
                 _scaled(None))
 
@@ -522,14 +526,14 @@ def fit_scatter(data: Dataset, a: float, b: float,
     return fit(data, a=a, b=b, config=config)
 
 
-def _em_step(data: Dataset, a: float, b: float, start: ScatterMatrix,
-             t: np.ndarray, log_t: np.ndarray):
+def _em_step(x: np.ndarray, w: np.ndarray, a: float, b: float,
+             start: ScatterMatrix, t: np.ndarray, log_t: np.ndarray):
     """One iteration of the fits' concave or trace-rule candidate and step
-    functions from ``start`` (squared radii ``t``, logs ``log_t``), with no
-    row: the average log-likelihoods at the start and the step, the step,
-    its squared radii and logs.  A failed step, as on a rank-deficient
-    subset, raises :class:`_Breakdown`."""
-    problem = _problem(data, a, b)
+    functions on the rows ``x`` under weights ``w`` from ``start`` (squared
+    radii ``t``, logs ``log_t``), with no row: the average log-likelihoods
+    at the start and the step, the step, its squared radii and logs.  A
+    failed step, as on a rank-deficient subset, raises :class:`_Breakdown`."""
+    problem = _problem(x, w, a, b)
     t = np.maximum(t, _DENOM_FLOOR)
     ll_start = _avg_loglik(problem, t, log_t, start.log_det)
     candidate, step, _ = _CONCAVE if problem.c <= 0.0 else _scaled("trace")

@@ -11,7 +11,7 @@ with one of the documented codes and never with a traceback.
 The fits are also scale equivariant: scaling the samples by ``s`` scales
 the fitted scatter by ``s**2`` and leaves the iteration count unchanged,
 and scaling every weight by the same power of two changes no bit of the
-report.
+report.  One concave or Kent-Tyler step contracts the Thompson metric.
 """
 
 import tempfile
@@ -19,13 +19,15 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import egd
 from egd import io as eio
+from egd._linalg import reduced_eigvalsh
 from egd.cli import main
-from helpers import rel_frob
+from helpers import random_spd, rel_frob
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -237,3 +239,64 @@ def test_fit_ignores_common_weight_scale(q, extra, regime, shape, log_b,
     assert scaled.converged == base.converged
     assert np.array_equal(scaled.loglik_trace, base.loglik_trace)
     assert np.array_equal(scaled.sigma_hat.entries, base.sigma_hat.entries)
+
+
+def thompson(s, t):
+    """Thompson distance: the largest ``|log lambda|`` of the pencil (s, t)."""
+    return float(np.abs(np.log(reduced_eigvalsh(s.entries,
+                                                t._chol_inv))).max())
+
+
+def one_step(data, a, b, start):
+    """One step of the concave fit (a >= q/2) or Kent-Tyler (a < q/2)."""
+    fit = egd.fit_concave if a >= 0.5 * data.dim else egd.fit_kent_tyler
+    config = egd.FixedPointConfig(init="user", user_matrix=start, max_iter=1)
+    return fit(data, a, b, config).sigma_hat
+
+
+@st.composite
+def step_pairs(draw):
+    """Weighted data, a shape and scale, and two distinct starts."""
+    q = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = q + draw(st.integers(3, 60))
+    x = rng.standard_normal((n, q)) @ rng.standard_normal((q, q))
+    w = rng.uniform(0.1, 2.0, n)
+    shape = draw(st.floats(0.05, 0.95))
+    concave = draw(st.booleans())
+    a = (0.5 + 4.0 * shape) * q if concave else shape * 0.5 * q
+    b = 10.0 ** draw(st.floats(-1.0, 1.0))
+    spread = 10.0 ** draw(st.floats(-2.0, 2.0))
+    starts = [spread * random_spd(q, rng) for _ in range(2)]
+    return egd.Dataset(x, w), a, b, starts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(step_pairs())
+def test_one_step_contracts_in_thompson_metric(spec):
+    # the concave map and the Kent-Tyler map shrink the Thompson distance
+    # between any two starts, the fixed point's uniqueness argument
+    data, a, b, starts = spec
+    s1, s2 = (egd.ScatterMatrix(s) for s in starts)
+    f1, f2 = (one_step(data, a, b, s) for s in starts)
+    assert thompson(f1, f2) < thompson(s1, s2)
+
+
+@pytest.mark.parametrize("a", [3.0, 0.4], ids=["concave", "kent-tyler"])
+def test_squaring_step_fails_contraction(monkeypatch, a):
+    # a step that squares its start in B's coordinates, S B^{-1} S, at
+    # least doubles every Thompson distance, so the property above fails
+    def squared(problem, sigma, cand, rule=None):
+        half = problem.b_scatter._chol_inv @ sigma.entries
+        nxt = egd.ScatterMatrix(half.T @ half)
+        return nxt, egd.scatter._radii(nxt, problem.x), None, None
+
+    candidate, _, row = egd.scatter._CONCAVE
+    monkeypatch.setattr(egd.scatter, "_CONCAVE", (candidate, squared, row))
+    monkeypatch.setattr(egd.scatter, "_scaled_step", squared)
+    rng = np.random.default_rng(0)
+    data = egd.Dataset(rng.standard_normal((40, 3)))
+    starts = [random_spd(3, rng) for _ in range(2)]
+    s1, s2 = (egd.ScatterMatrix(s) for s in starts)
+    f1, f2 = (one_step(data, a, 2.0, s) for s in starts)
+    assert thompson(f1, f2) >= 2.0 * thompson(s1, s2) * (1.0 - 1e-12)

@@ -323,12 +323,12 @@ class TestMSteps:
         resp, before = egd.e_step(model, data)
         step = egd.scatter._em_step
 
-        def inflated(data, a, b, *start):
+        def inflated(x, w, a, b, *start):
             # an honest start, then three times the honest refit, with the
             # log-likelihood and radii that go with it
-            ll_start, _, sigma, t, _ = step(data, a, b, *start)
+            ll_start, _, sigma, t, _ = step(x, w, a, b, *start)
             worse = egd.EgdParams(egd.ScatterMatrix(3.0 * sigma.entries), a, b)
-            ll = egd.log_likelihood(worse, data) / data.total_weight
+            ll = egd.log_likelihood(worse, egd.Dataset(x, w)) / w.sum()
             return ll_start, ll, worse.scatter, t / 3.0, np.log(t / 3.0)
 
         monkeypatch.setattr(egd.scatter, "_em_step", inflated)

@@ -18,6 +18,30 @@ from helpers import (ascent_oracle_avg_loglik, kent_tyler_reference,
                      tyler_reference)
 
 
+@pytest.fixture()
+def breakdowns(monkeypatch):
+    """Collects the message of each breakdown a scatter step raises."""
+    messages = []
+
+    class Recorded(egd.scatter._Breakdown):
+        def __init__(self, message):
+            messages.append(message)
+            super().__init__(message)
+
+    monkeypatch.setattr(egd.scatter, "_Breakdown", Recorded)
+    return messages
+
+
+def wide_start_fit(fit, x, a, scale):
+    """``fit`` at shape ``a`` and scale 2 from ``scale * I``, with every
+    floating-point warning an error."""
+    config = egd.FixedPointConfig(init="user",
+                                  user_matrix=scale * np.eye(x.shape[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fit(egd.Dataset(x), a, 2.0, config)
+
+
 class TestComputeConstants:
     def test_worked_values(self):
         c, d = egd.compute_constants(1.0, 2.0, 4, 100.0)
@@ -41,7 +65,7 @@ class TestBMatrix:
     def test_scalar_case(self):
         # one sample, n_eff = 1: d = 2 / b = 0.25
         x = np.array([[np.sqrt(1.0 / 0.25)]])
-        problem = _problem(egd.Dataset(x), 0.1, 8.0)
+        problem = _problem(x, np.ones(len(x)), 0.1, 8.0)
         b_scatter = problem.b_scatter
         assert b_scatter.entries[0, 0] == pytest.approx(1.0, rel=1e-14)
         assert abs(b_scatter.cholesky[0, 0]) == pytest.approx(1.0, rel=1e-14)
@@ -50,7 +74,7 @@ class TestBMatrix:
         x = np.random.default_rng(0).standard_normal((3, 5))
         with pytest.raises(egd.RankDeficiencyError,
                            match="does not span R\\^q"):
-            _problem(egd.Dataset(x), 0.1, 2.0).b_scatter
+            _problem(x, np.ones(len(x)), 0.1, 2.0).b_scatter
 
     def test_zero_weights_outside_subspace_rejected(self):
         rng = np.random.default_rng(1)
@@ -58,7 +82,7 @@ class TestBMatrix:
         w = np.zeros(10)
         w[:2] = 1.0
         with pytest.raises(egd.RankDeficiencyError):
-            _problem(egd.Dataset(x, w), 0.1, 2.0).b_scatter
+            _problem(x, w, 0.1, 2.0).b_scatter
 
     @pytest.mark.parametrize("spread, spans", [(1e-7, False), (1e-6, True)])
     def test_factorable_but_ill_conditioned(self, spread, spans):
@@ -70,16 +94,16 @@ class TestBMatrix:
         # d = 2 / (b n_eff) = 0.02
         chol_lower(gram(x, np.full(50, 0.02)))
         if spans:
-            _problem(egd.Dataset(x), 0.1, 2.0).b_scatter
+            _problem(x, np.ones(len(x)), 0.1, 2.0).b_scatter
         else:
             with pytest.raises(egd.RankDeficiencyError,
                                match="does not span R\\^q"):
-                _problem(egd.Dataset(x), 0.1, 2.0).b_scatter
+                _problem(x, np.ones(len(x)), 0.1, 2.0).b_scatter
 
     def test_factor_reconstruction(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1000, 8))
-        problem = _problem(egd.Dataset(x), 4.05, 2.0)
+        problem = _problem(x, np.ones(len(x)), 4.05, 2.0)
         fac = problem.b_scatter.cholesky
         assert rel_frob(fac @ fac.T, problem.b_scatter.entries) < 1e-10
 
@@ -87,7 +111,7 @@ class TestBMatrix:
         # the inverse factor undoes the factor, and reduces B to I
         rng = np.random.default_rng(3)
         x = rng.standard_normal((50, 4))
-        problem = _problem(egd.Dataset(x), 0.5, 4.0)
+        problem = _problem(x, np.ones(len(x)), 0.5, 4.0)
         b_scatter = problem.b_scatter
         b_inv = b_scatter._chol_inv
         assert rel_frob(b_inv @ b_scatter.cholesky, np.eye(4)) < 1e-10
@@ -99,7 +123,7 @@ class TestBMatrix:
         w = rng.uniform(0.5, 1.5, size=30)
         d_const = 0.03
         # d = 2 / (b n_eff)
-        problem = _problem(egd.Dataset(x, w), 1.0, 2.0 / (d_const * w.sum()))
+        problem = _problem(x, w, 1.0, 2.0 / (d_const * w.sum()))
         expect = d_const * (x * w[:, None]).T @ x
         assert_allclose(problem.b_scatter.entries, expect, rtol=1e-12)
 
@@ -118,6 +142,19 @@ class TestBMatrix:
                                match="weighted second moment overflows") as err:
                 fit(egd.Dataset(x), a, 1.0)
         assert not isinstance(err.value, egd.RankDeficiencyError)
+
+    def test_rank_rule_where_the_trace_overflows(self):
+        # every entry of B is finite and these rows span R^4, but the
+        # diagonal sums past the largest double; the fit converges
+        params = egd.EgdParams(egd.ScatterMatrix.identity(4), 1.2, 2.0)
+        x = 1e154 * egd.sample(params, 300, 5).samples
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b_mat = _problem(x, np.ones(300), 1.2, 2.0).b_scatter.entries
+            report = egd.fit_scatter(egd.Dataset(x), 1.2, 2.0)
+        with np.errstate(over="ignore"):
+            assert np.trace(b_mat) == np.inf
+        assert report.converged and not report.near_singular
 
     def test_gram_overflow_raises_without_warning(self):
         x = np.array([[1e200, 1.0], [1.0, -1e200], [1.0, 1.0]])
@@ -211,6 +248,16 @@ class TestFitConcaveRegime:
         diffs = np.diff(report.loglik_trace)
         assert np.all(diffs >= -1e-9)
 
+    def test_overflowing_m_ends_near_singular(self, breakdowns):
+        # coverage: from so wide a start M = sum_i w_i x_i x_i' / t_i
+        # overflows, so the first candidate does, and the fit stops at its
+        # start with no floating-point warning
+        x = 1e4 * np.random.default_rng(0).standard_normal((50, 3))
+        report = wide_start_fit(egd.fit_concave, x, 2.5, 1e308)
+        assert report.near_singular and not report.converged
+        assert report.iterations == 0
+        assert breakdowns == ["candidate overflows"]
+
     def test_weighted_equals_duplicated(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((60, 3)) * np.array([1.0, 2.0, 0.5])
@@ -294,12 +341,29 @@ class TestFitNonconcaveRegime:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((60, 6))
         x[:, 0] *= 1e4
-        cfg = egd.FixedPointConfig(init="user", user_matrix=8e307 * np.eye(6))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = egd.fit_scatter(egd.Dataset(x), 0.05, 2.0, cfg)
+        report = wide_start_fit(egd.fit_scatter, x, 0.05, 8e307)
         assert report.near_singular and not report.converged
         assert report.iterations == 0
+
+    def test_wide_candidate_passes_breakdown_test(self, breakdowns):
+        # the first candidate's diagonal sums past the largest double while
+        # its entries stay finite: it is no breakdown, and the fit converges
+        x = 1e4 * np.random.default_rng(0).standard_normal((50, 3))
+        report = wide_start_fit(egd.fit_nonconcave, x, 0.5, 1e308)
+        assert report.converged and not report.near_singular
+        assert breakdowns == []
+
+    def test_overflowing_map_matrix_ends_near_singular(self, breakdowns):
+        # coverage: rows near one axis make the map matrix at the first
+        # candidate, the eigen rule's G2, overflow though the candidate
+        # does not
+        rng = np.random.default_rng(0)
+        x = 1e-3 * rng.standard_normal((12, 3))
+        x[:, 0] = rng.standard_normal(12)
+        report = wide_start_fit(egd.fit_nonconcave, 1e150 * x, 0.05, 5e307)
+        assert report.near_singular and not report.converged
+        assert report.iterations == 0
+        assert breakdowns == ["map matrix overflows"]
 
     def test_near_singular_flagged_not_raised(self):
         # most of the mass exactly on a line: no ML solution for tiny shape
@@ -341,9 +405,13 @@ class TestSelectAlpha:
     @pytest.fixture(scope="class")
     def data(self):
         data, _ = make_egd_data(4, self.A, self.B, 400, seed=19)
-        b_mat = _problem(data, self.A, self.B).b_scatter.entries
+        b_mat = self._b(data)
         assert rel_frob(b_mat, np.eye(4)) > 0.5
         return data
+
+    def _b(self, data):
+        return _problem(data.samples, data.weights, self.A,
+                        self.B).b_scatter.entries
 
     def _candidate(self, data, sigma):
         x, w = data.samples, data.weights
@@ -364,14 +432,14 @@ class TestSelectAlpha:
 
     def test_case_two_pins_largest(self, data):
         # a hugely inflated start forces the all-below-one branch
-        start = 1e6 * _problem(data, self.A, self.B).b_scatter.entries
+        start = 1e6 * self._b(data)
         alpha, sigma = self._one_step(data, start)
         assert alpha < 1.0
         assert self._map_eigs(data, sigma)[-1] == pytest.approx(1.0, abs=1e-8)
 
     def test_case_three_pins_smallest(self, data):
         # a tiny start forces the all-above-one branch
-        start = 1e-6 * _problem(data, self.A, self.B).b_scatter.entries
+        start = 1e-6 * self._b(data)
         alpha, sigma = self._one_step(data, start)
         assert alpha > 1.0
         assert self._map_eigs(data, sigma)[0] == pytest.approx(1.0, abs=1e-8)
@@ -394,7 +462,7 @@ class TestSelectAlpha:
         start = random_spd(4, np.random.default_rng(31))
         alpha, _ = self._one_step(data, start, rule="trace")
         g_prime = self._candidate(data, start)
-        b_mat = _problem(data, self.A, self.B).b_scatter.entries
+        b_mat = self._b(data)
         expect = np.trace(np.linalg.solve(g_prime, b_mat)) / (2.0 * self.A)
         assert alpha == pytest.approx(expect, rel=1e-12)
 
@@ -414,7 +482,7 @@ class TestCarriedCandidate:
     def setting(self):
         q = 6
         data, _ = make_egd_data(q, self.A, self.B, 900, seed=14)
-        problem = _problem(data, self.A, self.B)
+        problem = _problem(data.samples, data.weights, self.A, self.B)
         report = egd.fit_nonconcave(data, self.A, self.B,
                                     egd.FixedPointConfig(tol=1e-13))
         # perturb the spectrum of the pencil (Sigma*, B) of the fixed point
@@ -507,7 +575,7 @@ class TestAscentGuard:
     def problem(self):
         q = 5
         data, _ = make_egd_data(q, 0.8, 2.0, 600, seed=16)
-        return _problem(data, 0.8, 2.0)
+        return _problem(data.samples, data.weights, 0.8, 2.0)
 
     @staticmethod
     def sabotaged(worse):
@@ -606,7 +674,7 @@ class TestStartPencilDefect:
         # the fixed points' 'identity' start is B itself
         rng = np.random.default_rng(24)
         x = rng.standard_normal((100, 3))
-        problem = _problem(egd.Dataset(x), 0.1, 2.0)
+        problem = _problem(x, np.ones(len(x)), 0.1, 2.0)
         start = _start(problem, egd.FixedPointConfig(init="identity"))[0]
         assert rel_frob(start.entries, problem.b_scatter.entries) < 1e-12
 
@@ -616,7 +684,7 @@ class TestStartPencilDefect:
         d_const = 0.5
         x = np.array([[np.sqrt(1 / d_const), 0.0],
                       [0.0, np.sqrt(1 / d_const)]])
-        problem = _problem(egd.Dataset(x), 0.3, 2.0 / (d_const * 2.0))
+        problem = _problem(x, np.ones(len(x)), 0.3, 2.0 / (d_const * 2.0))
         assert rel_frob(problem.b_scatter.entries, np.eye(2)) < 1e-12
         sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
         assert_allclose(reduced_eigvalsh(sigma, problem.b_scatter._chol_inv),
