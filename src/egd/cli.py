@@ -114,13 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--weights")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
+                   help="seeds the random-assignment start only")
     p.add_argument("--rounds", type=_positive_int, default=100)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.add_argument("--init", default="random-assignment",
-                   choices=("random-assignment", "kmeans-on-radii"),
-                   help="kmeans-on-radii is recommended: the default can "
-                        "need hundreds of rounds")
+    p.add_argument("--init", default="kmeans-on-radii",
+                   choices=("kmeans-on-radii", "random-assignment"),
+                   help="default kmeans-on-radii, on the sample norms; "
+                        "random-assignment, a seeded balanced labelling, "
+                        "suits components that differ only in orientation")
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
 

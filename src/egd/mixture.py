@@ -127,11 +127,12 @@ class EmConfig:
     ``tol``).  The run converges when the average log-likelihood changes by
     less than ``tol`` over a full round.
 
-    The default ``init="random-assignment"`` starts the components nearly
-    alike and can leave a fit hundreds of rounds from convergence, even on
-    an easy mixture; ``init="kmeans-on-radii"`` is recommended.
-    ``init="user-model"`` starts from ``user_model``, which must have
-    ``n_components`` components.
+    The default ``init="kmeans-on-radii"`` labels the samples by their
+    norms.  ``init="random-assignment"`` labels them by a random balanced
+    permutation drawn from ``seed``, which drives nothing else; it suits
+    components that differ only in orientation, whose norms do not tell
+    them apart.  ``init="user-model"`` starts from ``user_model``, which
+    must have ``n_components`` components.
 
     A component's radial parameters are frozen for a sweep while its
     effective weight is at most ``q(q+1)/2 + 1`` (see :func:`m_step_shape`),
@@ -142,7 +143,7 @@ class EmConfig:
     outer_rounds: int = 100
     tol: float = 1e-6
     seed: int = 0
-    init: str = "random-assignment"
+    init: str = "kmeans-on-radii"
     user_model: MixtureModel | None = None
 
     def __post_init__(self):
@@ -475,7 +476,7 @@ def _kmeans_radii_labels(radii, k):
     return labels[rank]
 
 
-def _init_model(data, config, rng):
+def _init_model(data, config):
     k = config.n_components
     if config.init == "user-model":
         model = config.user_model
@@ -490,22 +491,17 @@ def _init_model(data, config, rng):
         labels = _kmeans_radii_labels(
             np.linalg.norm(np.ldexp(x, -shift) if shift > 0 else x, axis=1), k)
     else:
-        labels = rng.integers(0, k, size=data.n)
-        # keep every component populated enough to be fittable
-        for _ in range(20):
-            counts = np.bincount(labels, minlength=k)
-            if counts.min() > data.dim:
-                break
-            labels = rng.integers(0, k, size=data.n)
-        else:
-            labels = np.arange(data.n) % k
+        # a balanced labelling: floor(n/k) >= q samples in every component
+        labels = np.random.default_rng(config.seed).permutation(data.n) % k
     return _labels_to_model(data, labels, k)
 
 
 def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     """Two-stage EM for an elliptical gamma mixture.
 
-    Each round's stage 1 is one E-step followed by one scatter sweep (see
+    EM starts from ``config.init``: by default k-means on the sample norms,
+    or a seeded balanced random labelling (see :class:`EmConfig`).  Each
+    round's stage 1 is one E-step followed by one scatter sweep (see
     :func:`m_step_scatter`).  Its stage 2 alternates E-steps with radial
     refits in SQUAREM cycles: after every two refits the radial parameters
     are extrapolated, and the extrapolated point is kept and refitted only
@@ -530,8 +526,7 @@ def fit_mixture(data: Dataset, config: EmConfig) -> EmReport:
     k = config.n_components
     if data.n < k * data.dim:
         raise ValueError("need at least n_components * dim samples")
-    rng = np.random.default_rng(config.seed)
-    model = _init_model(data, config, rng)
+    model = _init_model(data, config)
     radii, log_radii = _squared_radii(model, data)
     n_eff = data.total_weight
     trace = []

@@ -332,7 +332,9 @@ def _concave_candidate(problem: _Problem, sigma: ScatterMatrix,
         m = gram(problem.x, problem.w / t)
     except ValueError:
         return None, vals, vecs, None
-    return b_mat + problem.c * m, vals, vecs, m
+    # c M can overflow where M does not; its residual is then inf or nan
+    with np.errstate(over="ignore"):
+        return b_mat + problem.c * m, vals, vecs, m
 
 
 def _concave_step(problem: _Problem, sigma: ScatterMatrix, cand: tuple):

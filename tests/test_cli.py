@@ -358,6 +358,21 @@ class TestFitMixture:
         lls = [r["avg_loglik"] for r in eio.read_trace(trace)]
         assert np.all(np.diff(lls) > -1e-9)
 
+    def test_random_start_byte_reproducible(self, work, tmp_path):
+        # the seed drives the random-assignment start alone: one seed gives
+        # the same bytes, another seed another fit
+        outputs = []
+        for run, seed in enumerate((4, 4, 5)):
+            out, trace = tmp_path / f"m{run}.json", tmp_path / f"t{run}.csv"
+            code = run_cli("fit-mixture", "--data", work["data"], "--k", 2,
+                           "--init", "random-assignment", "--seed", seed,
+                           "--rounds", 5, "--out", out, "--trace", trace)
+            assert code in (0, 3)
+            outputs.append((code, out.read_bytes(), trace.read_bytes()))
+        assert outputs[0] == outputs[1]
+        # the model file records the seed, so compare the traces
+        assert outputs[0][2] != outputs[2][2]
+
     def test_too_few_samples(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         eio.write_matrix_csv(data, np.random.default_rng(0)
@@ -548,11 +563,15 @@ class TestBench:
                        "cpu_count": os.cpu_count(),
                        "numpy": np.__version__}
 
-    def test_unknown_algo_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as ex:
-            run_cli("bench", "--dim", 2, "--a", 0.5, "--b", 1.0, "--n", 50,
-                    "--algos", "fp,newton", "--out-dir", tmp_path / "r")
-        assert ex.value.code == 2
+    def test_unknown_algo_rejected(self, tmp_path, capsys):
+        for algos, message in (("fp,newton", "unknown algorithm 'newton'"),
+                               (",", "--algos must name at least one")):
+            with pytest.raises(SystemExit) as ex:
+                run_cli("bench", "--dim", 2, "--a", 0.5, "--b", 1.0,
+                        "--n", 50, "--algos", algos,
+                        "--out-dir", tmp_path / "r")
+            assert ex.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_kent_tyler_shape_guard(self, tmp_path):
         with pytest.raises(SystemExit) as ex:

@@ -12,6 +12,7 @@ The fits are also scale equivariant: scaling the samples by ``s`` scales
 the fitted scatter by ``s**2`` and leaves the iteration count unchanged,
 and scaling every weight by the same power of two changes no bit of the
 report.  One concave or Kent-Tyler step contracts the Thompson metric.
+Every documented argument check raises ``ValueError`` with its message.
 """
 
 import tempfile
@@ -300,3 +301,144 @@ def test_squaring_step_fails_contraction(monkeypatch, a):
     s1, s2 = (egd.ScatterMatrix(s) for s in starts)
     f1, f2 = (one_step(data, a, 2.0, s) for s in starts)
     assert thompson(f1, f2) >= 2.0 * thompson(s1, s2) * (1.0 - 1e-12)
+
+
+def _identity_model(q=2):
+    comp = egd.EgdParams(egd.ScatterMatrix(np.eye(q)), 1.0, 2.0)
+    return egd.MixtureModel([comp], np.ones(1))
+
+
+def _data(q=2, n=10):
+    return egd.Dataset(np.random.default_rng(0).standard_normal((n, q)))
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
+
+
+def _responsibilities(n):
+    return egd.Responsibilities(np.ones((1, n)))
+
+
+# (id, call on a temporary directory, message): each call breaks one
+# documented argument check
+ARGUMENT_ERRORS = [
+    ("fixed-point-alpha-rule",
+     lambda tmp: egd.FixedPointConfig(alpha_rule="newton"),
+     "alpha_rule must be one of"),
+    ("fixed-point-max-iter", lambda tmp: egd.FixedPointConfig(max_iter=0),
+     "max_iter must be at least 1"),
+    ("em-outer-rounds",
+     lambda tmp: egd.EmConfig(n_components=1, outer_rounds=0),
+     "outer_rounds must be at least 1"),
+    ("em-tol", lambda tmp: egd.EmConfig(n_components=1, tol=float("nan")),
+     "tol must be positive"),
+    ("scatter-not-square", lambda tmp: egd.ScatterMatrix(np.ones((2, 3))),
+     "scatter matrix must be square"),
+    ("scatter-not-finite",
+     lambda tmp: egd.ScatterMatrix([[1.0, 0.0], [0.0, np.inf]]),
+     "scatter matrix entries must be finite"),
+    ("params-shape",
+     lambda tmp: egd.EgdParams(egd.ScatterMatrix(np.eye(2)), 0.0, 2.0),
+     "shape_a must be positive"),
+    ("dataset-ndim", lambda tmp: egd.Dataset(np.ones(3)),
+     "samples must be a nonempty 2-D array"),
+    ("dataset-weights-shape",
+     lambda tmp: egd.Dataset(np.ones((3, 2)), np.ones(2)),
+     "weights must be a vector with one entry per sample"),
+    ("mixture-empty", lambda tmp: egd.MixtureModel([], []),
+     "mixture needs at least one component"),
+    ("mixture-probs-shape",
+     lambda tmp: egd.MixtureModel(_identity_model().components, [0.5, 0.5]),
+     "one mixing probability per component required"),
+    ("mixture-probs-sign",
+     lambda tmp: egd.MixtureModel(
+         2 * _identity_model().components, [1.5, -0.5]),
+     "mixing probabilities must be nonnegative"),
+    ("radius-vector-dim",
+     lambda tmp: egd.squared_radius(egd.ScatterMatrix(np.eye(2)),
+                                    np.ones(3)),
+     "x has wrong dimension"),
+    ("radius-array-shape",
+     lambda tmp: egd.squared_radius(egd.ScatterMatrix(np.eye(2)),
+                                    np.ones((4, 3))),
+     "x must be a vector or an"),
+    ("gamma-density-shape", lambda tmp: egd.gamma_log_density(1.0, 0.0, 1.0),
+     "shape and scale must be positive"),
+    ("log-likelihood-dim",
+     lambda tmp: egd.log_likelihood(_identity_model(3).components[0],
+                                    _data()),
+     "data dimension does not match parameters"),
+    ("sample-n", lambda tmp: egd.sample(_identity_model().components[0],
+                                        0, seed=0),
+     "n must be at least 1"),
+    ("sample-mixture-n",
+     lambda tmp: egd.sample_mixture(_identity_model(), 0, seed=0),
+     "n must be at least 1"),
+    ("gsm-num-mc",
+     lambda tmp: egd.gsm_density_mc(egd.ScatterMatrix(np.eye(3)), 0.5,
+                                    np.ones(3), 0, seed=0),
+     "num_mc must be at least 1"),
+    ("weighted-sample-empty", lambda tmp: egd.WeightedSample(np.ones(0)),
+     "values must be a nonempty vector"),
+    ("gamma-fit-max-iter",
+     lambda tmp: egd.fit_gamma_weighted(egd.WeightedSample([1.0, 2.0]),
+                                        max_iter=0),
+     "max_iter must be at least 1"),
+    ("responsibilities-shape",
+     lambda tmp: egd.Responsibilities(np.ones(3)),
+     "responsibilities must be a"),
+    ("m-step-scatter-shape",
+     lambda tmp: egd.m_step_scatter(_data(), _responsibilities(9),
+                                    _identity_model()),
+     "responsibilities shape does not match"),
+    ("m-step-shape-shape",
+     lambda tmp: egd.m_step_shape(_data(), _responsibilities(9),
+                                  _identity_model()),
+     "responsibilities shape does not match"),
+    ("user-model-dim",
+     lambda tmp: egd.fit_mixture(_data(3), egd.EmConfig(
+         n_components=1, init="user-model", user_model=_identity_model())),
+     "user model dimension does not match data"),
+    ("preprocess-noise",
+     lambda tmp: egd.preprocess_patches(_data(), noise_fraction=-1.0),
+     "noise_fraction must be nonnegative"),
+    ("constants", lambda tmp: egd.compute_constants(1.0, 2.0, 0, 10.0),
+     "q at least 1"),
+    ("residual-dim",
+     lambda tmp: egd.stationarity_residual(egd.ScatterMatrix(np.eye(3)),
+                                           _data(), -0.1, 0.1),
+     "sigma dimension does not match data"),
+    ("user-matrix-shape",
+     lambda tmp: egd.fit_scatter(_data(), 1.5, 2.0, egd.FixedPointConfig(
+         init="user", user_matrix=np.eye(3))),
+     "user_matrix has wrong shape"),
+    ("report-trace-length",
+     lambda tmp: egd.FitReport(egd.ScatterMatrix(np.eye(2)), 2, True, 0.0,
+                               np.zeros(2), np.zeros(1), np.zeros(2)),
+     "trace lengths must equal iterations"),
+    ("concave-c-positive", lambda tmp: egd.fit_concave(_data(), 0.5, 2.0),
+     "concave iteration requires a >= dim/2"),
+    ("nonconcave-c-negative",
+     lambda tmp: egd.fit_nonconcave(_data(), 1.5, 2.0),
+     "nonconcave iteration requires a <= dim/2"),
+    ("io-matrix-1d",
+     lambda tmp: eio.write_matrix_csv(tmp / "m.csv", np.ones(3)),
+     "expected a two-dimensional matrix"),
+    ("io-model-json",
+     lambda tmp: eio.read_model(_written(tmp / "m.json", "{")),
+     "not valid JSON"),
+    ("io-trace-row",
+     lambda tmp: eio.read_trace(_written(
+         tmp / "t.csv", ",".join(eio.TRACE_COLUMNS) + "\n0,1.0\n")),
+     "trace row has wrong field count"),
+]
+
+
+@pytest.mark.parametrize("call, message",
+                         [case[1:] for case in ARGUMENT_ERRORS],
+                         ids=[case[0] for case in ARGUMENT_ERRORS])
+def test_argument_checks_raise_value_error(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

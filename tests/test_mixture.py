@@ -30,6 +30,20 @@ def scatter_steps(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def start_labels(monkeypatch):
+    """Collects the labels each data-driven start hands to
+    ``_labels_to_model``, which then stops the fit with StopIteration."""
+    labels = []
+
+    def captured(data, found, k):
+        labels.append(found)
+        raise StopIteration
+
+    monkeypatch.setattr(egd.mixture, "_labels_to_model", captured)
+    return labels
+
+
 def two_scale_model(q, lo=1.0, hi=400.0):
     comps = [egd.EgdParams(egd.ScatterMatrix(lo * np.eye(q)), 0.5 * q, 2.0),
              egd.EgdParams(egd.ScatterMatrix(hi * np.eye(q)), 0.5 * q, 2.0)]
@@ -589,14 +603,48 @@ class TestFitMixture:
             egd.EgdParams(sigma, a_cur, b_cur), data) / data.n
         assert report.loglik_trace[-1] == pytest.approx(manual, abs=1e-5)
 
-    def test_trace_monotone(self):
+    @staticmethod
+    def two_scale_data():
         model = two_scale_model(3, lo=1.0, hi=60.0)
         a = egd.sample(model.components[0], 400, seed=41)
         b = egd.sample(model.components[1], 400, seed=42)
-        data = egd.Dataset(np.vstack([a.samples, b.samples]))
-        report = egd.fit_mixture(data, egd.EmConfig(
-            n_components=2, seed=5, outer_rounds=40))
-        assert np.all(np.diff(report.loglik_trace) >= -1e-9)
+        return egd.Dataset(np.vstack([a.samples, b.samples]))
+
+    def test_trace_monotone(self):
+        for init in ("random-assignment", "kmeans-on-radii"):
+            report = egd.fit_mixture(self.two_scale_data(), egd.EmConfig(
+                n_components=2, seed=5, outer_rounds=40, init=init))
+            assert np.all(np.diff(report.loglik_trace) >= -1e-9)
+
+    def test_default_start_converges_on_two_scales(self):
+        # the components differ in radial law, which the default k-means
+        # start on the norms separates; a random start left this fit
+        # unconverged after 100 rounds at -8.2234
+        config = egd.EmConfig(n_components=2, seed=5)
+        assert config.init == "kmeans-on-radii"
+        report = egd.fit_mixture(self.two_scale_data(), config)
+        assert report.converged
+        assert report.loglik_trace[-1] >= -7.93
+
+    @pytest.mark.parametrize("n, q, k", [(6, 3, 2), (7, 3, 2), (300, 3, 3),
+                                         (301, 2, 4)])
+    def test_random_start_labels_balanced(self, start_labels, n, q, k):
+        # every component gets floor(n/k) or ceil(n/k) samples, so at least
+        # q, at n = k q too; the labels depend on the seed alone
+        labels = start_labels
+        x = np.random.default_rng(52).standard_normal((n, q))
+        for seed in (3, 3, 4):
+            with pytest.raises(StopIteration):
+                egd.fit_mixture(egd.Dataset(x), egd.EmConfig(
+                    n_components=k, init="random-assignment", seed=seed))
+        for found in labels:
+            counts = np.bincount(found, minlength=k)
+            assert counts.size == k
+            assert counts.min() == n // k and counts.max() == -(-n // k)
+            assert counts.min() >= q
+        assert np.array_equal(labels[0], labels[1])
+        # a few samples have few balanced labellings, which seeds can share
+        assert n < 100 or not np.array_equal(labels[0], labels[2])
 
     def test_two_component_recovery(self):
         q = 4
@@ -672,16 +720,11 @@ class TestFitMixture:
                     egd.fit_mixture(egd.Dataset(x), egd.EmConfig(
                         n_components=2, init=init))
 
-    def test_kmeans_start_labels_ignore_power_of_two_scale(self, monkeypatch):
+    def test_kmeans_start_labels_ignore_power_of_two_scale(self,
+                                                            start_labels):
         # rows large enough to be rescaled get the labels of the unscaled
         # rows, which are not rescaled
-        labels = []
-
-        def captured(data, found, k):
-            labels.append(found)
-            raise StopIteration
-
-        monkeypatch.setattr(egd.mixture, "_labels_to_model", captured)
+        labels = start_labels
         x = np.random.default_rng(51).standard_normal((300, 3))
         x[:100] *= 30.0
         for scale in (1.0, 2.0 ** 560):

@@ -258,6 +258,16 @@ class TestFitConcaveRegime:
         assert report.iterations == 0
         assert breakdowns == ["candidate overflows"]
 
+    def test_overflowing_c_m_converges_without_warning(self):
+        # at a large shape c M passes the largest double while M does not;
+        # the candidate's residual is then inf or nan, which the stop rule
+        # passes over, and the fit converges with no floating-point warning
+        x = 1e150 * np.random.default_rng(0).standard_normal((20, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = egd.fit_concave(egd.Dataset(x), 1e9, 2.0)
+        assert report.converged and not report.near_singular
+
     def test_weighted_equals_duplicated(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((60, 3)) * np.array([1.0, 2.0, 0.5])
