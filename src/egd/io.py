@@ -219,7 +219,7 @@ def read_model(path):
             raise ValueError(f"{where}: 'scatter' missing or not a list")
         try:
             flat = np.asarray(entry["scatter"], dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{where}: 'scatter' must hold numbers") from None
         if flat.size != dim * dim:
             raise ValueError(f"component {j}: scatter has {flat.size} entries, "
@@ -281,17 +281,20 @@ def read_trace(path):
     with open(path, newline="") as fh:
         text = fh.read()
     reader = csv.reader(_stdio.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != TRACE_COLUMNS:
-        raise ValueError("trace header does not match expected columns")
     out = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(TRACE_COLUMNS):
-            raise ValueError("trace row has wrong field count")
-        record = {"iter": int(row[0])}
-        for name, cell in zip(TRACE_COLUMNS[1:], row[1:]):
-            record[name] = float(cell) if cell else None
-        out.append(record)
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != TRACE_COLUMNS:
+            raise ValueError("trace header does not match expected columns")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(TRACE_COLUMNS):
+                raise ValueError("trace row has wrong field count")
+            record = {"iter": int(row[0])}
+            for name, cell in zip(TRACE_COLUMNS[1:], row[1:]):
+                record[name] = float(cell) if cell else None
+            out.append(record)
+    except csv.Error as exc:  # e.g. a bare carriage return inside a line
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     return out

@@ -322,10 +322,28 @@ def _concave_candidate(problem: _Problem, sigma: ScatterMatrix,
                        t: np.ndarray):
     """At an iterate: the candidate ``B + c M``, the eigenpairs of the
     pencil ``(Sigma, B)`` and ``M = sum_i w_i x_i x_i' / t_i``; ``c = 0``
-    needs no ``M``, and an ``M`` that overflows gives None."""
+    needs no ``M``, and an ``M`` that overflows gives None.
+
+    The step is scale-invariant: at ``s Sigma`` the pencil and ``M`` are
+    ``s`` times those at ``Sigma``.  So when the pencil overflows, as at a
+    start far above ``B``, the eigenpairs and ``M`` are those of
+    ``4^-k Sigma``, whose pencil is of order one, with its own squared
+    radii; the candidate is still that at ``Sigma``."""
     fac_inv, b_mat = problem.b_scatter._chol_inv, problem.b_scatter.entries
-    vals, vecs = np.linalg.eigh(symmetrize(fac_inv @ sigma.entries
-                                           @ fac_inv.T))
+    entries, k = sigma.entries, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        pencil = fac_inv @ entries @ fac_inv.T
+    if not np.isfinite(pencil).all():
+        # entries below 2^e of F^{-1} and 2^f of Sigma give a pencil below
+        # q^2 2^(2e + f); its multiple at 4^-k stays below q^2
+        e, f = (int(np.frexp(np.abs(arr).max())[1])
+                for arr in (fac_inv, entries))
+        k = (2 * e + f + 1) // 2
+        entries = np.ldexp(entries, -2 * k)
+        pencil = fac_inv @ entries @ fac_inv.T
+        t = np.maximum(quad_forms(np.ldexp(sigma._chol_inv, k), problem.x),
+                       _DENOM_FLOOR)
+    vals, vecs = np.linalg.eigh(symmetrize(pencil))
     if problem.c == 0.0:
         return b_mat, vals, vecs, None
     try:
@@ -334,7 +352,7 @@ def _concave_candidate(problem: _Problem, sigma: ScatterMatrix,
         return None, vals, vecs, None
     # c M can overflow where M does not; its residual is then inf or nan
     with np.errstate(over="ignore"):
-        return b_mat + problem.c * m, vals, vecs, m
+        return b_mat + problem.c * np.ldexp(m, 2 * k), vals, vecs, m
 
 
 def _concave_step(problem: _Problem, sigma: ScatterMatrix, cand: tuple):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import sys
 import time
 import warnings
 
@@ -12,7 +13,7 @@ from numpy.testing import assert_allclose
 
 import egd
 from egd import io as eio
-from egd.cli import main
+from egd.cli import main, run
 from helpers import rel_frob
 
 
@@ -263,6 +264,17 @@ class TestFit:
         code = run_cli("fit", "--data", tmp_path / "nope.csv", "--a", 1.0,
                        "--b", 2.0, "--out", tmp_path / "m.json")
         assert code == 4
+        assert "error:" in capsys.readouterr().err
+
+    def test_console_script_exits_with_code(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the `egd` entry point raises SystemExit with main's code
+        monkeypatch.setattr(sys, "argv", [
+            "egd", "fit", "--data", str(tmp_path / "nope.csv"), "--a", "1.0",
+            "--b", "2.0", "--out", str(tmp_path / "m.json")])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 4
         assert "error:" in capsys.readouterr().err
 
     def test_kent_tyler_needs_small_shape(self, work, tmp_path):

@@ -9,7 +9,8 @@ trace, responsibility columns that sum to one and no more rounds than it
 was allowed.  ``egd fit`` and ``egd fit-mixture`` on the same inputs exit
 with one of the documented codes and never with a traceback.
 The fits are also scale equivariant: scaling the samples by ``s`` scales
-the fitted scatter by ``s**2`` and leaves the iteration count unchanged,
+the fitted scatter by ``s**2`` and leaves the iteration count unchanged
+(for Kent-Tyler and the mixture fit, checked on well-conditioned data),
 and scaling every weight by the same power of two changes no bit of the
 report.  One concave or Kent-Tyler step contracts the Thompson metric.
 Every documented argument check raises ``ValueError`` with its message.
@@ -28,7 +29,7 @@ import egd
 from egd import io as eio
 from egd._linalg import reduced_eigvalsh
 from egd.cli import main
-from helpers import random_spd, rel_frob
+from helpers import make_egd_data, random_spd, rel_frob
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -240,6 +241,56 @@ def test_fit_ignores_common_weight_scale(q, extra, regime, shape, log_b,
     assert scaled.converged == base.converged
     assert np.array_equal(scaled.loglik_trace, base.loglik_trace)
     assert np.array_equal(scaled.sigma_hat.entries, base.sigma_hat.entries)
+
+
+# Kent-Tyler and the mixture fit on well-conditioned data: at a power of
+# two the scaling is exact, elsewhere it rounds
+SCALES = [2.0 ** 10, 3.0, 1e-3]
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_kent_tyler_is_scale_equivariant(s):
+    data, _ = make_egd_data(5, 0.9, 2.0, 800, seed=3)
+    config = egd.FixedPointConfig(tol=1e-12)
+    base = egd.fit_kent_tyler(data, 0.9, 2.0, config)
+    scaled = egd.fit_kent_tyler(egd.Dataset(s * data.samples), 0.9, 2.0,
+                                config)
+    assert base.converged and scaled.converged
+    assert scaled.iterations == base.iterations
+    assert rel_frob(scaled.sigma_hat.entries,
+                    s * s * base.sigma_hat.entries) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def mixture_fit():
+    comps = [egd.EgdParams(egd.ScatterMatrix(np.diag([4.0, 1.0, 0.25])),
+                           0.8, 2.0),
+             egd.EgdParams(egd.ScatterMatrix(20.0 * np.array(
+                 [[1.0, 0.5, 0.0], [0.5, 2.0, 0.3], [0.0, 0.3, 3.0]])),
+                 2.5, 1.0)]
+    data = egd.sample_mixture(egd.MixtureModel(comps, [0.4, 0.6]), 3000,
+                              seed=7)
+    return data, egd.fit_mixture(data, egd.EmConfig(n_components=2))
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_mixture_fit_is_scale_equivariant(mixture_fit, s):
+    # the scatters scale by s^2, shapes, scales and weights stay, and the
+    # average log-likelihood moves by -q log s
+    data, base = mixture_fit
+    scaled = egd.fit_mixture(egd.Dataset(s * data.samples),
+                             egd.EmConfig(n_components=2))
+    assert base.converged and scaled.converged
+    assert scaled.rounds == base.rounds
+    for mine, theirs in zip(scaled.model.components, base.model.components):
+        assert rel_frob(mine.scatter.entries,
+                        s * s * theirs.scatter.entries) <= 1e-10
+        assert mine.shape_a == pytest.approx(theirs.shape_a, rel=1e-8)
+        assert mine.scale_b == pytest.approx(theirs.scale_b, rel=1e-8)
+    assert np.allclose(scaled.model.mix_probs, base.model.mix_probs,
+                       rtol=0.0, atol=1e-10)
+    assert scaled.loglik_trace[-1] == pytest.approx(
+        base.loglik_trace[-1] - 3.0 * np.log(s), abs=1e-8)
 
 
 def thompson(s, t):

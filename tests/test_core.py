@@ -19,6 +19,7 @@ class TestScatterMatrix:
         s = egd.ScatterMatrix.identity(3)
         assert s.dim == 3
         assert_allclose(s.entries, np.eye(3))
+        assert repr(s) == "ScatterMatrix(dim=3)"
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -88,6 +89,7 @@ class TestDataset:
         d = egd.Dataset(np.ones((5, 3)))
         assert d.n == 5 and d.dim == 3
         assert d.total_weight == 5.0
+        assert repr(d) == "Dataset(n=5, dim=3)"
 
 
 def _given_and_held(kind, rng):

@@ -367,3 +367,83 @@ class TestTraceFile:
     def test_row_width_checked(self, tmp_path):
         with pytest.raises(ValueError, match="fields"):
             eio.write_trace(tmp_path / "t.csv", [(0, 1.0)])
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        eio.write_trace(path, [(0, -3.5, None, None, None, None, 0.8)])
+        path.write_text(path.read_text() + "\n\n")
+        assert [r["iter"] for r in eio.read_trace(path)] == [0]
+
+
+# The error contract of the readers, searched over corrupt files: each file
+# is read, or refused with a ValueError (OSError for the file system), with
+# no other exception and no floating-point warning.
+def read_corrupt(reader, raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        path.write_bytes(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                reader(path)
+            except (ValueError, OSError):
+                pass
+
+
+TRACE_HEADER = ",".join(eio.TRACE_COLUMNS) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(TRACE_HEADER + "0,1\r2,,,,,\n")
+@given(st.one_of(st.text(max_size=60),
+                 st.lists(st.sampled_from(CSV_TOKENS), max_size=40).map(
+                     lambda tokens: TRACE_HEADER + "".join(tokens))))
+def test_corrupt_trace_raises_value_error(text):
+    read_corrupt(eio.read_trace, text.encode("utf-8", "surrogatepass"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.binary(max_size=80))
+def test_corrupt_bytes_raise_value_error(raw):
+    for reader in (eio.read_matrix, eio.read_model, eio.read_trace):
+        read_corrupt(reader, raw)
+    # behind the magic, and behind the magic and a valid version
+    for head in (b"", eio.MATRIX_VERSION.to_bytes(4, "little")):
+        read_corrupt(eio.read_matrix, eio.MATRIX_MAGIC + head + raw)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def model_documents(draw):
+    """A valid two-dimensional model document with up to three of its
+    fields, at the top or in its component, dropped or replaced."""
+    comp = {"weight": 1.0, "a": 1.5, "b": 2.0,
+            "scatter": [2.0, 0.5, 0.5, 1.0]}
+    doc = {"format": eio.MODEL_FORMAT, "dim": 2, "components": [comp],
+           "fit_info": {}}
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from([doc, comp]))
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        elif key == "scatter":
+            target[key] = draw(st.lists(JSON_VALUES, min_size=4,
+                                        max_size=4))
+        else:
+            target[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example({"format": eio.MODEL_FORMAT, "dim": 2, "components": [
+    {"weight": 1.0, "a": 1.5, "b": 2.0, "scatter": [10 ** 400, 0, 0, 1]}]})
+@given(model_documents())
+def test_corrupt_model_raises_value_error(doc):
+    read_corrupt(eio.read_model, json.dumps(doc).encode("utf-8"))

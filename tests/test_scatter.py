@@ -268,6 +268,40 @@ class TestFitConcaveRegime:
             report = egd.fit_concave(egd.Dataset(x), 1e9, 2.0)
         assert report.converged and not report.near_singular
 
+    def test_start_far_above_b_converges_without_warning(self):
+        # the pencil (Sigma, B) of a 1e300 I start on rows near 1e-100
+        # overflows, and the radii floor; the step is scale-invariant, so
+        # it is taken from a power-of-two multiple of the start, and the fit
+        # lands where the fit from I does
+        x = 1e-100 * np.random.default_rng(0).standard_normal((20, 2))
+        far = wide_start_fit(egd.fit_concave, x, 3.0, 1e300)
+        near = wide_start_fit(egd.fit_concave, x, 3.0, 1.0)
+        assert far.converged and not far.near_singular
+        # at unit scale, where the Frobenius norm does not underflow
+        assert rel_frob(1e200 * far.sigma_hat.entries,
+                        1e200 * near.sigma_hat.entries) <= 1e-10
+
+    def test_unfactorizable_step_ends_near_singular(self, monkeypatch,
+                                                    breakdowns):
+        # coverage: the step inverts I + c' K^{-1} M K^{-T}, whose
+        # eigenvalues are at least one, and no input found makes its
+        # product with B fail to factor; a failure is injected, and the fit
+        # stops at its start with a report
+        data, _ = make_egd_data(3, 4.0, 2.0, 200, seed=12)
+        real = egd.core.ScatterMatrix._factored.__func__
+
+        def failing_in_step(cls, sym):
+            if sys._getframe(1).f_code is egd.scatter._concave_step.__code__:
+                raise ValueError("matrix is not positive definite")
+            return real(cls, sym)
+
+        monkeypatch.setattr(egd.core.ScatterMatrix, "_factored",
+                            classmethod(failing_in_step))
+        report = egd.fit_concave(data, 4.0, 2.0)
+        assert report.near_singular and not report.converged
+        assert report.iterations == 0
+        assert breakdowns == ["iterate is not factorizable"]
+
     def test_weighted_equals_duplicated(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((60, 3)) * np.array([1.0, 2.0, 0.5])
