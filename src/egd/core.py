@@ -158,7 +158,7 @@ class Dataset:
             raise ValueError("samples must be a nonempty 2-D array")
         if not np.all(np.isfinite(x)):
             raise ValueError("samples must be finite")
-        zero_rows = np.flatnonzero(np.abs(x).max(axis=1) == 0.0)
+        zero_rows = np.flatnonzero(~x.any(axis=1))
         if zero_rows.size:
             raise ValueError(f"sample {int(zero_rows[0])} is the exact zero vector")
         if weights is None:
@@ -362,11 +362,12 @@ def sample(params: EgdParams, n: int, seed: int) -> Dataset:
         raise ValueError("n must be at least 1")
     q = params.dim
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, q))
-    u = g / np.linalg.norm(g, axis=1, keepdims=True)
+    # one n x q array is normalized and scaled in place
+    u = rng.standard_normal((n, q))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
     radii_sq = rng.gamma(shape=params.shape_a, scale=params.scale_b, size=n)
-    root = params.scatter.cholesky
-    return Dataset((np.sqrt(radii_sq)[:, None] * u) @ root.T)
+    u *= np.sqrt(radii_sq)[:, None]
+    return Dataset(u @ params.scatter.cholesky.T)
 
 
 def gsm_density_mc(scatter: ScatterMatrix, a: float, x, num_mc: int,

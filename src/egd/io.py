@@ -66,7 +66,7 @@ def write_matrix_binary(path, array) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MATRIX_MAGIC, MATRIX_VERSION, m.shape[0],
                               m.shape[1]))
-        fh.write(m.tobytes(order="C"))
+        fh.write(m.data)
 
 
 def write_matrix_csv(path, array) -> None:
@@ -179,14 +179,21 @@ def write_model(path, model: MixtureModel, fit_info: dict | None = None) -> None
         fh.write("\n")
 
 
-def _number(entry: dict, key: str, where: str) -> float:
-    value = entry.get(key)
+def _json_number(value) -> float | None:
+    # a JSON number that fits a float; not a bool, a string or a list
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
             pass
-    raise ValueError(f"{where}: '{key}' missing or not a number")
+    return None
+
+
+def _number(entry: dict, key: str, where: str) -> float:
+    value = _json_number(entry.get(key))
+    if value is None:
+        raise ValueError(f"{where}: '{key}' missing or not a number")
+    return value
 
 
 def read_model(path):
@@ -217,10 +224,10 @@ def read_model(path):
                         for key in ("a", "b", "weight"))
         if not isinstance(entry.get("scatter"), list):
             raise ValueError(f"{where}: 'scatter' missing or not a list")
-        try:
-            flat = np.asarray(entry["scatter"], dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{where}: 'scatter' must hold numbers") from None
+        flat = [_json_number(v) for v in entry["scatter"]]
+        if None in flat:
+            raise ValueError(f"{where}: 'scatter' must hold numbers")
+        flat = np.asarray(flat)
         if flat.size != dim * dim:
             raise ValueError(f"component {j}: scatter has {flat.size} entries, "
                              f"expected {dim * dim}")

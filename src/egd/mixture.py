@@ -3,7 +3,8 @@
 The M-step is split into two blocks, alternated in stages: stage 1 refits
 each component's scatter by the regime-appropriate weighted fixed point with
 the radial parameters held fixed, stage 2 refits each component's gamma
-shape and scale from the squared radii under the current scatters.
+shape and scale from the squared radii under the current scatters.  Both
+run as one loop over the components under one effective-weight floor.
 
 The scatter block is a generalized-EM step (Dempster, Laird & Rubin 1977):
 each component takes one fixed-point step from its current scatter per
@@ -134,9 +135,9 @@ class EmConfig:
     them apart.  ``init="user-model"`` starts from ``user_model``, which
     must have ``n_components`` components.
 
-    A component's radial parameters are frozen for a sweep while its
-    effective weight is at most ``q(q+1)/2 + 1`` (see :func:`m_step_shape`),
-    and its scatter while that weight is below ``q``.
+    A component whose effective weight is at most ``q(q+1)/2 + 1`` keeps
+    its scatter, and its shape and scale, for the sweep (see
+    :func:`m_step_shape`).
     """
 
     n_components: int
@@ -233,50 +234,58 @@ def m_step_scatter(data: Dataset, resp: Responsibilities,
     The refit is then compared with its start, and a refit that lowers the
     component's weighted log-likelihood (or whose log-likelihood is not a
     number) is dropped in favour of the start, so the M-step never lowers
-    the EM objective.  A component whose effective weight falls below the
-    dimension, or whose step fails (on a rank-deficient subset, say), is
-    kept for the sweep with a warning.  Mixing probabilities are refreshed
-    from the responsibilities.
+    the EM objective.  A component whose effective weight is at most
+    ``q(q+1)/2 + 1`` (see :func:`m_step_shape`), or whose step fails (on a
+    rank-deficient subset, say), keeps its scatter for the sweep with a
+    warning.  Mixing probabilities are refreshed from the responsibilities.
     """
     if resp.matrix.shape != (model.n_components, data.n):
         raise ValueError("responsibilities shape does not match model and data")
     return _m_step_scatter(data, resp, model, *_squared_radii(model, data))
 
 
-def _component_weights(data, resp):
-    """Each component's weights ``w_i t_ki`` as one K x n product, the
-    total of each row and the mixing probabilities they give."""
+def _refit_components(data, resp, model, block, refit, errors):
+    """``model`` with each component ``k`` replaced by ``refit(k, comp, w_k,
+    sw_k)``, where ``w_k = w_i t_ki`` is its row of the K x n weights and
+    ``sw_k`` their total, and mixing probabilities set from the totals.
+    A component keeps its ``block`` for the sweep, with a warning giving
+    the reason, when ``sw_k`` is at most ``q(q+1)/2 + 1`` or its refit
+    raises one of ``errors``."""
     weights = data.weights * resp.matrix
     totals = [float(wk.sum()) for wk in weights]
     probs = np.asarray(totals) / data.total_weight
-    return weights, totals, probs / probs.sum()
+    # x'Mx = 1 is linear in the q(q+1)/2 entries of M, so that many points
+    # can share one ellipsoid; without the + 1 some shapes still ran off
+    floor = 0.5 * data.dim * (data.dim + 1) + 1.0
+    comps = list(model.components)
+    for k, comp in enumerate(model.components):
+        if totals[k] <= floor:
+            reason = f"effective weight {totals[k]:.3g} <= {floor:g}"
+        else:
+            try:
+                comps[k] = refit(k, comp, weights[k], totals[k])
+                continue
+            except errors as exc:
+                reason = str(exc)
+        warnings.warn(f"component {k} {block} frozen for this sweep: {reason}")
+    return MixtureModel(comps, probs / probs.sum())
 
 
 def _m_step_scatter(data, resp, model, radii, log_radii):
     # the rows of ``radii`` and ``log_radii`` of a refitted component are
     # overwritten in place with the refit's; a component that keeps its
     # scatter keeps its rows
-    weights, totals, probs = _component_weights(data, resp)
-    comps = list(model.components)
-    for k, comp in enumerate(model.components):
-        wk, swk = weights[k], totals[k]
-        if swk < data.dim:
-            warnings.warn(f"component {k} is degenerate (effective weight "
-                          f"{swk:.3g} < dim); scatter frozen for this sweep")
-            continue
-        try:
-            ll_start, ll, sigma, refit_radii, refit_log_radii = (
-                scatter._em_step(data.samples, wk, comp.shape_a,
-                                 comp.scale_b, comp.scatter, radii[k],
-                                 log_radii[k]))
-        except (RankDeficiencyError, scatter._Breakdown) as exc:
-            warnings.warn(f"component {k} scatter frozen for this sweep: {exc}")
-            continue
-        if ll >= ll_start:
-            comps[k] = EgdParams(sigma, comp.shape_a, comp.scale_b)
-            radii[k] = refit_radii
-            log_radii[k] = refit_log_radii
-    return MixtureModel(comps, probs)
+    def refit(k, comp, wk, swk):
+        ll_start, ll, sigma, *rows = scatter._em_step(
+            data.samples, wk, comp.shape_a, comp.scale_b, comp.scatter,
+            radii[k], log_radii[k])
+        if not ll >= ll_start:
+            return comp
+        radii[k], log_radii[k] = rows
+        return EgdParams(sigma, comp.shape_a, comp.scale_b)
+
+    return _refit_components(data, resp, model, "scatter", refit,
+                             (RankDeficiencyError, scatter._Breakdown))
 
 
 def m_step_shape(data: Dataset, resp: Responsibilities,
@@ -284,10 +293,11 @@ def m_step_shape(data: Dataset, resp: Responsibilities,
     """Refit every component's gamma shape and scale from squared radii.
 
     A component whose effective weight ``sum_i w_i t_ki`` is at most
-    ``q(q+1)/2 + 1`` keeps its shape and scale, with a warning: that few
-    points can lie on one centered ellipsoid, where their radii are equal,
-    the shape runs off and the mixture likelihood grows without bound
-    (Hathaway 1985).
+    ``q(q+1)/2 + 1``, the floor :func:`m_step_scatter` shares, or whose
+    radii no gamma law fits, keeps its shape and scale, with a warning:
+    that few points can lie on one centered ellipsoid, where their radii
+    are equal, the shape runs off and the mixture likelihood grows without
+    bound (Hathaway 1985).
     """
     if resp.matrix.shape != (model.n_components, data.n):
         raise ValueError("responsibilities shape does not match model and data")
@@ -296,26 +306,13 @@ def m_step_shape(data: Dataset, resp: Responsibilities,
 
 def _m_step_shape(data, resp, model, radii, log_radii):
     # the weighted mean radius and mean log radius are all a gamma fit reads
-    weights, totals, probs = _component_weights(data, resp)
-    # x'Mx = 1 is linear in the q(q+1)/2 entries of M, so that many points
-    # can share one ellipsoid; without the + 1 some shapes still ran off
-    floor = 0.5 * data.dim * (data.dim + 1) + 1.0
-    comps = list(model.components)
-    for k, comp in enumerate(model.components):
-        wk, swk = weights[k], totals[k]
-        if swk <= floor:
-            warnings.warn(f"component {k} has effective weight {swk:.3g} <= "
-                          f"{floor:g}; radial parameters frozen for this sweep")
-            continue
-        try:
-            fit = _fit_gamma_moments(float(wk @ radii[k]) / swk,
-                                     float(wk @ log_radii[k]) / swk)
-        except ValueError:
-            warnings.warn(f"component {k} has degenerate radii; radial "
-                          "parameters frozen for this sweep")
-            continue
-        comps[k] = EgdParams(comp.scatter, fit.shape_a, fit.scale_b)
-    return MixtureModel(comps, probs)
+    def refit(k, comp, wk, swk):
+        fit = _fit_gamma_moments(float(wk @ radii[k]) / swk,
+                                 float(wk @ log_radii[k]) / swk)
+        return EgdParams(comp.scatter, fit.shape_a, fit.scale_b)
+
+    return _refit_components(data, resp, model, "radial parameters", refit,
+                             ValueError)
 
 
 def _live(resp, data):

@@ -318,6 +318,14 @@ def _run(problem: _Problem, config: FixedPointConfig, start, regime,
     )
 
 
+def _inverse_moment(problem: _Problem, t: np.ndarray):
+    # M = sum_i w_i x_i x_i' / t_i, or None when it overflows
+    try:
+        return gram(problem.x, problem.w / t)
+    except ValueError:
+        return None
+
+
 def _concave_candidate(problem: _Problem, sigma: ScatterMatrix,
                        t: np.ndarray):
     """At an iterate: the candidate ``B + c M``, the eigenpairs of the
@@ -325,15 +333,19 @@ def _concave_candidate(problem: _Problem, sigma: ScatterMatrix,
     needs no ``M``, and an ``M`` that overflows gives None.
 
     The step is scale-invariant: at ``s Sigma`` the pencil and ``M`` are
-    ``s`` times those at ``Sigma``.  So when the pencil overflows, as at a
-    start far above ``B``, the eigenpairs and ``M`` are those of
-    ``4^-k Sigma``, whose pencil is of order one, with its own squared
-    radii; the candidate is still that at ``Sigma``."""
+    ``s`` times those at ``Sigma``.  So when the pencil or ``M``
+    overflows, as at a start far above ``B``, the eigenpairs and ``M`` are
+    those of ``4^-k Sigma``, whose pencil is of order one, with its own
+    squared radii; the candidate is still that at ``Sigma``."""
     fac_inv, b_mat = problem.b_scatter._chol_inv, problem.b_scatter.entries
-    entries, k = sigma.entries, 0
+    entries, k, m = sigma.entries, 0, None
     with np.errstate(over="ignore", invalid="ignore"):
         pencil = fac_inv @ entries @ fac_inv.T
-    if not np.isfinite(pencil).all():
+    finite = np.isfinite(pencil).all()
+    if finite and problem.c != 0.0:
+        m = _inverse_moment(problem, t)
+        finite = m is not None
+    if not finite:
         # entries below 2^e of F^{-1} and 2^f of Sigma give a pencil below
         # q^2 2^(2e + f); its multiple at 4^-k stays below q^2
         e, f = (int(np.frexp(np.abs(arr).max())[1])
@@ -343,12 +355,12 @@ def _concave_candidate(problem: _Problem, sigma: ScatterMatrix,
         pencil = fac_inv @ entries @ fac_inv.T
         t = np.maximum(quad_forms(np.ldexp(sigma._chol_inv, k), problem.x),
                        _DENOM_FLOOR)
+        if problem.c != 0.0:
+            m = _inverse_moment(problem, t)
     vals, vecs = np.linalg.eigh(symmetrize(pencil))
     if problem.c == 0.0:
         return b_mat, vals, vecs, None
-    try:
-        m = gram(problem.x, problem.w / t)
-    except ValueError:
+    if m is None:
         return None, vals, vecs, None
     # c M can overflow where M does not; its residual is then inf or nan
     with np.errstate(over="ignore"):

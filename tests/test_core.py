@@ -1,5 +1,6 @@
 """Density evaluation, sampling, and the scale-mixture cross-check."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -423,6 +424,19 @@ class TestSample:
         radii = np.einsum("ij,ij->i", d.samples, d.samples)
         _, pvalue = stats.kstest(radii, stats.gamma(a, scale=b).cdf)
         assert pvalue > 0.01
+
+    def test_peak_memory(self):
+        # the draws are normalized and scaled in place, so the sampler
+        # holds about one n x q array beside its output at its peak
+        p = egd.EgdParams(egd.ScatterMatrix.identity(64), 30.0, 2.0)
+        egd.sample(p, 10, seed=14)
+        tracemalloc.start()
+        try:
+            out = egd.sample(p, 20000, seed=14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * out.samples.nbytes
 
     @staticmethod
     def _stream(seed, n, q, a, b):

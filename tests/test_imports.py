@@ -14,6 +14,8 @@ import sys
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve()
 SRC = HERE.parents[1] / "src"
 
@@ -34,6 +36,11 @@ FILES = {
                "2e-100,-1e-100\n",
     "high.csv": "1e300,0\n0,1e300\n",
     "bad.json": '{"format": "egd-mixture-v1", "dim": 4, "components": [',
+    "text.json": '{"format": "egd-mixture-v1", "dim": 2, "components": '
+                 '[{"weight": 1, "a": 1.5, "b": 2, "scatter": ["1", 0, 0, 1]}]}',
+    "wide.csv": "".join(",".join(map(repr, row)) + "\n" for row in (
+        1e4 * np.random.default_rng(0).standard_normal((50, 3))).tolist()),
+    "top.csv": "1e308,0,0\n0,1e308,0\n0,0,1e308\n",
 }
 
 # (command, exit code, why), in order: later rows read earlier outputs
@@ -98,6 +105,10 @@ CASES = (
     ("fit --data low.csv --a 3 --b 2 --init high.csv --out high.json", 0,
      "a concave start whose pencil with B overflows"),
     ("eval --data x.csv --model bad.json", 4, "a truncated model document"),
+    ("eval --data raw.csv --model text.json", 4,
+     "a scatter entry that is a JSON string, not a number"),
+    ("fit --data wide.csv --a 2.5 --b 2 --init top.csv --out top.json", 0,
+     "a concave start whose pencil with B is finite but whose M overflows"),
 )
 
 

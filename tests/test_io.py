@@ -447,3 +447,18 @@ def model_documents(draw):
 @given(model_documents())
 def test_corrupt_model_raises_value_error(doc):
     read_corrupt(eio.read_model, json.dumps(doc).encode("utf-8"))
+
+
+@pytest.mark.parametrize("scatter", [
+    ["1", 0, 0, 1], [True, 0, 0, 1], [[1, 0], [0, 1]], [10 ** 400, 0, 0, 1]],
+    ids=["text", "bool", "nested", "overflow"])
+def test_scatter_entries_must_be_numbers(tmp_path, scatter):
+    # each entry is a JSON number, as 'a', 'b' and 'weight' must be
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"format": eio.MODEL_FORMAT, "dim": 2,
+                                "components": [{"weight": 1.0, "a": 1.5,
+                                                "b": 2.0,
+                                                "scatter": scatter}]}))
+    with pytest.raises(ValueError, match="component 0: 'scatter' must hold "
+                       "numbers"):
+        eio.read_model(path)

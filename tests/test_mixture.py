@@ -399,7 +399,8 @@ class TestMSteps:
         lopsided[0, :3] = 0.5
         lopsided[1, :3] = 0.5
         resp = egd.Responsibilities(lopsided)
-        with pytest.warns(UserWarning, match="degenerate"):
+        with pytest.warns(UserWarning, match="component 1 scatter frozen for "
+                          "this sweep: effective weight 1.5 <= 11"):
             stepped = egd.m_step_scatter(data, resp, model)
         assert stepped.components[1].scatter is model.components[1].scatter
 
@@ -425,10 +426,26 @@ class TestMSteps:
         comp = egd.EgdParams(egd.ScatterMatrix.identity(3), 1.5, 2.0)
         model = egd.MixtureModel([comp], np.ones(1))
         resp = egd.Responsibilities(np.ones((1, 50)))
-        with pytest.warns(UserWarning, match="component 0 has degenerate "
-                          "radii; radial parameters frozen"):
+        with pytest.warns(UserWarning, match="component 0 radial parameters "
+                          "frozen for this sweep: degenerate sample"):
             stepped = egd.m_step_shape(data, resp, model)
         assert stepped.components[0] is comp
+
+    def test_one_floor_keeps_both_blocks(self, blob_data):
+        # q = 4: an effective weight of 6 is at least q but at most
+        # q(q+1)/2 + 1 = 11, so the component keeps its scatter as well as
+        # its shape and scale
+        model, data = blob_data
+        light = np.zeros(600)
+        light[:12] = 0.5
+        resp = egd.Responsibilities(np.vstack([1.0 - light, light]))
+        for step, block in ((egd.m_step_scatter, "scatter"),
+                            (egd.m_step_shape, "radial parameters")):
+            with pytest.warns(UserWarning, match=f"component 1 {block} frozen "
+                              "for this sweep: effective weight 6 <= 11"):
+                stepped = step(data, resp, model)
+            assert stepped.components[1] is model.components[1]
+            assert stepped.components[0] is not model.components[0]
 
     @pytest.mark.parametrize("rows", [14, 15])
     def test_light_component_keeps_radial_parameters(self, rows):
@@ -441,8 +458,9 @@ class TestMSteps:
         light[:rows] = 0.5
         resp = egd.Responsibilities(np.vstack([1.0 - light, light]))
         if rows == 14:
-            with pytest.warns(UserWarning, match=r"effective weight 7 <= 7; "
-                              "radial parameters frozen"):
+            with pytest.warns(UserWarning, match="component 1 radial "
+                              "parameters frozen for this sweep: effective "
+                              "weight 7 <= 7"):
                 stepped = egd.m_step_shape(data, resp, model)
             assert stepped.components[1] is params
         else:

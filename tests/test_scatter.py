@@ -248,15 +248,18 @@ class TestFitConcaveRegime:
         diffs = np.diff(report.loglik_trace)
         assert np.all(diffs >= -1e-9)
 
-    def test_overflowing_m_ends_near_singular(self, breakdowns):
-        # coverage: from so wide a start M = sum_i w_i x_i x_i' / t_i
-        # overflows, so the first candidate does, and the fit stops at its
-        # start with no floating-point warning
+    def test_overflowing_m_start_converges_without_warning(self, breakdowns):
+        # from so wide a start the pencil (Sigma, B) is finite but
+        # M = sum_i w_i x_i x_i' / t_i overflows; the step is scale-invariant,
+        # so it is taken from a power-of-four multiple of the start, and the
+        # fit lands where the fit from 1e305 I does
         x = 1e4 * np.random.default_rng(0).standard_normal((50, 3))
-        report = wide_start_fit(egd.fit_concave, x, 2.5, 1e308)
-        assert report.near_singular and not report.converged
-        assert report.iterations == 0
-        assert breakdowns == ["candidate overflows"]
+        far = wide_start_fit(egd.fit_concave, x, 2.5, 1e308)
+        near = wide_start_fit(egd.fit_concave, x, 2.5, 1e305)
+        assert far.converged and not far.near_singular
+        assert breakdowns == []
+        assert rel_frob(far.sigma_hat.entries,
+                        near.sigma_hat.entries) <= 1e-10
 
     def test_overflowing_c_m_converges_without_warning(self):
         # at a large shape c M passes the largest double while M does not;
