@@ -9,6 +9,7 @@ import importlib
 import json
 import os
 import pkgutil
+import struct
 import subprocess
 import sys
 import traceback
@@ -41,6 +42,7 @@ FILES = {
     "wide.csv": "".join(",".join(map(repr, row)) + "\n" for row in (
         1e4 * np.random.default_rng(0).standard_normal((50, 3))).tolist()),
     "top.csv": "1e308,0,0\n0,1e308,0\n0,0,1e308\n",
+    "tall.bin": struct.pack("<4sIQQ", b"EGDM", 1, 2**40, 4).decode("ascii"),
 }
 
 # (command, exit code, why), in order: later rows read earlier outputs
@@ -109,6 +111,8 @@ CASES = (
      "a scatter entry that is a JSON string, not a number"),
     ("fit --data wide.csv --a 2.5 --b 2 --init top.csv --out top.json", 0,
      "a concave start whose pencil with B is finite but whose M overflows"),
+    ("eval --data tall.bin --model model.json", 4,
+     "a binary header declaring 2^40 rows is refused before allocating"),
 )
 
 

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import struct
 import tempfile
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -61,6 +65,14 @@ class TestMatrixBinary:
         raw[4] = 9
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version"):
+            eio.read_matrix(path)
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(struct.pack("<4sIQQ", eio.MATRIX_MAGIC,
+                                     eio.MATRIX_VERSION, 2**40, 64))
+        with pytest.raises(ValueError, match="payload is 0 bytes, expected "
+                           f"{8 * 2**40 * 64} for a {2**40}x64 matrix"):
             eio.read_matrix(path)
 
     def test_rejects_nonfinite_on_write(self, tmp_path):
@@ -205,6 +217,49 @@ def test_csv_round_trip_bit_exact(m):
         back = eio.read_matrix(path)
     assert back.shape == m.shape
     assert back.tobytes() == m.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("kind", ["csv", "csv-header", "binary"])
+def test_pipe_read_matches_file_read(tmp_path, kind):
+    # a pipe cannot seek: it is read once, then parsed as a file is
+    m = np.random.default_rng(64).standard_normal((3000, 4))
+    path, fifo = tmp_path / "m", tmp_path / "fifo"
+    if kind == "binary":
+        eio.write_matrix_binary(path, m)
+    else:
+        eio.write_matrix_csv(path, m)
+        if kind == "csv-header":
+            path.write_bytes(b"a,b,c,d\n" + path.read_bytes())
+    os.mkfifo(fifo)
+    # a daemon, so that a reader failing before it opens the pipe cannot
+    # leave the suite waiting on the writer's open
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        back = eio.read_matrix(fifo)
+    finally:
+        writer.join(timeout=60)
+    assert back.tobytes() == eio.read_matrix(path).tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("write, bound", [
+    (eio.write_matrix_csv, 1.5), (eio.write_matrix_binary, 1.2)],
+    ids=["csv", "binary"])
+def test_read_holds_little_beside_the_matrix(tmp_path, write, bound):
+    # a regular file is streamed, not held whole beside the matrix
+    m = np.random.default_rng(65).standard_normal((5000, 64))
+    path = tmp_path / "m"
+    write(path, m)
+    tracemalloc.start()
+    try:
+        back = eio.read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == m.tobytes()
+    assert peak <= bound * m.nbytes, f"peak {peak / m.nbytes:.2f}x the matrix"
 
 
 class TestModelFile:
@@ -403,6 +458,7 @@ def test_corrupt_trace_raises_value_error(text):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(struct.pack("<QQ", 2**40, 64))  # rows no file could hold
 @given(st.binary(max_size=80))
 def test_corrupt_bytes_raise_value_error(raw):
     for reader in (eio.read_matrix, eio.read_model, eio.read_trace):
